@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .exact import Quad
-from .groups import Ball, GroupModel, InputError, Letter, ResourceLimitError
+from .groups import GroupModel, InputError, ResourceLimitError
 from .lll import (
     BadEvent,
     LLLInstance,
+    neighbour_counts,
     two_coloring_probability,
     two_coloring_weight,
 )
@@ -96,6 +97,29 @@ def check_t_sets(group: GroupModel, tsets: TSets) -> None:
             raise InputError(f"T_{i} meets s_{i} T_{i}")
 
 
+def fitting_pairs(group: GroupModel, positions, inside, s,
+                  t_set) -> Iterator[tuple]:
+    """The fitting positions of one level, with their translated pairs.
+
+    For each g in ``positions``, in order, yields ``(g, pairs)`` with
+    ``pairs`` the tuple of (g t, g s t) over t in ``t_set``, provided every
+    pair lies in ``inside`` (any container supporting ``in``); positions
+    where g T or g s T leaves ``inside`` are skipped.  This is the single
+    definition of a fitting (n, g) shared by the instance builder and the
+    distinct-neighborhood verifier.
+    """
+    for g in positions:
+        pairs = []
+        for t in t_set:
+            u = group.mul(g, t)
+            v = group.mul(g, group.mul(s, t))
+            if u not in inside or v not in inside:
+                break
+            pairs.append((u, v))
+        else:
+            yield g, tuple(pairs)
+
+
 def build_2coloring_instance(group: GroupModel, window_radius: int,
                              tsets: TSets, n_max: int) -> LLLInstance:
     """Binary variables on the window; one event per fitting (n, g).
@@ -112,22 +136,9 @@ def build_2coloring_instance(group: GroupModel, window_radius: int,
     events: list[BadEvent] = []
     for n in range(1, n_max + 1):
         s, t_set = tsets.level(n)
-        for g in window.members:
-            pairs = []
-            fits = True
-            for t in t_set:
-                u = group.mul(g, t)
-                v = group.mul(g, group.mul(s, t))
-                if u not in members or v not in members:
-                    fits = False
-                    break
-                pairs.append((u, v))
-            if not fits:
-                continue
-            support = tuple(dict.fromkeys(
-                [p for pair in pairs for p in pair]
-            ))
-            pairs = tuple(pairs)
+        for g, pairs in fitting_pairs(group, window.members, members, s,
+                                      t_set):
+            support = tuple(dict.fromkeys(p for pair in pairs for p in pair))
             events.append(BadEvent(
                 id=(n, index[g]),
                 support=support,
@@ -157,23 +168,12 @@ class DistinctNeighborhoodReport:
 def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
                                  n_max: int) -> DistinctNeighborhoodReport:
     """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g)."""
-    group = x.group
     violations = []
     checked = 0
     for n in range(1, min(n_max, tsets.levels) + 1):
         s, t_set = tsets.level(n)
-        for g in x.window.members:
-            pairs = []
-            fits = True
-            for t in t_set:
-                u = group.mul(g, t)
-                v = group.mul(g, group.mul(s, t))
-                if u not in x.cells or v not in x.cells:
-                    fits = False
-                    break
-                pairs.append((u, v))
-            if not fits:
-                continue
+        for g, pairs in fitting_pairs(x.group, x.window.members, x.cells, s,
+                                      t_set):
             checked += 1
             if all(x.cells[u] == x.cells[v] for u, v in pairs):
                 violations.append((n, g))
@@ -197,9 +197,6 @@ class PathWindow:
                 h for h in group.neighbors(g) if h in members
             )
         return cls(vertices=ball.members, adjacency=adjacency)
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
 
 
 def enumerate_odd_paths(w: PathWindow, max_half_length: int,
@@ -293,25 +290,7 @@ def path_dependency_counts(w: PathWindow, max_half_length: int,
     (excluding the path itself at its own level).
     """
     paths = list(enumerate_odd_paths(w, max_half_length, budget))
-    masks_by_level: dict[int, dict] = {}
-    for k, path in enumerate(paths):
-        n = len(path) // 2
-        level = masks_by_level.setdefault(n, {})
-        for v in set(path):
-            level[v] = level.get(v, 0) | (1 << k)
-    counts = []
-    for k, path in enumerate(paths):
-        n = len(path) // 2
-        row = {}
-        for j, level in masks_by_level.items():
-            mask = 0
-            for v in set(path):
-                mask |= level.get(v, 0)
-            if j == n:
-                mask &= ~(1 << k)
-            row[j] = mask.bit_count()
-        counts.append(row)
-    return counts
+    return neighbour_counts(paths, [len(p) // 2 for p in paths])
 
 
 @dataclass(frozen=True)
@@ -368,7 +347,8 @@ def witness_path(group: GroupModel, g_word, node_cap: int = 10 ** 5
     u_letters = seen[best]
     w_letters = group.geodesic(best)
     n = len(w_letters)
-    assert n > 0  # identity was handled above
+    if n == 0:
+        raise AssertionError("nontrivial element has an empty geodesic")
 
     prefixes = [group.identity()]
     for label, exp in w_letters:

@@ -8,13 +8,18 @@ Exit codes: 0 success, 1 verification failure (violations found),
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import aperiodic, density, lll, serialize
-from .groups import InputError, ResourceLimitError, parse_group_spec
+from .groups import (
+    InputError,
+    ResourceLimitError,
+    format_word,
+    parse_group_spec,
+)
 from .patterns import WindowConfig
 
 EXIT_OK = 0
@@ -38,11 +43,26 @@ def _write_artifacts(args, outputs: dict, started: float, seed=None,
         )
 
 
+def _load(path: str, from_json):
+    """Decode the JSON artifact at ``path`` with ``from_json``.
+
+    A missing, unreadable or malformed file is an input error (exit 2),
+    never a traceback: exit 1 is reserved for verified violations.
+    """
+    try:
+        return from_json(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"cannot load {path}: {exc}") from None
+
+
 def _parse_radii(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise InputError(f"malformed radius list {spec!r}") from None
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -87,10 +107,7 @@ def cmd_lll_alphabet_bound(args) -> int:
 
 
 def cmd_lll_verify(args) -> int:
-    import json
-
-    data = json.loads(Path(args.instance).read_text())
-    inst = serialize.instance_from_json(data)
+    inst = _load(args.instance, serialize.instance_from_json)
     verdict = lll.verify_condition(inst)
     text = serialize.dumps(serialize.verdict_to_json(inst, verdict))
     if args.out:
@@ -167,11 +184,7 @@ def cmd_color_squarefree(args) -> int:
 
 
 def cmd_verify_distinct(args) -> int:
-    import json
-
-    config = serialize.window_from_json(
-        json.loads(Path(args.config).read_text())
-    )
+    config = _load(args.config, serialize.window_from_json)
     tsets = aperiodic.build_t_sets(config.group, args.c, args.levels)
     report = aperiodic.verify_distinct_neighborhood(
         config, tsets, args.levels
@@ -186,8 +199,6 @@ def cmd_witness(args) -> int:
     if result.trivial:
         print("trivial")
         return EXIT_OK
-    from .groups import format_word
-
     print(f"w {format_word(list(result.word))!r} "
           f"u {format_word(list(result.conjugator))!r} "
           f"path length {len(result.vertices) - 1}")
@@ -235,11 +246,7 @@ def cmd_density_fill(args) -> int:
 
 
 def cmd_density_verify(args) -> int:
-    import json
-
-    config = serialize.window_from_json(
-        json.loads(Path(args.config).read_text())
-    )
+    config = _load(args.config, serialize.window_from_json)
     forest = density.build_forest(
         config.group, config.window.radius, args.levels
     )
@@ -254,11 +261,7 @@ def cmd_density_verify(args) -> int:
 
 
 def cmd_density_measure(args) -> int:
-    import json
-
-    config = serialize.window_from_json(
-        json.loads(Path(args.config).read_text())
-    )
+    config = _load(args.config, serialize.window_from_json)
     radii = _parse_radii(args.balls)
     sets, descs = density.ball_sequence(config, radii)
     alpha = density.Slope.parse(args.alpha) if args.alpha else None
@@ -405,10 +408,7 @@ def dispatch(argv=None) -> int:
     except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: resource: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except lll.NonterminatingInstanceError as exc:
+    except (ResourceLimitError, lll.NonterminatingInstanceError) as exc:
         print(f"error: resource: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

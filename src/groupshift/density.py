@@ -15,7 +15,7 @@ the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,10 +37,14 @@ class Slope:
     @classmethod
     def parse(cls, text: str) -> "Slope":
         text = text.strip()
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"malformed slope {text!r}") from None
         if "/" in text or text.lstrip("+-").isdigit():
-            return cls(Fraction(text))
+            return cls(value)
         # Decimal input: replace by a continued-fraction convergent.
-        approx = Fraction(text).limit_denominator(2 ** 31)
+        approx = value.limit_denominator(2 ** 31)
         return cls(approx, provenance=f"convergent of {text}")
 
     def __str__(self) -> str:
@@ -303,7 +307,7 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
         union: list = []
         for g in interior:
             cl = f.cluster(n, g)
-            ones = sum(1 for h in cl if x.cells[h] == 1)
+            ones = int(density_of(x.cells[h] for h in cl) * len(cl))
             cluster_checks.append(ClusterCheck(
                 level=n, center=g, size=len(cl),
                 floor_share=(a * len(cl)).__floor__(), ones=ones,
@@ -312,7 +316,7 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
         if union:
             aggregates.append(AggregateCheck(
                 level=n, union_size=len(union), center_count=len(interior),
-                dens=density_of(x.cells, union),
+                dens=density_of(x.cells[h] for h in union),
                 bound=Fraction(len(interior), len(union)), alpha=a,
             ))
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)
@@ -344,7 +348,7 @@ def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
     hypothesis = 2 * n * len(boundary) < len(F)
     if not hypothesis:
         return ForbiddenCheck(True, False, len(boundary), len(F), None)
-    deviation = abs(density_of(x.cells, F) - alpha.value)
+    deviation = abs(density_of(x.cells[g] for g in F) - alpha.value)
     return ForbiddenCheck(
         allowed=deviation <= Fraction(1, n),
         hypothesis_holds=True,
@@ -373,9 +377,9 @@ def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
         subset = list(subset)
         if any(g not in x.cells for g in subset):
             raise InputError(f"set {i} escapes the window")
-        ones = sum(1 for g in subset if x.cells[g] == 1)
+        dens = density_of(x.cells[g] for g in subset)
         desc = descriptors[i] if descriptors else f"set-{i}"
-        entries.append((desc, len(subset), ones, Fraction(ones, len(subset))))
+        entries.append((desc, len(subset), int(dens * len(subset)), dens))
     return DensityReport(
         entries=entries, alpha=None if alpha is None else alpha.value
     )

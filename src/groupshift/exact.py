@@ -30,11 +30,6 @@ class Quad:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def __add__(self, other: "Quad") -> "Quad":
         other = Quad.of(other)
         return Quad(self.a + other.a, self.b + other.b)
@@ -103,10 +98,6 @@ class Quad:
         if self.a == 0:
             return f"{self.b}*sqrt2"
         return f"{self.a} + {self.b}*sqrt2"
-
-
-QUAD_ZERO = Quad(Fraction(0))
-QUAD_ONE = Quad(Fraction(1))
 
 
 def half_power_of_two(k: int) -> Quad:

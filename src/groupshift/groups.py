@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -61,11 +62,9 @@ class Ball:
     def __contains__(self, g) -> bool:
         return g in self._member_set
 
-    @property
-    def _member_set(self):
-        if not hasattr(self, "_cached_set"):
-            object.__setattr__(self, "_cached_set", frozenset(self.members))
-        return self._cached_set
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -161,6 +160,8 @@ class GroupModel:
         return out
 
     def ball(self, center=None, radius: int = 0, cap: int = DEFAULT_BALL_CAP) -> Ball:
+        if radius < 0:
+            raise InputError(f"ball radius {radius} is negative")
         if center is None:
             center = self.identity()
         order = [center]

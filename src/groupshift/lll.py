@@ -63,6 +63,37 @@ class Verdict:
     margins: dict  # event id -> Quad (rhs - mu)
 
 
+def neighbour_counts(supports, classes) -> list[dict]:
+    """Per event, the number of other events of each class sharing a variable.
+
+    ``supports[i]`` lists the variables of event i and ``classes[i]`` its
+    class.  Entry i of the result maps every class, in order of first
+    appearance, to the number of events j != i of that class whose support
+    meets ``supports[i]``: the class-wise sizes of the dependency
+    neighbourhood Gamma(A_i).  Pass small int class ids (weight-class
+    indices, path half-lengths), never weights themselves: the classes key
+    one dict per variable and per event, and hashing exact weights there
+    costs more than the rest of the count.
+    """
+    # Per variable, one bitmask of incident events per class.
+    masks: dict = {}
+    for i, (support, k) in enumerate(zip(supports, classes)):
+        bit = 1 << i
+        for v in support:
+            row = masks.setdefault(v, {})
+            row[k] = row.get(k, 0) | bit
+    order = list(dict.fromkeys(classes))
+    counts = []
+    for i, (support, k) in enumerate(zip(supports, classes)):
+        union = dict.fromkeys(order, 0)
+        for v in support:
+            for c, mask in masks[v].items():
+                union[c] |= mask
+        union[k] &= ~(1 << i)
+        counts.append({c: mask.bit_count() for c, mask in union.items()})
+    return counts
+
+
 def verify_condition(inst: LLLInstance) -> Verdict:
     """Exact check of the asymmetric condition for every event.
 
@@ -77,19 +108,10 @@ def verify_condition(inst: LLLInstance) -> Verdict:
             raise InputError(f"event {e.id} has weight outside (0,1)")
 
     classes: dict[Quad, int] = {}
-    for e in inst.events:
-        if e.weight not in classes:
-            classes[e.weight] = len(classes)
-    n_classes = len(classes)
-    weights = sorted(classes, key=classes.get)
-
-    # Per variable, one bitmask of incident events per weight class.
-    var_masks: dict = {v: [0] * n_classes for v in inst.variables}
-    for i, e in enumerate(inst.events):
-        k = classes[e.weight]
-        bit = 1 << i
-        for v in e.support:
-            var_masks[v][k] |= bit
+    class_ids = [classes.setdefault(e.weight, len(classes))
+                 for e in inst.events]
+    weights = list(classes)
+    counts = neighbour_counts([e.support for e in inst.events], class_ids)
 
     one = Quad.of(1)
     pow_cache: dict[tuple[int, int], Quad] = {}
@@ -102,16 +124,9 @@ def verify_condition(inst: LLLInstance) -> Verdict:
 
     margins: dict = {}
     holds = True
-    for i, e in enumerate(inst.events):
-        masks = [0] * n_classes
-        for v in e.support:
-            vm = var_masks[v]
-            for k in range(n_classes):
-                masks[k] |= vm[k]
-        masks[classes[e.weight]] &= ~(1 << i)
+    for e, row in zip(inst.events, counts):
         rhs = e.weight
-        for k in range(n_classes):
-            count = masks[k].bit_count()
+        for k, count in row.items():
             if count:
                 rhs = rhs * base_power(k, count)
         margin = rhs - e.probability
@@ -158,7 +173,8 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
         for v in culprit.support:
             assignment[v] = rng.randrange(inst.alphabet[v])
     for e in events:  # post-hoc certification, independent of search order
-        assert not e.violated(assignment)
+        if e.violated(assignment):
+            raise AssertionError(f"event {e.id} violated after resampling")
     return ResampleRun(assignment=assignment, trace=trace, seed=seed)
 
 
@@ -219,14 +235,16 @@ def geometric_derivative_partial(n: int) -> Fraction:
 def squarefree_alphabet_bound(s: int) -> int:
     """Least admissible alphabet size for square-free coloring: 2^19 s^2.
 
-    The exponent 16 = 8 * sum_{j>=1} j 2^-j comes from the closed form of
-    the geometric-derivative series, evaluated exactly.
+    The exponent 16 = 8 * sum_{j>=1} j 2^-j is recomputed from the series:
+    its partial sum to n plus the exact tail sum_{j>n} j 2^-j = (n+2)/2^n.
     """
     if s < 1:
         raise InputError("generator count must be positive")
-    series = Fraction(2)  # sum_{j>=1} j * 2^-j
+    n = 8
+    series = geometric_derivative_partial(n) + Fraction(n + 2, 2 ** n)
     exponent = 8 * series
-    assert exponent.denominator == 1
+    if exponent.denominator != 1:
+        raise AssertionError(f"series exponent {exponent} is not an integer")
     return 8 * s * s * 2 ** int(exponent)
 
 

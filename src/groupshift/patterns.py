@@ -31,9 +31,6 @@ class Pattern:
         if len(self.support) != len(self.symbols):
             raise InputError("support and symbols must align")
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.symbols))
-
     def __len__(self) -> int:
         return len(self.support)
 
@@ -70,20 +67,22 @@ class WindowConfig:
         return g in self.cells
 
 
+def density_of(symbols) -> Fraction:
+    """Exact fraction of ``symbols`` equal to 1.
+
+    The one ones-count behind every density in the package.  Raises
+    EmptySupportError when ``symbols`` is empty, since the density of an
+    empty set is undefined.
+    """
+    symbols = list(symbols)
+    if not symbols:
+        raise EmptySupportError("density over an empty set is undefined")
+    return Fraction(symbols.count(1), len(symbols))
+
+
 def pattern_density(p: Pattern) -> Fraction:
     """Exact fraction of cells carrying symbol 1."""
-    if not p.support:
-        raise EmptySupportError("density of the empty pattern is undefined")
-    ones = sum(1 for a in p.symbols if a == 1)
-    return Fraction(ones, len(p.support))
-
-
-def density_of(cells: dict, subset) -> Fraction:
-    subset = list(subset)
-    if not subset:
-        raise EmptySupportError("density over an empty set is undefined")
-    ones = sum(1 for g in subset if cells[g] == 1)
-    return Fraction(ones, len(subset))
+    return density_of(p.symbols)
 
 
 def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:

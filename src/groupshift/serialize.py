@@ -27,10 +27,6 @@ def quad_to_json(q: Quad):
     return {"rational": str(q.a), "sqrt2": str(q.b)}
 
 
-def fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # --- window configurations ---------------------------------------------
 
 def window_to_json(x: WindowConfig) -> dict:
@@ -57,49 +53,36 @@ def window_from_json(data: dict) -> WindowConfig:
     )
 
 
+def _z2_rows(x: WindowConfig, what: str, blank, sep: str) -> list[str]:
+    """Grid rows of a Z^2 window, top row first; ``blank`` off the ball."""
+    if not isinstance(x.group, IntegerLattice) or x.group.d != 2:
+        raise InputError(f"{what} export requires a z^2 window")
+    r = x.window.radius
+    return [
+        sep.join(str(x.cells.get((i, j), blank)) for i in range(-r, r + 1))
+        for j in range(r, -r - 1, -1)
+    ]
+
+
 def window_to_csv(x: WindowConfig) -> str:
     """Grid export for Z^2 windows; cells outside the ball are blank."""
-    if not isinstance(x.group, IntegerLattice) or x.group.d != 2:
-        raise InputError("CSV grid export requires a z^2 window")
-    r = x.window.radius
-    lines = []
-    for j in range(r, -r - 1, -1):
-        row = []
-        for i in range(-r, r + 1):
-            row.append(str(x.cells[(i, j)]) if (i, j) in x.cells else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_z2_rows(x, "CSV grid", "", ",")) + "\n"
 
 
 def window_to_pgm(x: WindowConfig) -> str:
     """Binary-alphabet Z^2 windows as plain PGM; background = 2."""
-    if not isinstance(x.group, IntegerLattice) or x.group.d != 2:
-        raise InputError("PGM export requires a z^2 window")
+    rows = _z2_rows(x, "PGM", 2, " ")
     if x.alphabet_size != 2:
         raise InputError("PGM export requires a binary alphabet")
-    r = x.window.radius
-    side = 2 * r + 1
-    rows = [f"P2", f"{side} {side}", "2"]
-    for j in range(r, -r - 1, -1):
-        rows.append(" ".join(
-            str(x.cells.get((i, j), 2)) for i in range(-r, r + 1)
-        ))
-    return "\n".join(rows) + "\n"
+    side = 2 * x.window.radius + 1
+    return "\n".join(["P2", f"{side} {side}", "2", *rows]) + "\n"
 
 
 # --- LLL instances and verdicts ----------------------------------------
 
-def weight_to_json(q: Quad):
-    return quad_to_json(q)
-
-
 def weight_from_json(value) -> Quad:
-    from .exact import half_power_of_two
-
     if isinstance(value, str):
         return Quad(Fraction(value))
-    if "half_exp" in value:
-        return half_power_of_two(value["half_exp"])
     return Quad(Fraction(value["rational"]), Fraction(value["sqrt2"]))
 
 

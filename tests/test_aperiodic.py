@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from groupshift.exact import Quad
-from groupshift.groups import FreeGroup, IntegerLattice, ResourceLimitError
+from groupshift.groups import (
+    FreeGroup,
+    IntegerLattice,
+    ResourceLimitError,
+    parse_group_spec,
+)
 from groupshift.aperiodic import (
     PathWindow,
     build_2coloring_instance,
@@ -87,6 +92,33 @@ class TestTSets:
 
 
 class TestTwoColoringInstance:
+    @pytest.mark.parametrize("spec", ["z^2", "free:2", "z2*z3"])
+    def test_events_are_the_fitting_set(self, spec):
+        # Oracle by set arithmetic: (n, g) fits when g T_n and
+        # (g s_n) T_n both lie in the window.
+        group = parse_group_spec(spec)
+        radius = 4
+        tsets = build_t_sets(group, c=2, i_max=2)
+        members = group.ball(radius=radius).members
+        window = set(members)
+        expected = set()
+        for n in (1, 2):
+            s, t_set = tsets.level(n)
+            for i, g in enumerate(members):
+                gs = group.mul(g, s)
+                cover = ({group.mul(g, t) for t in t_set}
+                         | {group.mul(gs, t) for t in t_set})
+                if cover <= window:
+                    expected.add((n, i))
+        assert 0 < len(expected) < 2 * len(members)
+        inst = build_2coloring_instance(group, radius, tsets, n_max=2)
+        ids = [e.id for e in inst.events]
+        assert len(ids) == len(expected)
+        assert set(ids) == expected
+        report = verify_distinct_neighborhood(
+            constant_window(group, radius), tsets, n_max=2)
+        assert report.checked == len(expected)
+
     def test_probability_and_weight(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)

@@ -114,6 +114,52 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip() == "trivial"
 
 
+# Each argv exits 2 (input error); "{name}" fields name files the test
+# writes: a missing path, non-JSON text, JSON without cells, JSON with a
+# non-string group and a valid window configuration.
+MALFORMED_INPUTS = {
+    "density-verify-missing": ["density", "verify", "--config", "{missing}",
+                               "--levels", "1", "--alpha", "1/2"],
+    "density-verify-not-json": ["density", "verify", "--config", "{text}",
+                                "--levels", "1", "--alpha", "1/2"],
+    "density-verify-no-cells": ["density", "verify", "--config", "{nocells}",
+                                "--levels", "1", "--alpha", "1/2"],
+    "density-verify-int-group": ["density", "verify", "--config",
+                                 "{intgroup}", "--levels", "1",
+                                 "--alpha", "1/2"],
+    "lll-verify-missing": ["lll", "verify", "--instance", "{missing}"],
+    "verify-distinct-missing": ["verify", "distinct", "--config", "{missing}",
+                                "--levels", "1"],
+    "density-measure-missing": ["density", "measure", "--config", "{missing}",
+                                "--balls", "1..2"],
+    "density-fill-bad-alpha": ["density", "fill", "--group", "z^2",
+                               "--radius", "3", "--levels", "1",
+                               "--alpha", "0.5x", "--out", "{out}"],
+    "density-measure-bad-balls": ["density", "measure", "--config",
+                                  "{config}", "--balls", "3..x"],
+    "group-ball-negative-radius": ["group", "ball", "--group", "z^2",
+                                   "--radius", "-3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(MALFORMED_INPUTS.values()),
+                         ids=list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("missing", "text", "nocells", "intgroup", "config",
+                          "out")}
+    files["text"].write_text("not json {")
+    files["nocells"].write_text(json.dumps(
+        {"group": "z^2", "radius": 1, "alphabet_size": 2}))
+    files["intgroup"].write_text(json.dumps(
+        {"group": 5, "radius": 1, "alphabet_size": 2, "cells": []}))
+    write_constant_config(files["config"])
+    assert run([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: input" in err
+    assert "Traceback" not in err
+
+
 class TestPipelines:
     def test_color_two_and_verify(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

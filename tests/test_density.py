@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupshift.groups import FreeGroup, InputError, IntegerLattice
-from groupshift.patterns import WindowConfig
+from groupshift.patterns import EmptySupportError, WindowConfig
 from groupshift.density import (
     Slope,
     ball_sequence,
@@ -329,6 +329,11 @@ class TestMeasureDensity:
         x = all_ones_window(z, 3)
         with pytest.raises(InputError):
             measure_density(x, [[(7,)]])
+
+    def test_empty_set_rejected(self):
+        x = all_ones_window(IntegerLattice(1), 3)
+        with pytest.raises(EmptySupportError):
+            measure_density(x, [[(0,)], []])
 
     def test_ball_sequence_cap(self):
         z = IntegerLattice(1)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import groupshift
 from groupshift.exact import Quad, half_power_of_two, sqrt2_power
 from groupshift.groups import InputError
 from groupshift.lll import (
@@ -13,6 +18,7 @@ from groupshift.lll import (
     audit_event_probability,
     check_aperiodic_constant,
     geometric_derivative_partial,
+    neighbour_counts,
     resample,
     squarefree_alphabet_bound,
     two_coloring_probability,
@@ -116,7 +122,61 @@ class TestVerifyCondition:
         assert relabeled.margins == base.margins
 
 
+class TestNeighbourCounts:
+    @given(st.lists(
+        st.tuples(st.lists(st.integers(0, 5), max_size=3),
+                  st.integers(0, 2)),
+        max_size=8,
+    ))
+    def test_matches_pairwise_count(self, events):
+        supports = [support for support, _ in events]
+        classes = [k for _, k in events]
+        counts = neighbour_counts(supports, classes)
+        assert len(counts) == len(events)
+        for i, row in enumerate(counts):
+            expected = {k: 0 for k in classes}
+            for j, other in enumerate(supports):
+                if j != i and set(supports[i]) & set(other):
+                    expected[classes[j]] += 1
+            assert row == expected
+
+
+# Resampling in a child running under python -O: the predicate is clean
+# on its first call (the search) and violated afterwards, so only the
+# post-hoc certification can notice.
+OPTIMIZED_RESAMPLE = """
+import sys
+from fractions import Fraction
+from groupshift.exact import Quad
+from groupshift.lll import BadEvent, LLLInstance, resample
+
+print(sys.flags.optimize)
+calls = []
+
+def violated(assignment):
+    calls.append(1)
+    return len(calls) > 1
+
+event = BadEvent(id=("flip",), support=("v",),
+                 probability=Quad.of(Fraction(1, 2)),
+                 weight=Quad.of(Fraction(1, 2)), violated=violated)
+resample(LLLInstance(variables=("v",), alphabet={"v": 2}, events=[event]),
+         seed=0)
+"""
+
+
 class TestResample:
+    def test_post_hoc_check_survives_optimize(self):
+        src = str(Path(groupshift.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_RESAMPLE],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout.strip() == "1"
+        assert proc.returncode != 0
+        assert "AssertionError: event ('flip',) violated" in proc.stderr
+
     def all_equal_event(self, n=4):
         support = tuple(f"v{i}" for i in range(n))
         return BadEvent(
