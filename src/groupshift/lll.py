@@ -52,9 +52,13 @@ class LLLInstance:
 
     def __post_init__(self):
         varset = set(self.variables)
+        ids = set()
         for e in self.events:
             if not set(e.support) <= varset:
                 raise InputError(f"event {e.id} has support outside variables")
+            if e.id in ids:
+                raise InputError(f"event id {e.id} is repeated")
+            ids.add(e.id)
 
 
 @dataclass
@@ -98,22 +102,41 @@ def verify_condition(inst: LLLInstance) -> Verdict:
     """Exact check of the asymmetric condition for every event.
 
     Gamma(A) is derived from supports: all events sharing at least one
-    variable with A (excluding A itself).  Since weights repeat across
-    events, neighbor counts are taken per weight class and the product
-    collapses to a few exact powers.
+    variable with A (excluding A itself).  Weights and probabilities repeat
+    across events, so each distinct value is a class with a small int id,
+    range-checked once: weights must lie in (0, 1) and probabilities in
+    [0, 1], and an out-of-range value raises InputError naming an event
+    that carries it.  Neighbour counts are taken per weight class, so the
+    product collapses to a few exact powers, and the margin depends only on
+    the signature (weight-class id, probability-class id, neighbour counts
+    per weight class).  The margin and its sign are computed once per
+    signature; events with the same signature share one Quad in
+    ``Verdict.margins``.  The key holds int ids, never Quads, for the reason
+    given in :func:`neighbour_counts`.
     """
-    for e in inst.events:
-        w = e.weight
-        if not (Quad.of(0) < w < Quad.of(1)):
-            raise InputError(f"event {e.id} has weight outside (0,1)")
+    zero, one = Quad.of(0), Quad.of(1)
 
-    classes: dict[Quad, int] = {}
-    class_ids = [classes.setdefault(e.weight, len(classes))
-                 for e in inst.events]
-    weights = list(classes)
-    counts = neighbour_counts([e.support for e in inst.events], class_ids)
+    def class_ids(field_name: str, in_range, interval: str):
+        """The distinct values of one event field, and each event's index."""
+        table: dict[Quad, int] = {}
+        ids = []
+        for e in inst.events:
+            value = getattr(e, field_name)
+            k = table.get(value)
+            if k is None:
+                if not in_range(value):
+                    raise InputError(
+                        f"event {e.id} has {field_name} outside {interval}")
+                k = table[value] = len(table)
+            ids.append(k)
+        return list(table), ids
 
-    one = Quad.of(1)
+    weights, weight_ids = class_ids("weight", lambda w: zero < w < one,
+                                    "(0,1)")
+    _, probability_ids = class_ids("probability",
+                                   lambda p: zero <= p <= one, "[0,1]")
+    counts = neighbour_counts([e.support for e in inst.events], weight_ids)
+
     pow_cache: dict[tuple[int, int], Quad] = {}
 
     def base_power(k: int, count: int) -> Quad:
@@ -122,18 +145,21 @@ def verify_condition(inst: LLLInstance) -> Verdict:
             pow_cache[key] = (one - weights[k]) ** count
         return pow_cache[key]
 
+    memo: dict[tuple, Quad] = {}
     margins: dict = {}
-    holds = True
-    for e, row in zip(inst.events, counts):
-        rhs = e.weight
-        for k, count in row.items():
-            if count:
-                rhs = rhs * base_power(k, count)
-        margin = rhs - e.probability
+    for e, k_w, k_p, row in zip(inst.events, weight_ids, probability_ids,
+                                counts):
+        key = (k_w, k_p, tuple(row.values()))
+        margin = memo.get(key)
+        if margin is None:
+            rhs = e.weight
+            for k, count in row.items():
+                if count:
+                    rhs = rhs * base_power(k, count)
+            margin = memo[key] = rhs - e.probability
         margins[e.id] = margin
-        if margin.sign() < 0:
-            holds = False
-    return Verdict(holds=holds, margins=margins)
+    return Verdict(holds=all(m.sign() >= 0 for m in memo.values()),
+                   margins=margins)
 
 
 @dataclass

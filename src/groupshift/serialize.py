@@ -121,20 +121,26 @@ def instance_from_json(data: dict) -> LLLInstance:
 
 
 def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
-    return {
-        "holds": verdict.holds,
-        "events": [
-            {
-                "id": list(e.id),
-                "probability": quad_to_json(e.probability),
-                "weight": quad_to_json(e.weight),
-                "margin": quad_to_json(verdict.margins[e.id]),
-                "margin_float": float(verdict.margins[e.id]),
-                "ok": verdict.margins[e.id].sign() >= 0,
-            }
-            for e in inst.events
-        ],
-    }
+    # Events of one signature share a margin object (see
+    # lll.verify_condition), so each distinct margin is rendered once.  The
+    # verdict keeps every margin alive meanwhile, so id() is a safe key and
+    # spares hashing ~6,000-bit fractions.
+    rendered: dict[int, tuple] = {}
+    events = []
+    for e in inst.events:
+        m = verdict.margins[e.id]
+        if id(m) not in rendered:
+            rendered[id(m)] = (quad_to_json(m), float(m), m.sign() >= 0)
+        margin, margin_float, ok = rendered[id(m)]
+        events.append({
+            "id": list(e.id),
+            "probability": quad_to_json(e.probability),
+            "weight": quad_to_json(e.weight),
+            "margin": margin,
+            "margin_float": margin_float,
+            "ok": ok,
+        })
+    return {"holds": verdict.holds, "events": events}
 
 
 # --- DOT exports --------------------------------------------------------

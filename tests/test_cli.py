@@ -245,3 +245,58 @@ class TestDeterminism:
             "--levels", "1", "--alpha", "377/610", "--out", str(out),
         ])
         capsys.readouterr()
+
+
+# Instances that lll verify must reject with exit 2.  With the repeated id
+# the second event's margin used to overwrite the first's, so a failing
+# event was reported "ok"; the negative probability used to certify.
+BAD_INSTANCES = {
+    "repeated-id": [
+        {"id": [1, 0], "support": ["v0"], "probability": "1/2",
+         "weight": "1/2"},
+        {"id": [1, 0], "support": ["v0"], "probability": "1/8",
+         "weight": "1/2"},
+    ],
+    "negative-probability": [
+        {"id": [1, 0], "support": ["v0"], "probability": "-5",
+         "weight": "1/2"},
+    ],
+}
+
+
+@pytest.mark.parametrize("events", list(BAD_INSTANCES.values()),
+                         ids=list(BAD_INSTANCES))
+def test_invalid_instance_exits_2(tmp_path, capsys, events):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(
+        {"variables": [{"id": "v0", "alphabet": 2}], "events": events}))
+    assert run(["lll", "verify", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: input" in err
+    assert "Traceback" not in err
+
+
+# SHA-256 of each artifact of a small color-two-then-verify pipeline.  A
+# change that alters any byte of the coloring, the instance or the verdict
+# fails here; a deliberate output change must update these values.
+GOLDEN_SHA256 = {
+    "cfg.json":
+        "9315cd84c868603359e095f0a4e55506b754e059e062e7d7be76b00622a5f164",
+    "inst.json":
+        "3420e2c538f47cb2ca439ca67209b1e8e17410a241cdc422757134742d2f58af",
+    "verdict.json":
+        "12433f9c4c76f83e015f6821e1c5b86f35efcaa10964233c22c1876767c66018",
+}
+
+
+def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["color", "two", "--group", "z^2", "--radius", "10",
+                "--c", "17", "--levels", "2", "--seed", "7",
+                "--out", "cfg.json", "--instance-out", "inst.json"]) == 0
+    assert run(["lll", "verify", "--instance", "inst.json",
+                "--out", "verdict.json"]) == 0
+    capsys.readouterr()
+    assert {name: serialize.sha256_file(tmp_path / name)
+            for name in GOLDEN_SHA256} == GOLDEN_SHA256

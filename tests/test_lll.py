@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,52 @@ class TestQuad:
             assert q.sign() == (1 if approx > 0 else -1)
 
 
+def reference_sign(a: Fraction, b: Fraction) -> int:
+    """Sign of a + b*sqrt(2) through Fraction arithmetic on a**2 - 2 b**2."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    diff = a * a - 2 * b * b
+    if a > 0:
+        return 1 if diff > 0 else (-1 if diff < 0 else 0)
+    return -1 if diff > 0 else (1 if diff < 0 else 0)
+
+
+huge_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-2 ** 7000, 2 ** 7000),
+              st.integers(1, 2 ** 7000)),
+)
+
+
+@st.composite
+def near_cancelling(draw):
+    """(a, b) with a within about 2**-k of -sqrt(2) b, k up to 7000."""
+    b = draw(huge_fractions.filter(bool))
+    k = draw(st.integers(0, 7000))
+    q = 2 ** k
+    root = math.isqrt(2 * (b.numerator * q) ** 2 // b.denominator ** 2)
+    a = Fraction(root + draw(st.integers(-1, 1)), q)
+    return (-a if b > 0 else a), b
+
+
+class TestQuadSign:
+    @given(huge_fractions, huge_fractions)
+    def test_matches_fraction_reference(self, a, b):
+        assert Quad(a, b).sign() == reference_sign(a, b)
+
+    @given(near_cancelling())
+    def test_matches_fraction_reference_near_zero(self, ab):
+        a, b = ab
+        assert Quad(a, b).sign() == reference_sign(a, b)
+
+    def test_zero(self):
+        assert Quad(0, 0).sign() == 0
+
+
 def make_instance(events, variables=None, alphabet_size=2):
     if variables is None:
         variables = tuple(sorted({v for e in events for v in e.support}))
@@ -103,6 +150,13 @@ class TestVerifyCondition:
         with pytest.raises(InputError):
             verify_condition(make_instance([e]))
 
+    def test_probability_above_one_rejected(self):
+        e = BadEvent(id=("e",), support=("v",),
+                     probability=Quad.of(Fraction(5, 4)),
+                     weight=Quad.of(Fraction(1, 2)))
+        with pytest.raises(InputError):
+            verify_condition(make_instance([e]))
+
     def test_margins_invariant_under_relabeling(self):
         events = [
             BadEvent(id=(k,), support=(f"v{k}", f"v{k + 1}"),
@@ -120,6 +174,49 @@ class TestVerifyCondition:
         relabeled = verify_condition(make_instance(renamed))
         assert relabeled.holds == base.holds
         assert relabeled.margins == base.margins
+
+
+# Three weight classes (two irrational), and two probabilities that both
+# occur in weight class 0.
+ORACLE_WEIGHTS = [half_power_of_two(3), half_power_of_two(4),
+                  half_power_of_two(5)]
+ORACLE_PROBABILITIES = [Quad.of(Fraction(1, 20)), Quad.of(Fraction(1, 4))]
+
+
+@st.composite
+def oracle_instances(draw):
+    """Events 0 and 3 share weight class 0 and their support, so they have
+    one neighbour-count row, but carry different probabilities; events 0-2
+    span the three weight classes; the rest are random."""
+    extra = draw(st.integers(0, 5))
+    support_sets = st.sets(st.integers(0, 5), min_size=1, max_size=3)
+    supports = [{6}, draw(support_sets), draw(support_sets), {6}] + draw(
+        st.lists(support_sets, min_size=extra, max_size=extra))
+    weight_classes = [0, 1, 2, 0] + draw(st.lists(
+        st.integers(0, 2), min_size=extra, max_size=extra))
+    probability_classes = [0, 0, 1, 1] + draw(st.lists(
+        st.integers(0, 1), min_size=extra, max_size=extra))
+    return [
+        BadEvent(id=(i,), support=tuple(sorted(support)),
+                 probability=ORACLE_PROBABILITIES[p],
+                 weight=ORACLE_WEIGHTS[w])
+        for i, (support, w, p) in enumerate(
+            zip(supports, weight_classes, probability_classes))
+    ]
+
+
+class TestVerifyConditionOracle:
+    @given(oracle_instances())
+    def test_margins_match_pairwise_product(self, events):
+        verdict = verify_condition(make_instance(events))
+        for a in events:
+            rhs = a.weight
+            for b in events:
+                if b is not a and set(a.support) & set(b.support):
+                    rhs = rhs * (Quad.of(1) - b.weight)
+            assert verdict.margins[a.id] == rhs - a.probability
+        assert verdict.holds == all(
+            m.sign() >= 0 for m in verdict.margins.values())
 
 
 class TestNeighbourCounts:
