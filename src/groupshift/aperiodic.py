@@ -204,9 +204,11 @@ def enumerate_odd_paths(w: PathWindow, max_half_length: int,
     """Simple paths of odd edge-length <= 2*max_half_length - 1.
 
     Each path is emitted exactly once up to direction reversal (the end
-    with the smaller vertex index comes first).  Raises ResourceLimitError
-    when the budget is exceeded.
+    with the smaller vertex index comes first).  Raises InputError when
+    max_half_length < 1 and ResourceLimitError when the budget is exceeded.
     """
+    if max_half_length < 1:
+        raise InputError(f"max half-length {max_half_length} is not positive")
     index = {v: i for i, v in enumerate(w.vertices)}
     max_vertices = 2 * max_half_length
     emitted = 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .groups import Ball, GroupModel, InputError
@@ -100,6 +101,20 @@ class CoveringForest:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
+
+    @cached_property
+    def children(self) -> list[dict]:
+        """Level n -> center -> its canonically sorted level-(n-1) children.
+
+        Every center is its own parent, hence one of its own children.
+        """
+        out: list[dict] = [{}]
+        for level in self.levels[1:]:
+            kids: dict = {}
+            for child in sorted(level.parent, key=self.group.canonical_key):
+                kids.setdefault(level.parent[child], []).append(child)
+            out.append(kids)
+        return out
 
     def cluster(self, n: int, g) -> tuple:
         return self.clusters[n][g]
@@ -199,27 +214,11 @@ def convex_enumeration(f: CoveringForest, component) -> list:
     if component not in f.clusters[top]:
         raise InputError("unknown top-level component")
 
-    children: list[dict] = [{} for _ in range(top + 1)]
-    for n in range(1, top + 1):
-        for child, par in f.levels[n].parent.items():
-            if child != par or n == 0:
-                children[n].setdefault(par, []).append(child)
-    # A center is its own child exactly when it survives to the next level;
-    # include it so its own leaf is enumerated too.
-    for n in range(1, top + 1):
-        for par in f.levels[n].centers:
-            kids = children[n].setdefault(par, [])
-            if par not in kids and par in f.levels[n - 1].centers:
-                kids.append(par)
-
     def leaves(node, n: int) -> list:
         if n == 0:
             return [node]
-        out = []
-        for child in sorted(children[n].get(node, []),
-                            key=f.group.canonical_key):
-            out.extend(leaves(child, n - 1))
-        return out
+        return [leaf for child in f.children[n][node]
+                for leaf in leaves(child, n - 1)]
 
     return leaves(component, top)
 

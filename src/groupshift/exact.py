@@ -60,8 +60,9 @@ class Quad:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def sign(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Iterator
 
 
@@ -367,19 +368,26 @@ class DiscreteHeisenberg(GroupModel):
     Canonical form is the exponent triple (a, b, c) of the normal form
     x^a y^b z^c where z = x y x^-1 y^-1 is central.  The label z is
     accepted in words as a shorthand but is not a generator of the metric.
-    Word lengths have no simple closed form; they are computed by BFS and
-    cached on the model instance.
+
+    Word length in closed form (S. Blachère, "Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95, 2003).  A word traces a lattice
+    path from 0 to (a, b); gamma of ``_to_mat`` is its integral of x dy,
+    so A = |2 gamma - ab| is twice the area between path and chord.  With
+    (p, q) = sorted(|a|, |b|), z = (A + pq) / 2 is that area counted from
+    the far corner of the p x q box (an integer: A = pq mod 2).  Shortest
+    paths sweep it inside the box (z <= pq: length p + q), round a q x w
+    box, w = ceil(z / q) (z <= q^2: q - p + 2w), or round a near-square
+    of half-perimeter s = ceil(2 sqrt z), holding floor(s^2 / 4) >= z
+    (2s - p - q); Blachère shows that no path is shorter.  ``geodesic``
+    is the least shortest word for x < x^-1 < y < y^-1, built forward
+    from the identity.
     """
 
     extra_labels = ["z"]
 
-    def __init__(self, bfs_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self):
         self.spec = "heisenberg"
         self.labels = ["x", "y"]
-        self.bfs_cap = bfs_cap
-        self._dist: dict = {(0, 0, 0): 0}
-        self._parent: dict = {(0, 0, 0): None}
-        self._frontier: list = [(0, 0, 0)]
 
     def identity(self):
         return (0, 0, 0)
@@ -412,47 +420,28 @@ class DiscreteHeisenberg(GroupModel):
         a, b, g = self._to_mat(p)
         return self._from_mat((-a, -b, a * b - g))
 
-    def _extend_bfs(self, target) -> bool:
-        while target not in self._dist:
-            if not self._frontier:
-                return False
-            if len(self._dist) > self.bfs_cap:
-                raise ResourceLimitError(
-                    f"Heisenberg BFS exceeds cap {self.bfs_cap}"
-                )
-            nxt = []
-            for g in self._frontier:
-                d = self._dist[g]
-                for s in self.step_elements():
-                    h = self.mul(g, s)
-                    if h not in self._dist:
-                        self._dist[h] = d + 1
-                        self._parent[h] = (g, s)
-                        nxt.append(h)
-            self._frontier = nxt
-        return True
-
     def length(self, g):
-        if not self._extend_bfs(g):
-            raise ResourceLimitError("element unreachable within BFS budget")
-        return self._dist[g]
+        a, b, gamma = self._to_mat(g)
+        p, q = sorted((abs(a), abs(b)))
+        z = (abs(2 * gamma - a * b) + p * q) // 2
+        if z <= p * q:
+            return p + q
+        if z <= q * q:
+            return q - p + 2 * -(-z // q)
+        return 2 * (isqrt(4 * z - 1) + 1) - p - q  # s = ceil(2 sqrt z), z >= 1
 
     def geodesic(self, g):
-        self.length(g)
         letters: list[Letter] = []
-        cur = g
-        while self._parent[cur] is not None:
-            prev, step = self._parent[cur]
-            if step == self.gen("x"):
-                letters.append(("x", 1))
-            elif step == self.gen("x", -1):
-                letters.append(("x", -1))
-            elif step == self.gen("y"):
-                letters.append(("y", 1))
+        rest, togo = g, self.length(g)
+        while togo:
+            for label, exp in (("x", 1), ("x", -1), ("y", 1), ("y", -1)):
+                shorter = self.mul(self.gen(label, -exp), rest)
+                if self.length(shorter) < togo:
+                    break
             else:
-                letters.append(("y", -1))
-            cur = prev
-        letters.reverse()
+                raise AssertionError("no generator step shortens the length")
+            letters.append((label, exp))
+            rest, togo = shorter, togo - 1
         return letters
 
     def element_word(self, g):

@@ -41,16 +41,24 @@ def window_to_json(x: WindowConfig) -> dict:
 
 
 def window_from_json(data: dict) -> WindowConfig:
+    """Decode a window; InputError unless the radius is an int >= 0 (not a
+    bool) and the cells list each element of the ball exactly once.
+    """
     group = parse_group_spec(data["group"])
+    radius = data["radius"]
+    if type(radius) is not int or radius < 0:
+        raise InputError(f"window radius {radius!r} is not an int >= 0")
     cells = {}
     for word, symbol in data["cells"]:
-        cells[group.canonicalize(word)] = symbol
-    return WindowConfig(
-        group=group,
-        radius=data["radius"],
-        cells=cells,
-        alphabet_size=data["alphabet_size"],
-    )
+        g = group.canonicalize(word)
+        if g in cells:
+            raise InputError(f"cell {word!r} repeats an earlier element")
+        cells[g] = symbol
+    config = WindowConfig(group=group, radius=radius, cells=cells,
+                          alphabet_size=data["alphabet_size"])
+    if len(cells) != len(config.window):
+        raise InputError("window lists a cell outside the ball")
+    return config
 
 
 def _z2_rows(x: WindowConfig, what: str, blank, sep: str) -> list[str]:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupshift import cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
@@ -113,10 +118,22 @@ class TestExitCodes:
         assert run(["witness", "--group", "z^2", "--word", "x x^-1"]) == 0
         assert capsys.readouterr().out.strip() == "trivial"
 
+    def test_witness_far_heisenberg_element(self, capsys):
+        assert run(["witness", "--group", "heisenberg",
+                    "--word", "z^400"]) == 0
+        assert capsys.readouterr().out.strip().endswith("path length 159")
+
+
+# An all-zero window of radius 1 on z^2.
+BASE_WINDOW = {"group": "z^2", "radius": 1, "alphabet_size": 2,
+               "cells": [[w, 0] for w in ("", "x", "x^-1", "y", "y^-1")]}
+
 
 # Each argv exits 2 (input error); "{name}" fields name files the test
 # writes: a missing path, non-JSON text, JSON without cells, JSON with a
-# non-string group and a valid window configuration.
+# non-string group, a valid window configuration, and three copies of
+# BASE_WINDOW that are wrong in one way each: radius ``true``, one
+# more cell outside the ball, and the cell "x" listed again as "x y y^-1".
 MALFORMED_INPUTS = {
     "density-verify-missing": ["density", "verify", "--config", "{missing}",
                                "--levels", "1", "--alpha", "1/2"],
@@ -139,6 +156,21 @@ MALFORMED_INPUTS = {
                                   "{config}", "--balls", "3..x"],
     "group-ball-negative-radius": ["group", "ball", "--group", "z^2",
                                    "--radius", "-3"],
+    "density-verify-bool-radius": ["density", "verify", "--config",
+                                   "{boolradius}", "--levels", "1",
+                                   "--alpha", "0"],
+    "density-verify-cell-off-window": ["density", "verify", "--config",
+                                       "{offwindow}", "--levels", "1",
+                                       "--alpha", "0"],
+    "density-verify-two-spellings": ["density", "verify", "--config",
+                                     "{twospellings}", "--levels", "1",
+                                     "--alpha", "0"],
+    "color-squarefree-maxlen-0": ["color", "squarefree", "--group", "z^2",
+                                  "--radius", "2", "--alphabet", "4",
+                                  "--maxlen", "0"],
+    "color-squarefree-maxlen-negative": ["color", "squarefree", "--group",
+                                         "z^2", "--radius", "2",
+                                         "--alphabet", "4", "--maxlen", "-1"],
 }
 
 
@@ -147,13 +179,19 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     files = {name: tmp_path / f"{name}.json"
              for name in ("missing", "text", "nocells", "intgroup", "config",
-                          "out")}
+                          "out", "boolradius", "offwindow", "twospellings")}
     files["text"].write_text("not json {")
     files["nocells"].write_text(json.dumps(
         {"group": "z^2", "radius": 1, "alphabet_size": 2}))
     files["intgroup"].write_text(json.dumps(
         {"group": 5, "radius": 1, "alphabet_size": 2, "cells": []}))
     write_constant_config(files["config"])
+    cells = BASE_WINDOW["cells"]
+    for name, change in (("boolradius", {"radius": True}),
+                         ("offwindow", {"cells": cells + [["x^5", 0]]}),
+                         ("twospellings",
+                          {"cells": cells + [["x y y^-1", 0]]})):
+        files[name].write_text(json.dumps({**BASE_WINDOW, **change}))
     assert run([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error: input" in err
@@ -300,3 +338,118 @@ def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
     capsys.readouterr()
     assert {name: serialize.sha256_file(tmp_path / name)
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
+
+
+# --- CLI fuzz -------------------------------------------------------------
+
+GROUP_SPECS = ["z", "z^2", "free:2", "z2*z3", "heisenberg", "so3", "free:x"]
+BASE_INSTANCE = {"variables": [{"id": "v0", "alphabet": 2}],
+                 "events": [{"id": [1, 0], "support": ["v0"],
+                             "probability": "1/2", "weight": "1/2"}]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+small_ints = st.integers(-1, 3).map(str)
+words = st.text(alphabet="xyzab1^-' ", max_size=5)
+alphas = st.sampled_from(["0", "1", "1/2", "2/5", "0.3", "3/2", "x", "1/0"])
+
+
+def json_file(base):
+    """Text of a JSON file: ``base``, ``base`` with one key replaced or
+    dropped, arbitrary JSON, or text that is not JSON."""
+    def change(args):
+        key, value, drop = args
+        doc = dict(base)
+        if drop:
+            doc.pop(key)
+        else:
+            doc[key] = value
+        return doc
+
+    variants = st.tuples(st.sampled_from(sorted(base)), json_values,
+                         st.booleans()).map(change)
+    documents = st.one_of(st.just(base), variants, json_values)
+    return documents.map(json.dumps) | st.text(max_size=12)
+
+
+def flags(*pairs):
+    """argv for ``--name value`` pairs; a None value drops the flag."""
+    values = st.tuples(*(v for _, v in pairs))
+    return values.map(lambda vs: [x for (n, _), v in zip(pairs, vs)
+                                  if v is not None for x in (f"--{n}", v)])
+
+
+group = st.sampled_from(GROUP_SPECS)
+maybe_out = st.sampled_from([None, "{out}"])
+no_files = st.just({})
+window_files = json_file(BASE_WINDOW).map(lambda t: {"config": t})
+COMMANDS = [
+    (["group", "ball"], flags(("group", group), ("radius", small_ints),
+                              ("center", words),
+                              ("cap", st.integers(1, 50).map(str)),
+                              ("out", maybe_out)), no_files),
+    (["group", "canon"], flags(("group", group), ("word", words)), no_files),
+    (["lll", "check-constant"],
+     flags(("cmax", st.integers(-1, 20).map(str))), no_files),
+    (["lll", "alphabet-bound"], flags(("s", small_ints)), no_files),
+    (["lll", "verify"], flags(("instance", st.just("{instance}")),
+                              ("out", maybe_out)),
+     json_file(BASE_INSTANCE).map(lambda t: {"instance": t})),
+    (["color", "two"],
+     flags(("group", group), ("radius", small_ints),
+           ("c", st.integers(-1, 17).map(str)), ("levels", small_ints),
+           ("cap", st.integers(0, 50).map(str)), ("out", st.just("{out}"))),
+     no_files),
+    (["color", "squarefree"],
+     flags(("group", group), ("radius", small_ints),
+           ("alphabet", st.sampled_from(["-1", "1", "4", str(2 ** 21)])),
+           ("maxlen", st.integers(-1, 2).map(str)),
+           ("cap", st.integers(0, 50).map(str)), ("out", maybe_out)),
+     no_files),
+    (["verify", "distinct"],
+     flags(("config", st.just("{config}")), ("levels", small_ints),
+           ("c", st.integers(-1, 3).map(str))), window_files),
+    (["witness"], flags(("group", group), ("word", words),
+                        ("out", maybe_out)), no_files),
+    (["density", "build-forest"],
+     flags(("group", group), ("radius", small_ints), ("levels", small_ints),
+           ("format", st.sampled_from(["json", "dot", "svg"])),
+           ("out", maybe_out)), no_files),
+    (["density", "fill"],
+     flags(("group", group), ("radius", small_ints), ("levels", small_ints),
+           ("alpha", alphas),
+           ("format", st.sampled_from(["json", "csv", "pgm"])),
+           ("out", st.just("{out}"))), no_files),
+    (["density", "verify"],
+     flags(("config", st.just("{config}")), ("levels", small_ints),
+           ("alpha", alphas)), window_files),
+    (["density", "measure"],
+     flags(("config", st.just("{config}")),
+           ("balls", st.sampled_from(["1..2", "0,1", "2..1", "1..x", "5"])),
+           ("alpha", st.sampled_from([None, "1/2", "2"])),
+           ("out", maybe_out)), window_files),
+]
+cli_calls = st.one_of(*(
+    st.tuples(st.just(head), tail, files) for head, tail, files in COMMANDS
+)).map(lambda c: (c[0] + c[1], c[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_calls)
+def test_fuzzed_subcommands_keep_the_exit_code_contract(call):
+    argv, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": str(Path(tmp) / "out")}
+        for name, text in files.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run([a.format(**paths) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groupshift.groups import (
     DiscreteHeisenberg,
@@ -203,3 +204,73 @@ class TestSpecParsing:
     def test_rejected(self):
         with pytest.raises(InputError):
             parse_group_spec("so(3)")
+
+
+def heisenberg_bfs_words(radius):
+    """Plain BFS oracle: each element of B(1, radius) -> its first word.
+
+    Letters are tried in the order x, x^-1, y, y^-1 from frontiers kept in
+    discovery order, so each word is the least shortest word of its
+    element in that letter order.
+    """
+    h = DiscreteHeisenberg()
+    letters = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+    words = {h.identity(): []}
+    frontier = [h.identity()]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for letter in letters:
+                k = h.mul(g, h.gen(*letter))
+                if k not in words:
+                    words[k] = words[g] + [letter]
+                    nxt.append(k)
+        frontier = nxt
+    return words
+
+
+heisenberg_coords = st.one_of(st.integers(-12, 12),
+                              st.integers(-10 ** 9, 10 ** 9))
+
+
+@st.composite
+def heisenberg_elements(draw):
+    """Elements with matrix coordinates up to about 10^9.
+
+    The area term 2 gamma - ab is drawn on the scale of the larger of
+    |a|, |b| squared as well, so all three cases of the closed form occur.
+    """
+    a, b = draw(heisenberg_coords), draw(heisenberg_coords)
+    q = max(abs(a), abs(b))
+    area = draw(st.one_of(heisenberg_coords, st.integers(-q * q, q * q)))
+    return DiscreteHeisenberg._from_mat((a, b, (a * b + area) // 2))
+
+
+class TestHeisenbergMetric:
+    def test_matches_bfs_on_ball14(self):
+        h = DiscreteHeisenberg()
+        words = heisenberg_bfs_words(14)
+        assert len(words) == 16381
+        for g, word in words.items():
+            assert h.length(g) == len(word)
+            assert h.geodesic(g) == word
+
+    @given(heisenberg_elements())
+    def test_local_certificate(self, g):
+        # Length 0 only at the identity, every step changes the length by
+        # exactly one, and a non-identity element has a shorter neighbour:
+        # together these pin the length to the word metric.
+        h = DiscreteHeisenberg()
+        n = h.length(g)
+        assert (n == 0) == (g == h.identity())
+        around = [h.length(h.mul(g, s)) for s in h.step_elements()]
+        assert all(abs(m - n) == 1 for m in around)
+        assert n == 0 or n - 1 in around
+
+    def test_far_geodesic_is_stateless(self):
+        h = DiscreteHeisenberg()
+        g = h.canonicalize("z^400")
+        word = h.geodesic(g)
+        assert len(word) == h.length(g) == 80
+        assert h.evaluate(word) == g
+        assert vars(h) == {"spec": "heisenberg", "labels": ["x", "y"]}

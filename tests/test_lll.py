@@ -59,6 +59,14 @@ class TestQuad:
         p, q = Quad(a, b), Quad(c, d)
         assert p * (q + Quad.of(1)) == p * q + p
 
+    @given(fractions, fractions, st.integers(0, 40))
+    def test_power_matches_repeated_product(self, a, b, n):
+        q = Quad(a, b)
+        product = Quad.of(1)
+        for _ in range(n):
+            product = product * q
+        assert q ** n == product
+
     @given(fractions, fractions)
     def test_sign_matches_float(self, a, b):
         q = Quad(a, b)
