@@ -131,12 +131,11 @@ def build_2coloring_instance(group: GroupModel, window_radius: int,
     if n_max > tsets.levels:
         raise InputError("n_max exceeds available T-set levels")
     window = group.ball(radius=window_radius)
-    members = set(window.members)
     index = {g: i for i, g in enumerate(window.members)}
     events: list[BadEvent] = []
     for n in range(1, n_max + 1):
         s, t_set = tsets.level(n)
-        for g, pairs in fitting_pairs(group, window.members, members, s,
+        for g, pairs in fitting_pairs(group, window.members, window, s,
                                       t_set):
             support = tuple(dict.fromkeys(p for pair in pairs for p in pair))
             events.append(BadEvent(
@@ -190,13 +189,7 @@ class PathWindow:
     @classmethod
     def from_ball(cls, group: GroupModel, radius: int) -> "PathWindow":
         ball = group.ball(radius=radius)
-        members = set(ball.members)
-        adjacency = {}
-        for g in ball.members:
-            adjacency[g] = tuple(
-                h for h in group.neighbors(g) if h in members
-            )
-        return cls(vertices=ball.members, adjacency=adjacency)
+        return cls(vertices=ball.members, adjacency=group.adjacency(ball))
 
 
 def enumerate_odd_paths(w: PathWindow, max_half_length: int,
@@ -325,16 +318,15 @@ def witness_path(group: GroupModel, g_word, node_cap: int = 10 ** 5
     if g == group.identity():
         return WitnessPath(trivial=True)
 
-    bound = 2 * len(letters) + 2
+    bound = 2 * sum(abs(exp) for _, exp in letters) + 2
     seen: dict = {g: ()}  # conjugate -> conjugator letters u
     queue = [g]
-    while queue:
+    for cur in queue:  # the queue grows as we walk it
         if len(seen) > node_cap:
             raise ResourceLimitError(
                 "conjugacy search exceeded node cap before certifying "
                 "minimality within the length bound"
             )
-        cur = queue.pop(0)
         u = seen[cur]
         for label in group.labels:
             for exp in (1, -1):

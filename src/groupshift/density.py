@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .groups import Ball, GroupModel, InputError
+from .groups import Ball, GroupModel, InputError, bfs
 from .patterns import WindowConfig, density_of, interior_and_boundary
 
 
@@ -54,17 +54,7 @@ class Slope:
 
 def graph_bfs_within(adjacency: dict, start, radius: int) -> dict:
     """Distances from start up to radius in an adjacency-dict graph."""
-    dist = {start: 0}
-    frontier = [start]
-    for d in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for h in adjacency[g]:
-                if h not in dist:
-                    dist[h] = d
-                    nxt.append(h)
-        frontier = nxt
-    return dist
+    return dict(bfs(start, adjacency.__getitem__, radius))
 
 
 def greedy_rnet(points, adjacency: dict, r: int) -> list:
@@ -125,13 +115,9 @@ class CoveringForest:
         This is the margin the cluster lower bound B(g, n) <= C_n(g)
         needs; the upper bound holds for every center.
         """
-        members = set(self.window.members)
-        out = []
-        for g in self.levels[n].centers:
-            ball = self.group.ball(center=g, radius=n)
-            if set(ball.members) <= members:
-                out.append(g)
-        return out
+        return [g for g in self.levels[n].centers
+                if all(h in self.window
+                       for h in self.group.ball(center=g, radius=n).members)]
 
 
 def build_forest(group: GroupModel, window_radius: int,
@@ -140,11 +126,7 @@ def build_forest(group: GroupModel, window_radius: int,
     if levels < 1:
         raise InputError("need at least one level")
     window = group.ball(radius=window_radius)
-    members = set(window.members)
-    cayley = {
-        g: tuple(h for h in group.neighbors(g) if h in members)
-        for g in window.members
-    }
+    cayley = group.adjacency(window)
 
     level0 = ForestLevel(centers=window.members, edges=cayley, parent=None)
     forest_levels = [level0]
@@ -385,11 +367,16 @@ def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
 
 
 def ball_sequence(x: WindowConfig, radii) -> tuple[list, list]:
-    """Balls B(1, r) for r in radii, as (sets, descriptors)."""
+    """Balls B(1, r) for r in radii, as (sets, descriptors).
+
+    Each is a prefix of the window's members; no ball is searched again.
+    """
     sets, descs = [], []
     for r in radii:
+        if r < 0:
+            raise InputError(f"ball radius {r} is negative")
         if r > x.window.radius:
             raise InputError(f"ball radius {r} exceeds window")
-        sets.append(x.group.ball(radius=r).members)
+        sets.append(x.window.members[:x.window.sizes[r]])
         descs.append(f"B(1,{r})")
     return sets, descs

@@ -3,8 +3,11 @@
 Four families are built in: integer lattices Z^d, free groups, the free
 product Z/2 * Z/3 and the discrete Heisenberg group.  Each one exposes a
 canonical form with O(word length) canonicalization, plus the Cayley-graph
-machinery (balls, neighbors, BFS enumeration) that the rest of the library
-is built on.
+machinery the rest of the library is built on: neighbors, balls, their
+induced adjacency and BFS enumeration.  One breadth-first search,
+:func:`bfs`, underlies all of them; a ball of radius R keeps its sphere
+sizes, so every ball of radius r <= R about the same center is a prefix
+of its members and needs no search of its own.
 
 Elements are opaque hashable canonical forms (tuples); all operations on
 them go through their :class:`GroupModel`.  Values are immutable and safe
@@ -16,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class InputError(ValueError):
@@ -28,7 +32,8 @@ class ResourceLimitError(RuntimeError):
     """A configured resource cap (ball size, BFS budget) was exceeded."""
 
 
-#: A single letter of a word: (generator label, +1 or -1).
+#: A run of one generator in a word: (label, nonzero exponent).  A single
+#: letter is a run with exponent +1 or -1.
 Letter = tuple[str, int]
 
 DEFAULT_BALL_CAP = 10 ** 6
@@ -52,13 +57,42 @@ def format_word(letters: list[Letter]) -> str:
     return " ".join(parts)
 
 
+def bfs(start, neighbors: Callable, radius: int | None = None,
+        cap: int | None = None) -> Iterator[tuple]:
+    """Breadth-first search from ``start``, the only one in the package.
+
+    Yields ``(vertex, distance)`` in discovery order, visiting
+    ``neighbors(v)`` in the order given.  Vertices at distance ``radius``
+    are yielded but not expanded (None: no limit).  Raises
+    ResourceLimitError instead of yielding vertex number ``cap + 1``.
+    """
+    dist = {start: 0}
+    queue = [start]
+    for count, v in enumerate(queue, 1):  # the queue grows as we walk it
+        if cap is not None and count > cap:
+            raise ResourceLimitError(f"breadth-first search exceeds cap {cap}")
+        d = dist[v]
+        yield v, d
+        if radius is None or d < radius:
+            for h in neighbors(v):
+                if h not in dist:
+                    dist[h] = d + 1
+                    queue.append(h)
+
+
 @dataclass(frozen=True)
 class Ball:
-    """A word-metric ball; ``members`` are in deterministic BFS order."""
+    """A word-metric ball and the set of its members.
+
+    ``members`` are in deterministic BFS order and ``sizes[r]`` is
+    |B(center, r)| for r = 0..radius, so ``members[:sizes[r]]`` is the
+    ball of radius r about the same center.
+    """
 
     center: tuple
     radius: int
     members: tuple
+    sizes: tuple
 
     def __contains__(self, g) -> bool:
         return g in self._member_set
@@ -101,6 +135,7 @@ class GroupModel:
 
     # --- word handling -------------------------------------------------
     def parse_word(self, text: str) -> list[Letter]:
+        """One (label, exp) run per token; tokens with exponent 0 vanish."""
         letters: list[Letter] = []
         known = set(self.labels) | set(self.extra_labels)
         for chunk in text.replace(",", " ").split():
@@ -118,8 +153,8 @@ class GroupModel:
                     exp = int(mark[1:])
                 else:
                     exp = -1
-                sign = 1 if exp >= 0 else -1
-                letters.extend([(label, sign)] * abs(exp))
+                if exp:
+                    letters.append((label, exp))
                 pos = m.end()
         return letters
 
@@ -153,53 +188,31 @@ class GroupModel:
         return cached
 
     def neighbors(self, g) -> list:
-        out = []
-        for s in self.step_elements():
-            h = self.mul(g, s)
-            if h != g and h not in out:
-                out.append(h)
-        return out
+        """g*s over the steps s, all distinct and none equal to g."""
+        return [self.mul(g, s) for s in self.step_elements()]
+
+    def adjacency(self, ball: Ball) -> dict:
+        """The Cayley graph induced on a ball: member -> neighbors inside."""
+        return {g: tuple(h for h in self.neighbors(g) if h in ball)
+                for g in ball.members}
 
     def ball(self, center=None, radius: int = 0, cap: int = DEFAULT_BALL_CAP) -> Ball:
+        """B(center, radius); ResourceLimitError when it has over cap members."""
         if radius < 0:
             raise InputError(f"ball radius {radius} is negative")
         if center is None:
             center = self.identity()
-        order = [center]
-        seen = {center}
-        frontier = [center]
-        for _ in range(radius):
-            nxt = []
-            for g in frontier:
-                for h in self.neighbors(g):
-                    if h not in seen:
-                        seen.add(h)
-                        order.append(h)
-                        nxt.append(h)
-                        if len(order) > cap:
-                            raise ResourceLimitError(
-                                f"ball of radius {radius} exceeds cap {cap}"
-                            )
-            frontier = nxt
-        return Ball(center=center, radius=radius, members=tuple(order))
+        members, sphere = [], [0] * (radius + 1)
+        for g, d in bfs(center, self.neighbors, radius, cap):
+            members.append(g)
+            sphere[d] += 1
+        return Ball(center=center, radius=radius, members=tuple(members),
+                    sizes=tuple(accumulate(sphere)))
 
     def bfs_stream(self, cap: int = DEFAULT_BALL_CAP) -> Iterator:
         """Elements of G in BFS order from the identity (up to cap)."""
-        order = [self.identity()]
-        seen = {self.identity()}
-        idx = 0
-        count = 0
-        while idx < len(order):
-            g = order[idx]
-            idx += 1
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(f"BFS enumeration exceeds cap {cap}")
+        for g, _ in bfs(self.identity(), self.neighbors, cap=cap):
             yield g
-            for h in self.neighbors(g):
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
 
     def distance(self, g, h) -> int:
         return self.length(self.mul(self.inv(g), h))
@@ -253,6 +266,9 @@ class IntegerLattice(GroupModel):
             sign = 1 if coord >= 0 else -1
             letters.extend([(label, sign)] * abs(coord))
         return letters
+
+    def element_word(self, g):
+        return format_word([(x, e) for x, e in zip(self.labels, g) if e])
 
 
 class FreeGroup(GroupModel):
@@ -445,12 +461,7 @@ class DiscreteHeisenberg(GroupModel):
         return letters
 
     def element_word(self, g):
-        a, b, c = g
-        letters: list[Letter] = []
-        letters.extend([("x", 1 if a >= 0 else -1)] * abs(a))
-        letters.extend([("y", 1 if b >= 0 else -1)] * abs(b))
-        letters.extend([("z", 1 if c >= 0 else -1)] * abs(c))
-        return format_word(letters)
+        return format_word([(x, e) for x, e in zip("xyz", g) if e])
 
 
 _SPEC_RE = re.compile(r"^z\^([0-9]+)$")

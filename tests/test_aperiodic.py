@@ -4,6 +4,7 @@ import pytest
 
 from groupshift.exact import Quad
 from groupshift.groups import (
+    DiscreteHeisenberg,
     FreeGroup,
     IntegerLattice,
     ResourceLimitError,
@@ -316,6 +317,12 @@ class TestWitnessPath:
             w = f.evaluate(list(result.word))
             # The conjugator satisfies w = u^-1 g u, i.e. g = u w u^-1.
             assert f.mul(f.mul(f.inv(u), g), u) == w
+
+    def test_length_bound_counts_letters_not_runs(self):
+        # x^4 z^40 reaches x^4 only through conjugates longer than 6, the
+        # bound 2 * 2 + 2 that counting its 2 runs, not its 44 letters, gives.
+        result = witness_path(DiscreteHeisenberg(), "x^4 z^40")
+        assert result.word == (("x", 1),) * 4
 
     @pytest.mark.parametrize("group", [IntegerLattice(2), FreeGroup(2)])
     def test_simple_paths_up_to_length3(self, group):

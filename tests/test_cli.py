@@ -123,6 +123,14 @@ class TestExitCodes:
                     "--word", "z^400"]) == 0
         assert capsys.readouterr().out.strip().endswith("path length 159")
 
+    @pytest.mark.parametrize("group, word", [
+        ("z^2", "x^1000000000 y^-5"),
+        ("heisenberg", "x^7 y^-1000000000 z^1000000000"),
+    ])
+    def test_canon_prints_huge_exponents_back(self, capsys, group, word):
+        assert run(["group", "canon", "--group", group, "--word", word]) == 0
+        assert capsys.readouterr().out.strip() == word
+
 
 # An all-zero window of radius 1 on z^2.
 BASE_WINDOW = {"group": "z^2", "radius": 1, "alphabet_size": 2,
@@ -154,6 +162,8 @@ MALFORMED_INPUTS = {
                                "--alpha", "0.5x", "--out", "{out}"],
     "density-measure-bad-balls": ["density", "measure", "--config",
                                   "{config}", "--balls", "3..x"],
+    "density-measure-negative-ball": ["density", "measure", "--config",
+                                      "{config}", "--balls=-1..2"],
     "group-ball-negative-radius": ["group", "ball", "--group", "z^2",
                                    "--radius", "-3"],
     "density-verify-bool-radius": ["density", "verify", "--config",
@@ -338,6 +348,40 @@ def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
     capsys.readouterr()
     assert {name: serialize.sha256_file(tmp_path / name)
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
+
+
+# One small run of every other artifact-writing subcommand, in order (the
+# measure step reads the fill), and the SHA-256 of what each one writes.
+GOLDEN_RUNS = [
+    (["density", "fill", "--group", "z^2", "--radius", "12", "--levels", "2",
+      "--alpha", "2/5", "--out", "fill.json"],
+     "a6ab8d5a79035c8b0042ca0728d06ab87e11e8937f8983adbf4156acc05fe1df"),
+    (["density", "measure", "--config", "fill.json", "--balls", "1..12",
+      "--alpha", "2/5", "--out", "measure.json"],
+     "93c386858ec02152e8be8995105bf17724da7efba9e07289b017df6335e35eb5"),
+    (["density", "build-forest", "--group", "z2*z3", "--radius", "6",
+      "--levels", "2", "--out", "forest.json"],
+     "ea83e9789649dfca7d3119a88f0b1f75c567d00ded7d259e0b7e2e28e745cfff"),
+    (["color", "squarefree", "--group", "free:2", "--radius", "2",
+      "--alphabet", "16", "--maxlen", "2", "--seed", "3",
+      "--out", "square.json"],
+     "090f02fb5524ccc050038d6d5ed9d9fea2708b42b45afda0f969ba6f6883746e"),
+    (["witness", "--group", "heisenberg", "--word", "z^40",
+      "--out", "witness.dot"],
+     "76b96485b5cc5794a0079c8c2f4ba3ec1f2cdeaa72441a0581e3505c207112f4"),
+    (["group", "ball", "--group", "heisenberg", "--radius", "3",
+      "--out", "ball.json"],
+     "9255ed887c0af3e0649e34cdeaa2e063f4e63291120280de6d6b302751431128"),
+]
+
+
+def test_every_artifact_matches_golden_hashes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, _ in GOLDEN_RUNS:
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert [serialize.sha256_file(tmp_path / argv[-1])
+            for argv, _ in GOLDEN_RUNS] == [digest for _, digest in GOLDEN_RUNS]
 
 
 # --- CLI fuzz -------------------------------------------------------------

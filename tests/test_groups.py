@@ -9,6 +9,7 @@ from groupshift.groups import (
     FreeProductZ2Z3,
     InputError,
     IntegerLattice,
+    ResourceLimitError,
     parse_group_spec,
 )
 
@@ -137,6 +138,44 @@ class TestBalls:
 
         with pytest.raises(ResourceLimitError):
             FreeGroup(2).ball(radius=10, cap=100)
+
+
+class TestWindowInvariants:
+    """One BFS: smaller balls are prefixes, caps bite at the exact count."""
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_smaller_balls_are_prefixes(self, group):
+        window = group.ball(radius=5)
+        assert len(window.sizes) == 6 and window.sizes[5] == len(window)
+        for r in range(6):
+            assert (window.members[:window.sizes[r]]
+                    == group.ball(radius=r).members)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_cap_boundary(self, group):
+        size = len(group.ball(radius=3))
+        assert len(group.ball(radius=3, cap=size)) == size
+        with pytest.raises(ResourceLimitError):
+            group.ball(radius=3, cap=size - 1)
+        stream = group.bfs_stream(cap=10)
+        assert len(list(itertools.islice(stream, 10))) == 10
+        with pytest.raises(ResourceLimitError):
+            next(stream)
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_neighbors_are_distinct_steps(self, group):
+        steps = len(group.step_elements())
+        for g in group.ball(radius=3).members:
+            around = group.neighbors(g)
+            assert len(set(around)) == steps and g not in around
+
+
+class TestWordRuns:
+    def test_a_token_is_one_run(self):
+        z2 = IntegerLattice(2)
+        assert z2.parse_word("x^1000000000 y^-5 x^0") == [
+            ("x", 10 ** 9), ("y", -5)
+        ]
 
 
 class TestNeighbors:
