@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -55,6 +54,11 @@ def format_word(letters: list[Letter]) -> str:
     for label, exp in runs:
         parts.append(label if exp == 1 else f"{label}^{exp}")
     return " ".join(parts)
+
+
+def coordinate_word(labels, exponents) -> str:
+    """Render x1^e1 x2^e2 ... for labels x_i and exponents e_i."""
+    return format_word([(x, e) for x, e in zip(labels, exponents) if e])
 
 
 def bfs(start, neighbors: Callable, radius: int | None = None,
@@ -202,12 +206,12 @@ class GroupModel:
             raise InputError(f"ball radius {radius} is negative")
         if center is None:
             center = self.identity()
-        members, sphere = [], [0] * (radius + 1)
+        members, sizes = [], []  # grown with the search: radius may be huge
         for g, d in bfs(center, self.neighbors, radius, cap):
             members.append(g)
-            sphere[d] += 1
+            sizes[d:] = [len(members)]
         return Ball(center=center, radius=radius, members=tuple(members),
-                    sizes=tuple(accumulate(sphere)))
+                    sizes=tuple(sizes))
 
     def bfs_stream(self, cap: int = DEFAULT_BALL_CAP) -> Iterator:
         """Elements of G in BFS order from the identity (up to cap)."""
@@ -268,7 +272,7 @@ class IntegerLattice(GroupModel):
         return letters
 
     def element_word(self, g):
-        return format_word([(x, e) for x, e in zip(self.labels, g) if e])
+        return coordinate_word(self.labels, g)
 
 
 class FreeGroup(GroupModel):
@@ -461,7 +465,7 @@ class DiscreteHeisenberg(GroupModel):
         return letters
 
     def element_word(self, g):
-        return format_word([(x, e) for x, e in zip("xyz", g) if e])
+        return coordinate_word("xyz", g)
 
 
 _SPEC_RE = re.compile(r"^z\^([0-9]+)$")

@@ -104,6 +104,9 @@ class TestExitCodes:
     def test_resource_error(self):
         assert run(["group", "ball", "--group", "free:2",
                     "--radius", "10", "--cap", "50"]) == 3
+        # the cap, not the radius, bounds the work and the memory
+        assert run(["group", "ball", "--group", "z^2",
+                    "--radius", "1000000000", "--cap", "10"]) == 3
 
     def test_verify_distinct_all_zero(self, tmp_path, capsys):
         config = tmp_path / "allzero.json"
