@@ -255,7 +255,6 @@ def build_squarefree_instance(w: PathWindow, alphabet_size: int,
     """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n."""
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
-    index = {v: i for i, v in enumerate(w.vertices)}
     base = 8 * generator_count * generator_count
     events = []
     for k, path in enumerate(enumerate_odd_paths(w, max_half_length, budget)):
@@ -303,59 +302,25 @@ class WitnessPath:
     vertices: tuple = ()
 
 
-def witness_path(group: GroupModel, g_word, node_cap: int = 10 ** 5
-                 ) -> WitnessPath:
-    """Search g = u w u^-1 with |w| minimal and emit the witness walk.
+def witness_path(group: GroupModel, word: str) -> WitnessPath:
+    """Write g = u w u^-1 with w its least conjugate; walk along w w.
 
-    The conjugacy class of g is explored by BFS over generator
-    conjugations, restricted to elements of word length at most
-    2*|g_word| + 2; the minimum over that closure gives w.  Raises
-    ResourceLimitError when the closure exceeds the node cap before the
-    search completes.
+    ``group.least_conjugate`` gives w and u without search.  The walk is
+    the first 2n prefixes of the word w w, n = |w|.
     """
-    letters = group.parse_word(g_word) if isinstance(g_word, str) else list(g_word)
-    g = group.evaluate(letters)
+    g = group.canonicalize(word)
     if g == group.identity():
         return WitnessPath(trivial=True)
-
-    bound = 2 * sum(abs(exp) for _, exp in letters) + 2
-    seen: dict = {g: ()}  # conjugate -> conjugator letters u
-    queue = [g]
-    for cur in queue:  # the queue grows as we walk it
-        if len(seen) > node_cap:
-            raise ResourceLimitError(
-                "conjugacy search exceeded node cap before certifying "
-                "minimality within the length bound"
-            )
-        u = seen[cur]
-        for label in group.labels:
-            for exp in (1, -1):
-                s = group.gen(label, exp)
-                conj = group.mul(group.mul(group.inv(s), cur), s)
-                if conj in seen or group.length(conj) > bound:
-                    continue
-                seen[conj] = u + ((label, exp),)
-                queue.append(conj)
-
-    best = min(seen, key=group.canonical_key)
-    u_letters = seen[best]
-    w_letters = group.geodesic(best)
-    n = len(w_letters)
-    if n == 0:
-        raise AssertionError("nontrivial element has an empty geodesic")
-
-    prefixes = [group.identity()]
-    for label, exp in w_letters:
-        prefixes.append(group.mul(prefixes[-1], group.gen(label, exp)))
-    # Walk: v_0 = 1, v_i = w_1..w_i (i <= n), v_{n+i} = w * w_1..w_i.
-    vertices = list(prefixes[: n + 1])
-    for i in range(1, n):
-        vertices.append(group.mul(best, prefixes[i]))
+    w, u = group.least_conjugate(g)
+    w_letters = group.geodesic(w)
+    vertices = [group.identity()]
+    for label, exp in (w_letters * 2)[:-1]:
+        vertices.append(group.mul(vertices[-1], group.gen(label, exp)))
     if len(set(vertices)) != len(vertices):
         raise AssertionError("witness walk revisits a vertex")
     return WitnessPath(
         trivial=False,
         word=tuple(w_letters),
-        conjugator=tuple(u_letters),
+        conjugator=tuple(group.geodesic(u)),
         vertices=tuple(vertices),
     )

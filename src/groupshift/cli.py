@@ -28,8 +28,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _write_artifacts(args, outputs: dict, started: float, seed=None,
-                     caps=None):
+def _write_artifacts(args, outputs: dict, seed=None, caps=None):
     """Write output files plus one manifest per primary artifact."""
     paths = []
     for path, text in outputs.items():
@@ -39,8 +38,16 @@ def _write_artifacts(args, outputs: dict, started: float, seed=None,
         serialize.write_manifest(
             paths[0], argv=list(args._argv),
             seed=seed, caps=caps or {}, outputs=paths,
-            duration=time.time() - started,
+            duration=time.time() - args._started,
         )
+
+
+def _emit(args, text: str, caps=None) -> None:
+    """Write ``text`` to --out with a manifest, else to stdout."""
+    if args.out:
+        _write_artifacts(args, {args.out: text}, caps=caps)
+    else:
+        sys.stdout.write(text)
 
 
 def _load(path: str, from_json):
@@ -78,12 +85,7 @@ def cmd_group_ball(args) -> int:
         "size": len(ball),
         "members": [group.element_word(g) for g in ball.members],
     }
-    text = serialize.dumps(payload)
-    if args.out:
-        _write_artifacts(args, {args.out: text}, args._started,
-                         caps={"ball": args.cap})
-    else:
-        sys.stdout.write(text)
+    _emit(args, serialize.dumps(payload), caps={"ball": args.cap})
     print(f"ball size {len(ball)}", file=sys.stderr)
     return EXIT_OK
 
@@ -109,11 +111,7 @@ def cmd_lll_alphabet_bound(args) -> int:
 def cmd_lll_verify(args) -> int:
     inst = _load(args.instance, serialize.instance_from_json)
     verdict = lll.verify_condition(inst)
-    text = serialize.dumps(serialize.verdict_to_json(inst, verdict))
-    if args.out:
-        _write_artifacts(args, {args.out: text}, args._started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, serialize.dumps(serialize.verdict_to_json(inst, verdict)))
     print(f"condition {'holds' if verdict.holds else 'fails'}",
           file=sys.stderr)
     return EXIT_OK if verdict.holds else EXIT_VERIFICATION
@@ -143,7 +141,7 @@ def cmd_color_two(args) -> int:
             {"seed": run.seed, "resamples": run.resamples,
              "trace": [list(i) for i in run.trace]}
         )
-    _write_artifacts(args, outputs, args._started, seed=args.seed,
+    _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(
         f"events {len(inst.events)} resamples {run.resamples} "
@@ -173,7 +171,7 @@ def cmd_color_squarefree(args) -> int:
     outputs = {}
     if args.out:
         outputs[args.out] = serialize.dumps(serialize.window_to_json(config))
-    _write_artifacts(args, outputs, args._started, seed=args.seed,
+    _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(
         f"events {len(inst.events)} resamples {run.resamples} "
@@ -203,11 +201,7 @@ def cmd_witness(args) -> int:
           f"u {format_word(list(result.conjugator))!r} "
           f"path length {len(result.vertices) - 1}")
     if args.out:
-        _write_artifacts(
-            args,
-            {args.out: serialize.path_to_dot(group, result.vertices)},
-            args._started,
-        )
+        _emit(args, serialize.path_to_dot(group, result.vertices))
     return EXIT_OK
 
 
@@ -218,10 +212,7 @@ def cmd_density_build_forest(args) -> int:
         text = serialize.forest_to_dot(forest)
     else:
         text = serialize.dumps(serialize.forest_to_json(forest))
-    if args.out:
-        _write_artifacts(args, {args.out: text}, args._started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, text)
     sizes = [len(level.centers) for level in forest.levels]
     print(f"levels {sizes}", file=sys.stderr)
     return EXIT_OK
@@ -238,7 +229,7 @@ def cmd_density_fill(args) -> int:
         text = serialize.window_to_pgm(config)
     else:
         text = serialize.dumps(serialize.window_to_json(config))
-    _write_artifacts(args, {args.out: text}, args._started)
+    _write_artifacts(args, {args.out: text})
     report = density.verify_condition1(config, forest, alpha)
     print(f"clusters {len(report.clusters)} "
           f"ok {report.ok}", file=sys.stderr)
@@ -274,11 +265,7 @@ def cmd_density_measure(args) -> int:
             for d, s, o, f in report.entries
         ],
     }
-    text = serialize.dumps(payload)
-    if args.out:
-        _write_artifacts(args, {args.out: text}, args._started)
-    else:
-        sys.stdout.write(text)
+    _emit(args, serialize.dumps(payload))
     return EXIT_OK
 
 
@@ -408,8 +395,10 @@ def dispatch(argv=None) -> int:
     except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, lll.NonterminatingInstanceError) as exc:
-        print(f"error: resource: {exc}", file=sys.stderr)
+    except (ResourceLimitError, lll.NonterminatingInstanceError,
+            MemoryError) as exc:
+        print(f"error: resource: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_RESOURCE
 
 

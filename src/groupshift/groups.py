@@ -7,7 +7,10 @@ machinery the rest of the library is built on: neighbors, balls, their
 induced adjacency and BFS enumeration.  One breadth-first search,
 :func:`bfs`, underlies all of them; a ball of radius R keeps its sphere
 sizes, so every ball of radius r <= R about the same center is a prefix
-of its members and needs no search of its own.
+of its members and needs no search of its own.  A least conjugate
+(:meth:`GroupModel.least_conjugate`) is found without search: by cyclic
+reduction and rotation in the free groups and the free product, in
+closed form in Z^d and the Heisenberg group.
 
 Elements are opaque hashable canonical forms (tuples); all operations on
 them go through their :class:`GroupModel`.  Values are immutable and safe
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator
 
 
@@ -28,7 +31,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (ball size, BFS budget) was exceeded."""
+    """A ball, scan or odd-path cap was exceeded (CLI exit 3, as on OOM)."""
 
 
 #: A run of one generator in a word: (label, nonzero exponent).  A single
@@ -225,6 +228,27 @@ class GroupModel:
         """Deterministic total order: (word length, canonical form)."""
         return (self.length(g), g)
 
+    def least_conjugate(self, g) -> tuple:
+        """(w, u) with g = u w u^-1 and w least under canonical_key.
+
+        Conjugating by the first letter s of the geodesic (s^-1 g s)
+        first reduces g cyclically, then rotates it; in a free group or
+        a free product of finite cyclic groups the rotations of the
+        cyclic reduction are its conjugates of least length (Lyndon and
+        Schupp, Combinatorial Group Theory, 1977, ch. I and IV), and 2|g|
+        steps see all of them.
+        """
+        best = w, u = g, self.identity()
+        for _ in range(2 * self.length(g)):
+            s = self.gen(*self.geodesic(w)[0])
+            nxt = self.mul(self.mul(self.inv(s), w), s)
+            if nxt == w:
+                break
+            w, u = nxt, self.mul(u, s)
+            if self.canonical_key(w) < self.canonical_key(best[0]):
+                best = w, u
+        return best
+
     def sorted_elements(self, elements) -> list:
         return sorted(elements, key=self.canonical_key)
 
@@ -274,8 +298,26 @@ class IntegerLattice(GroupModel):
     def element_word(self, g):
         return coordinate_word(self.labels, g)
 
+    def least_conjugate(self, g):
+        return g, self.identity()  # abelian: g is its only conjugate
 
-class FreeGroup(GroupModel):
+
+class ReducedWordGroup(GroupModel):
+    """Elements are reduced tuples of syllables, each one generator step."""
+
+    def identity(self):
+        return ()
+
+    def length(self, g):
+        return len(g)
+
+    def evaluate(self, letters):
+        """Push every syllable of the word through one reduction stack."""
+        return self.mul((), tuple(s for label, exp in letters
+                                  for s in self.gen(label, exp)))
+
+
+class FreeGroup(ReducedWordGroup):
     _ALPHABET = "abcdefghijkl"
 
     def __init__(self, rank: int):
@@ -284,9 +326,6 @@ class FreeGroup(GroupModel):
         self.rank = rank
         self.spec = f"free:{rank}"
         self.labels = list(self._ALPHABET[:rank])
-
-    def identity(self):
-        return ()
 
     def gen(self, label, exp=1):
         try:
@@ -307,14 +346,11 @@ class FreeGroup(GroupModel):
     def inv(self, a):
         return tuple(-s for s in reversed(a))
 
-    def length(self, g):
-        return len(g)
-
     def geodesic(self, g):
         return [(self.labels[abs(s) - 1], 1 if s > 0 else -1) for s in g]
 
 
-class FreeProductZ2Z3(GroupModel):
+class FreeProductZ2Z3(ReducedWordGroup):
     """Z/2 * Z/3 with a of order 2 and b of order 3.
 
     Canonical form: an alternating tuple of syllables 'a', 'b', 'B' where
@@ -325,61 +361,32 @@ class FreeProductZ2Z3(GroupModel):
         self.spec = "z2*z3"
         self.labels = ["a", "b"]
 
-    def identity(self):
-        return ()
-
     def gen(self, label, exp=1):
         if label == "a":
-            return ("a",) if exp % 2 else ()
+            return ((), ("a",))[exp % 2]
         if label == "b":
-            e = exp % 3
-            return () if e == 0 else (("b",) if e == 1 else ("B",))
+            return ((), ("b",), ("B",))[exp % 3]
         raise InputError(f"unknown generator label {label!r}")
 
-    @staticmethod
-    def _is_b_type(s: str) -> bool:
-        return s in ("b", "B")
+    #: syllable -> its generator letter
+    _LETTER = {"a": ("a", 1), "b": ("b", 1), "B": ("b", -1)}
 
     def mul(self, a, b):
-        out = list(a)
+        out = list(a)  # alternating, so a merge never cascades
         for s in b:
-            while True:
-                if not out:
-                    out.append(s)
-                    break
-                top = out[-1]
-                if self._is_b_type(top) != self._is_b_type(s):
-                    out.append(s)
-                    break
-                if not self._is_b_type(s):  # a * a = e
-                    out.pop()
-                    break
-                e = (1 if top == "b" else 2) + (1 if s == "b" else 2)
-                out.pop()
-                e %= 3
-                if e == 0:
-                    break
-                s = "b" if e == 1 else "B"
-                # loop again: merged syllable may cancel further
+            if not out or (out[-1] == "a") != (s == "a"):
+                out.append(s)
+            else:  # two syllables of one factor: add their exponents
+                label, exp = self._LETTER[out.pop()]
+                out.extend(self.gen(label, exp + self._LETTER[s][1]))
         return tuple(out)
 
     def inv(self, a):
         table = {"a": "a", "b": "B", "B": "b"}
         return tuple(table[s] for s in reversed(a))
 
-    def length(self, g):
-        return len(g)
-
     def geodesic(self, g):
-        out: list[Letter] = []
-        for s in g:
-            if s == "a":
-                out.append(("a", 1))
-            elif s == "b":
-                out.append(("b", 1))
-            else:
-                out.append(("b", -1))
-        return out
+        return [self._LETTER[s] for s in g]
 
 
 class DiscreteHeisenberg(GroupModel):
@@ -466,6 +473,45 @@ class DiscreteHeisenberg(GroupModel):
 
     def element_word(self, g):
         return coordinate_word("xyz", g)
+
+    def least_conjugate(self, g):
+        """Closed form: conjugating by x^m y^n adds m b - n a to c, so the
+        conjugates of (a, b, c) are the (a, b, c + k d), d = gcd(a, b),
+        and only g itself when d = 0.  The length does not decrease as
+        |2c + ab| grows, so w has the least c among the conjugates of
+        least length: gallop down from the last one with 2c + ab <= 0,
+        then bisect.  u = x^m y^n solves n a - m b = k d with |m| + |n|
+        least, which keeps the printed u short.
+        """
+        a, b, c = g
+        d = gcd(a, b)
+        if d == 0:
+            return g, self.identity()
+
+        def size(k):
+            return self.length((a, b, c + k * d))
+
+        # the next conjugate is nearer -ab/2 only if both have
+        # 0 < |2c + ab| < 2d, where the length is flat: it is never shorter
+        k = -(2 * c + a * b) // (2 * d)
+        least, step = size(k), 1
+        while size(k - step) == least:
+            step *= 2
+        lo = k - step  # size(lo) > least == size(k)
+        while k - lo > 1:
+            mid = (lo + k) // 2
+            lo, k = (lo, mid) if size(mid) == least else (mid, k)
+        p, q = a // d, b // d
+        if q:
+            n = k * pow(p, -1, abs(q)) % abs(q)
+            m = (n * p - k) // q
+        else:  # p = +-1
+            n, m = k * p, 0
+        # solutions (m + t p, n + t q); least |m| + |n| (convex in t), then |n|
+        pairs = [(m + t * p, n + t * q) for v, r in ((n, q), (m, p)) if r
+                 for t in (-v // r, -v // r + 1)]
+        m, n = min(pairs, key=lambda mn: (abs(mn[0]) + abs(mn[1]), abs(mn[1])))
+        return (a, b, c + k * d), (m, n, 0)
 
 
 _SPEC_RE = re.compile(r"^z\^([0-9]+)$")

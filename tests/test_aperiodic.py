@@ -53,6 +53,33 @@ def oracle_odd_path_count(w, max_half_length):
     return count // 2
 
 
+def oracle_witness(group, word, node_cap=10 ** 5):
+    """The conjugacy search least_conjugate replaced: BFS over generator
+    conjugations, kept to length <= 2 |word| + 2, returning (w, u letters,
+    walk vertices)."""
+    letters = group.parse_word(word)
+    g = group.evaluate(letters)
+    bound = 2 * sum(abs(exp) for _, exp in letters) + 2
+    seen = {g: ()}  # conjugate -> conjugator letters u
+    queue = [g]
+    for cur in queue:
+        assert len(seen) <= node_cap
+        for label in group.labels:
+            for exp in (1, -1):
+                s = group.gen(label, exp)
+                conj = group.mul(group.mul(group.inv(s), cur), s)
+                if conj not in seen and group.length(conj) <= bound:
+                    seen[conj] = seen[cur] + ((label, exp),)
+                    queue.append(conj)
+    best = min(seen, key=group.canonical_key)
+    prefixes = [group.identity()]
+    for label, exp in group.geodesic(best):
+        prefixes.append(group.mul(prefixes[-1], group.gen(label, exp)))
+    n = len(prefixes) - 1
+    vertices = prefixes + [group.mul(best, p) for p in prefixes[1:n]]
+    return best, seen[best], tuple(vertices)
+
+
 def graph_window(edges):
     vertices = tuple(dict.fromkeys(v for e in edges for v in e))
     adjacency = {v: [] for v in vertices}
@@ -317,6 +344,22 @@ class TestWitnessPath:
             w = f.evaluate(list(result.word))
             # The conjugator satisfies w = u^-1 g u, i.e. g = u w u^-1.
             assert f.mul(f.mul(f.inv(u), g), u) == w
+
+    @pytest.mark.parametrize("spec, radius", [
+        ("z", 6), ("z^2", 6), ("heisenberg", 6), ("free:2", 5), ("z2*z3", 8),
+    ])
+    def test_matches_conjugacy_search(self, spec, radius):
+        group = parse_group_spec(spec)
+        for g in group.ball(radius=radius).members[1:]:
+            word = group.element_word(g)
+            best, u_letters, vertices = oracle_witness(group, word)
+            result = witness_path(group, word)
+            assert group.evaluate(list(result.word)) == best
+            assert result.vertices == vertices
+            u = group.evaluate(list(result.conjugator))
+            assert group.mul(group.mul(u, best), group.inv(u)) == g
+            if spec == "heisenberg":  # x^m y^n with |m| + |n| least
+                assert group.length(u) <= len(u_letters)
 
     def test_length_bound_counts_letters_not_runs(self):
         # x^4 z^40 reaches x^4 only through conjugates longer than 6, the

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import groupshift
 from groupshift import cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.density import build_forest
@@ -108,6 +112,25 @@ class TestExitCodes:
         assert run(["group", "ball", "--group", "z^2",
                     "--radius", "1000000000", "--cap", "10"]) == 3
 
+    def test_out_of_memory_exits_3(self):
+        # The geodesic x^1000000000 needs ~8 GB; the child limits its own
+        # address space to 2 GB, so building it raises MemoryError.
+        code = ("import resource, sys\n"
+                "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
+                "from groupshift import cli\n"
+                "sys.exit(cli.dispatch(sys.argv[1:]))\n")
+        src = str(Path(groupshift.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "witness", "--group", "z^2",
+             "--word", "x^1000000000"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: resource:")
+        assert "Traceback" not in proc.stderr
+
     def test_verify_distinct_all_zero(self, tmp_path, capsys):
         config = tmp_path / "allzero.json"
         write_constant_config(config)
@@ -125,6 +148,11 @@ class TestExitCodes:
         assert run(["witness", "--group", "heisenberg",
                     "--word", "z^400"]) == 0
         assert capsys.readouterr().out.strip().endswith("path length 159")
+
+    def test_witness_free_word_needs_no_search_cap(self, capsys):
+        assert run(["witness", "--group", "free:2",
+                    "--word", "a^20 b"]) == 0
+        assert capsys.readouterr().out.strip().endswith("path length 41")
 
     @pytest.mark.parametrize("group, word", [
         ("z^2", "x^1000000000 y^-5"),

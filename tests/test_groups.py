@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from groupshift.groups import (
     DiscreteHeisenberg,
     FreeGroup,
     FreeProductZ2Z3,
+    GroupModel,
     InputError,
     IntegerLattice,
     ResourceLimitError,
@@ -177,6 +179,14 @@ class TestWordRuns:
             ("x", 10 ** 9), ("y", -5)
         ]
 
+    @pytest.mark.parametrize("group", [FreeGroup(2), FreeProductZ2Z3()],
+                             ids=lambda g: g.spec)
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(-5, 5)),
+                    max_size=30))
+    def test_one_reduction_stack_matches_run_by_run(self, group, letters):
+        letters = [(label, exp) for label, exp in letters if exp]
+        assert group.evaluate(letters) == GroupModel.evaluate(group, letters)
+
 
 class TestNeighbors:
     def test_z_line(self):
@@ -305,6 +315,22 @@ class TestHeisenbergMetric:
         around = [h.length(h.mul(g, s)) for s in h.step_elements()]
         assert all(abs(m - n) == 1 for m in around)
         assert n == 0 or n - 1 in around
+
+    @given(heisenberg_elements())
+    def test_least_conjugate_in_closed_form(self, g):
+        # The conjugates are (a, b, c + k gcd(a, b)); no neighbouring one
+        # in that class sorts before w.
+        h = DiscreteHeisenberg()
+        w, u = h.least_conjugate(g)
+        assert h.mul(h.mul(u, w), h.inv(u)) == g
+        a, b, c = w
+        d = math.gcd(a, b)
+        if d == 0:
+            assert w == g
+        else:
+            assert (a, b) == g[:2] and (c - g[2]) % d == 0
+            for other in ((a, b, c - d), (a, b, c + d)):
+                assert h.canonical_key(w) < h.canonical_key(other)
 
     def test_far_geodesic_is_stateless(self):
         h = DiscreteHeisenberg()
