@@ -108,11 +108,12 @@ def fitting_pairs(group: GroupModel, positions, inside, s,
     definition of a fitting (n, g) shared by the instance builder and the
     distinct-neighborhood verifier.
     """
+    shifted = [(t, group.mul(s, t)) for t in t_set]
     for g in positions:
         pairs = []
-        for t in t_set:
+        for t, st in shifted:
             u = group.mul(g, t)
-            v = group.mul(g, group.mul(s, t))
+            v = group.mul(g, st)
             if u not in inside or v not in inside:
                 break
             pairs.append((u, v))

@@ -221,16 +221,11 @@ def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
     """Lay a Sturmian word of slope alpha along each component's leaves."""
     a = alpha.value
     cells: dict = {}
-    if a == 0 or a == 1:
-        sym = int(a)
-        cells = {g: sym for g in f.window.members}
-    else:
-        top_centers = sorted(f.levels[f.depth].centers,
-                             key=f.group.canonical_key)
-        for center in top_centers:
-            order = convex_enumeration(f, center)
-            for bit, leaf in zip(sturmian(a, len(order)), order):
-                cells[leaf] = bit
+    top_centers = sorted(f.levels[f.depth].centers, key=f.group.canonical_key)
+    for center in top_centers:
+        order = convex_enumeration(f, center)
+        for bit, leaf in zip(sturmian(a, len(order)), order):
+            cells[leaf] = bit
     return WindowConfig(
         group=f.group, radius=f.window.radius, cells=cells,
         alphabet_size=2, window=f.window,

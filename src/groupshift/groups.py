@@ -7,10 +7,12 @@ machinery the rest of the library is built on: neighbors, balls, their
 induced adjacency and BFS enumeration.  One breadth-first search,
 :func:`bfs`, underlies all of them; a ball of radius R keeps its sphere
 sizes, so every ball of radius r <= R about the same center is a prefix
-of its members and needs no search of its own.  A least conjugate
-(:meth:`GroupModel.least_conjugate`) is found without search: by cyclic
-reduction and rotation in the free groups and the free product, in
-closed form in Z^d and the Heisenberg group.
+of its members and needs no search of its own.  Each model writes its
+least conjugates (:meth:`GroupModel.least_conjugate`) as a formula, with
+no loop over conjugates: the least rotation of the cyclic reduction in
+the free groups and the free product, g itself in Z^d, and in the
+Heisenberg group the first member of a residue class c + k gcd(a, b)
+from the least c of least length.
 
 Elements are opaque hashable canonical forms (tuples); all operations on
 them go through their :class:`GroupModel`.  Values are immutable and safe
@@ -140,6 +142,10 @@ class GroupModel:
         """A shortest generator word evaluating to g."""
         raise NotImplementedError
 
+    def least_conjugate(self, g) -> tuple:
+        """(w, u) with g = u w u^-1 and w least under canonical_key."""
+        raise NotImplementedError
+
     # --- word handling -------------------------------------------------
     def parse_word(self, text: str) -> list[Letter]:
         """One (label, exp) run per token; tokens with exponent 0 vanish."""
@@ -228,27 +234,6 @@ class GroupModel:
         """Deterministic total order: (word length, canonical form)."""
         return (self.length(g), g)
 
-    def least_conjugate(self, g) -> tuple:
-        """(w, u) with g = u w u^-1 and w least under canonical_key.
-
-        Conjugating by the first letter s of the geodesic (s^-1 g s)
-        first reduces g cyclically, then rotates it; in a free group or
-        a free product of finite cyclic groups the rotations of the
-        cyclic reduction are its conjugates of least length (Lyndon and
-        Schupp, Combinatorial Group Theory, 1977, ch. I and IV), and 2|g|
-        steps see all of them.
-        """
-        best = w, u = g, self.identity()
-        for _ in range(2 * self.length(g)):
-            s = self.gen(*self.geodesic(w)[0])
-            nxt = self.mul(self.mul(self.inv(s), w), s)
-            if nxt == w:
-                break
-            w, u = nxt, self.mul(u, s)
-            if self.canonical_key(w) < self.canonical_key(best[0]):
-                best = w, u
-        return best
-
     def sorted_elements(self, elements) -> list:
         return sorted(elements, key=self.canonical_key)
 
@@ -315,6 +300,27 @@ class ReducedWordGroup(GroupModel):
         """Push every syllable of the word through one reduction stack."""
         return self.mul((), tuple(s for label, exp in letters
                                   for s in self.gen(label, exp)))
+
+    def least_conjugate(self, g):
+        """Write g = p core p^-1 with core cyclically reduced; the rotations
+        of core are the least conjugates of g (Lyndon and Schupp,
+        Combinatorial Group Theory, 1977, ch. I and IV).  In Z/2 * Z/3 the
+        ends of b X b merge: g = b (X b^2) b^-1.  w is the least rotation
+        core[k:] core[:k]; over the k that give it, u is the shortest of
+        p core[:k] and p core[k:]^-1.
+        """
+        h, i = self.inv(g), 0
+        while 2 * i + 1 < len(g) and g[i] == h[i]:  # g[i] inverts g[-1 - i]
+            i += 1
+        p, core = g[:i], g[i:len(g) - i]
+        ends = self.mul(core[-1:], core[:1])
+        if len(core) > 1 and len(ends) == 1:
+            p, core = p + core[:1], core[1:-1] + ends
+        n, twice = len(core), core + core
+        k = min(range(n), default=0,
+                key=lambda k: (twice[k:k + n], min(k, n - k)))
+        u = core[:k] if k <= n - k else self.inv(core[k:])
+        return twice[k:k + n], self.mul(p, u)
 
 
 class FreeGroup(ReducedWordGroup):
@@ -479,28 +485,19 @@ class DiscreteHeisenberg(GroupModel):
         conjugates of (a, b, c) are the (a, b, c + k d), d = gcd(a, b),
         and only g itself when d = 0.  The length does not decrease as
         |2c + ab| grows, so w has the least c among the conjugates of
-        least length: gallop down from the last one with 2c + ab <= 0,
-        then bisect.  u = x^m y^n solves n a - m b = k d with |m| + |n|
-        least, which keeps the printed u short.
+        least length.  If ab != 0, those are the c with |2c + ab| <= |ab|
+        (length |a| + |b|), a range of |ab| + 1 > d values from
+        min(-ab, 0).  Otherwise the length grows with |c| and is the same
+        at c and c - d for 0 < c < d: w has the c in (-d, 0].  u = x^m y^n
+        solves n a - m b = k d with |m| + |n| least, which keeps the
+        printed u short.
         """
         a, b, c = g
         d = gcd(a, b)
         if d == 0:
             return g, self.identity()
-
-        def size(k):
-            return self.length((a, b, c + k * d))
-
-        # the next conjugate is nearer -ab/2 only if both have
-        # 0 < |2c + ab| < 2d, where the length is flat: it is never shorter
-        k = -(2 * c + a * b) // (2 * d)
-        least, step = size(k), 1
-        while size(k - step) == least:
-            step *= 2
-        lo = k - step  # size(lo) > least == size(k)
-        while k - lo > 1:
-            mid = (lo + k) // 2
-            lo, k = (lo, mid) if size(mid) == least else (mid, k)
+        lo = min(-a * b, 0) if a * b else 1 - d
+        k = -((c - lo) // d)  # c + k d is the first conjugate from lo
         p, q = a // d, b // d
         if q:
             n = k * pow(p, -1, abs(q)) % abs(q)

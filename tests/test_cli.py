@@ -154,6 +154,12 @@ class TestExitCodes:
                     "--word", "a^20 b"]) == 0
         assert capsys.readouterr().out.strip().endswith("path length 41")
 
+    def test_witness_conjugator_goes_the_short_way_round(self, capsys):
+        assert run(["witness", "--group", "free:2",
+                    "--word", "a^200 b a^-3 b^5"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert "u 'b^-5 a^3'" in out and out.endswith("path length 417")
+
     @pytest.mark.parametrize("group, word", [
         ("z^2", "x^1000000000 y^-5"),
         ("heisenberg", "x^7 y^-1000000000 z^1000000000"),

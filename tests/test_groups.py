@@ -188,6 +188,52 @@ class TestWordRuns:
         assert group.evaluate(letters) == GroupModel.evaluate(group, letters)
 
 
+def oracle_least_conjugate(group, g):
+    """The conjugation loop least_conjugate replaced: conjugate by the
+    first letter s of the geodesic (s^-1 g s) up to 2|g| times and keep
+    the least conjugate seen, with the product of the s as its u."""
+    best = w, u = g, group.identity()
+    for _ in range(2 * group.length(g)):
+        s = group.gen(*group.geodesic(w)[0])
+        nxt = group.mul(group.mul(group.inv(s), w), s)
+        if nxt == w:
+            break
+        w, u = nxt, group.mul(u, s)
+        if group.canonical_key(w) < group.canonical_key(best[0]):
+            best = w, u
+    return best
+
+
+class TestLeastConjugate:
+    @pytest.mark.parametrize("group", [FreeGroup(2), FreeGroup(3),
+                                       FreeProductZ2Z3()],
+                             ids=lambda g: g.spec)
+    @given(st.data())
+    def test_reduced_words_match_conjugation_loop(self, group, data):
+        letters = data.draw(st.lists(
+            st.tuples(st.sampled_from(group.labels), st.sampled_from((1, -1))),
+            max_size=40))
+        g = group.evaluate(letters)
+        w, u = group.least_conjugate(g)
+        oracle_w, oracle_u = oracle_least_conjugate(group, g)
+        assert w == oracle_w
+        assert group.mul(group.mul(u, w), group.inv(u)) == g
+        assert group.length(u) <= group.length(oracle_u)
+
+    def test_periodic_core_takes_the_shortest_u(self):
+        # w = a b^2 a b^2 is the rotation of g by 2 or by 5 letters: u is
+        # b^2 one way round and a^-1 the other.
+        f = FreeGroup(2)
+        w, u = f.least_conjugate(f.canonicalize("b^2 a b^2 a"))
+        assert w == f.canonicalize("a b^2 a b^2")
+        assert u == f.canonicalize("a^-1")
+
+    def test_identity_is_its_own_least_conjugate(self):
+        for group in ALL_GROUPS:
+            e = group.identity()
+            assert group.least_conjugate(e) == (e, e)
+
+
 class TestNeighbors:
     def test_z_line(self):
         z = IntegerLattice(1)
@@ -331,6 +377,23 @@ class TestHeisenbergMetric:
             assert (a, b) == g[:2] and (c - g[2]) % d == 0
             for other in ((a, b, c - d), (a, b, c + d)):
                 assert h.canonical_key(w) < h.canonical_key(other)
+
+    def test_least_conjugate_is_least_of_its_class(self):
+        # The class of (a, b, c) is (a, b, c + k gcd(a, b)).  Its least
+        # member under canonical_key lies far inside c in [-200, 200]:
+        # there |2c + ab| runs well past |ab| <= 144.
+        h = DiscreteHeisenberg()
+        for a, b in itertools.product(range(-12, 13), repeat=2):
+            d = math.gcd(a, b)
+            least = {}
+            for c in range(-200, 201):
+                key = h.canonical_key((a, b, c))
+                r = c % d if d else c
+                least[r] = min(least.get(r, key), key)
+            for c in range(-40, 41):
+                w, u = h.least_conjugate((a, b, c))
+                assert h.canonical_key(w) == least[c % d if d else c]
+                assert h.mul(h.mul(u, w), h.inv(u)) == (a, b, c)
 
     def test_far_geodesic_is_stateless(self):
         h = DiscreteHeisenberg()
