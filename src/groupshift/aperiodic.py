@@ -190,7 +190,7 @@ class PathWindow:
     @classmethod
     def from_ball(cls, group: GroupModel, radius: int) -> "PathWindow":
         ball = group.ball(radius=radius)
-        return cls(vertices=ball.members, adjacency=group.adjacency(ball))
+        return cls(vertices=ball.members, adjacency=ball.adjacency)
 
 
 def enumerate_odd_paths(w: PathWindow, max_half_length: int,

@@ -29,17 +29,21 @@ EXIT_RESOURCE = 3
 
 
 def _write_artifacts(args, outputs: dict, seed=None, caps=None):
-    """Write output files plus one manifest per primary artifact."""
-    paths = []
-    for path, text in outputs.items():
-        Path(path).write_text(text)
-        paths.append(Path(path))
-    if paths:
-        serialize.write_manifest(
-            paths[0], argv=list(args._argv),
-            seed=seed, caps=caps or {}, outputs=paths,
-            duration=time.time() - args._started,
-        )
+    """Write output files plus one manifest per primary artifact; a path
+    that cannot be written is an input error (exit 2)."""
+    paths = [Path(path) for path in outputs]
+    try:
+        for path, text in zip(paths, outputs.values()):
+            path.write_text(text)
+        if paths:
+            serialize.write_manifest(
+                paths[0], argv=list(args._argv),
+                seed=seed, caps=caps or {}, outputs=paths,
+                duration=time.time() - args._started,
+            )
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or path}: "
+                         f"{exc.strerror}") from None
 
 
 def _emit(args, text: str, caps=None) -> None:

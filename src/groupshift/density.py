@@ -1,16 +1,17 @@
 """Covering forests, Sturmian filling and density verification.
 
-The construction: starting from a Cayley-graph window, repeatedly take a
-greedy maximal 2-separating (hence 2-covering) subset, assign parents
-within quotient-graph distance 2, and connect centers whose clusters are
-adjacent.  A Sturmian word laid along a convex enumeration of each
-component's leaves then pins the ones-count of every cluster to within
-one of its proportional share.
+The construction reads one graph, the Cayley graph of the window ball.
+It repeatedly takes a greedy maximal 2-separating (hence 2-covering)
+subset, gives each point its nearest center (least on a tie) within
+distance 2 as parent, and connects centers whose clusters are adjacent.
+A Sturmian word laid along a convex enumeration of each component's
+leaves then pins the ones-count of every cluster to within one of its
+proportional share.
 
 All guarantees are intrinsic to the window: cluster upper bounds hold for
 every center, while lower bounds (and the aggregate density bound built
 on them) are only asserted for centers whose level-n ball stays inside
-the window.
+the window, a test made on the window's graph.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class CoveringForest:
     group: GroupModel
     window: Ball
     levels: list[ForestLevel]          # index 0 .. n_max
-    leaf_parent: list[dict]            # p_n : window -> A_n, per level
     clusters: list[dict]               # level -> center -> tuple of leaves
 
     @property
@@ -113,11 +113,16 @@ class CoveringForest:
         """Centers whose level-n ball stays inside the window.
 
         This is the margin the cluster lower bound B(g, n) <= C_n(g)
-        needs; the upper bound holds for every center.
+        needs; the upper bound holds for every center.  B(g, n) lies in
+        the window exactly when every vertex within window distance n - 1
+        of g keeps all its neighbors there: a geodesic from g that leaves
+        the window takes its first outside step from such a vertex.
         """
+        adjacency = self.window.adjacency
+        degree = len(self.group.step_elements())
         return [g for g in self.levels[n].centers
-                if all(h in self.window
-                       for h in self.group.ball(center=g, radius=n).members)]
+                if all(len(adjacency[h]) == degree
+                       for h, d in bfs(g, adjacency.__getitem__, n) if d < n)]
 
 
 def build_forest(group: GroupModel, window_radius: int,
@@ -126,38 +131,28 @@ def build_forest(group: GroupModel, window_radius: int,
     if levels < 1:
         raise InputError("need at least one level")
     window = group.ball(radius=window_radius)
-    cayley = group.adjacency(window)
-
-    level0 = ForestLevel(centers=window.members, edges=cayley, parent=None)
+    level0 = ForestLevel(centers=window.members, edges=window.adjacency,
+                         parent=None)
     forest_levels = [level0]
-    leaf_parent = [{g: g for g in window.members}]
+    p_n = {g: g for g in window.members}  # leaf -> its level-n center
     clusters = [{g: (g,) for g in window.members}]
 
     for n in range(1, levels + 1):
         prev = forest_levels[-1]
         centers = greedy_rnet(prev.centers, prev.edges, 2)
-        if not centers:
-            raise InputError(f"level {n} is empty; enlarge the window")
-        center_set = set(centers)
+        # parent: the least (distance, canonical_key) center within 2
+        near: dict = {}  # g -> (distance, center)
+        for c in sorted(centers, key=group.canonical_key):
+            if c in near:  # an earlier center lies within distance 2
+                raise AssertionError("2-separation violated")
+            for g, d in bfs(c, prev.edges.__getitem__, 2):
+                if g not in near or d < near[g][0]:
+                    near[g] = (d, c)
+        if len(near) != len(prev.centers):
+            raise AssertionError("2-covering violated")
+        parent = {g: near[g][1] for g in prev.centers}
 
-        parent: dict = {}
-        for g in prev.centers:
-            if g in center_set:
-                parent[g] = g
-                continue
-            dist = graph_bfs_within(prev.edges, g, 2)
-            at_one = [h for h in dist if dist[h] == 1 and h in center_set]
-            if at_one:
-                if len(at_one) > 1:
-                    raise AssertionError("2-separation violated")
-                parent[g] = at_one[0]
-                continue
-            at_two = [h for h in dist if dist[h] == 2 and h in center_set]
-            if not at_two:
-                raise AssertionError("2-covering violated")
-            parent[g] = min(at_two, key=group.canonical_key)
-
-        p_n = {leaf: parent[p] for leaf, p in leaf_parent[-1].items()}
+        p_n = {leaf: parent[p] for leaf, p in p_n.items()}
         cluster_map: dict = {c: [] for c in centers}
         for leaf in window.members:
             cluster_map[p_n[leaf]].append(leaf)
@@ -166,23 +161,19 @@ def build_forest(group: GroupModel, window_radius: int,
         edges: dict = {c: set() for c in centers}
         for g in window.members:
             cg = p_n[g]
-            for h in cayley[g]:
-                ch = p_n[h]
-                if cg != ch:
-                    edges[cg].add(ch)
-                    edges[ch].add(cg)
+            for h in window.adjacency[g]:  # symmetric: h's pass adds cg
+                if cg != p_n[h]:
+                    edges[cg].add(p_n[h])
         edges = {c: tuple(sorted(v, key=group.canonical_key))
                  for c, v in edges.items()}
 
         forest_levels.append(ForestLevel(
             centers=tuple(centers), edges=edges, parent=parent
         ))
-        leaf_parent.append(p_n)
         clusters.append(cluster_map)
 
     return CoveringForest(
-        group=group, window=window, levels=forest_levels,
-        leaf_parent=leaf_parent, clusters=clusters,
+        group=group, window=window, levels=forest_levels, clusters=clusters,
     )
 
 

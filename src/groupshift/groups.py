@@ -3,11 +3,11 @@
 Four families are built in: integer lattices Z^d, free groups, the free
 product Z/2 * Z/3 and the discrete Heisenberg group.  Each one exposes a
 canonical form with O(word length) canonicalization, plus the Cayley-graph
-machinery the rest of the library is built on: neighbors, balls, their
-induced adjacency and BFS enumeration.  One breadth-first search,
-:func:`bfs`, underlies all of them; a ball of radius R keeps its sphere
-sizes, so every ball of radius r <= R about the same center is a prefix
-of its members and needs no search of its own.  Each model writes its
+machinery the rest of the library is built on.  One breadth-first search,
+:func:`bfs`, finds a ball's members and the Cayley graph induced on them
+at once; a ball of radius R keeps its sphere sizes, so every ball of
+radius r <= R about the same center is a prefix of its members and needs
+no search of its own.  Each model writes its
 least conjugates (:meth:`GroupModel.least_conjugate`) as a formula, with
 no loop over conjugates: the least rotation of the cyclic reduction in
 the free groups and the free product, g itself in Z^d, and in the
@@ -22,8 +22,7 @@ to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -91,24 +90,22 @@ def bfs(start, neighbors: Callable, radius: int | None = None,
 
 @dataclass(frozen=True)
 class Ball:
-    """A word-metric ball and the set of its members.
+    """A word-metric ball with the Cayley graph induced on it.
 
     ``members`` are in deterministic BFS order and ``sizes[r]`` is
     |B(center, r)| for r = 0..radius, so ``members[:sizes[r]]`` is the
-    ball of radius r about the same center.
+    ball of radius r about the same center.  ``adjacency`` maps each
+    member to its neighbors in the ball; its keys are ``members``.
     """
 
     center: tuple
     radius: int
     members: tuple
     sizes: tuple
+    adjacency: dict = field(compare=False, repr=False)
 
     def __contains__(self, g) -> bool:
-        return g in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return g in self.adjacency
 
     def __len__(self) -> int:
         return len(self.members)
@@ -204,23 +201,28 @@ class GroupModel:
         """g*s over the steps s, all distinct and none equal to g."""
         return [self.mul(g, s) for s in self.step_elements()]
 
-    def adjacency(self, ball: Ball) -> dict:
-        """The Cayley graph induced on a ball: member -> neighbors inside."""
-        return {g: tuple(h for h in self.neighbors(g) if h in ball)
-                for g in ball.members}
-
     def ball(self, center=None, radius: int = 0, cap: int = DEFAULT_BALL_CAP) -> Ball:
         """B(center, radius); ResourceLimitError when it has over cap members."""
         if radius < 0:
             raise InputError(f"ball radius {radius} is negative")
         if center is None:
             center = self.identity()
+        adj: dict = {}  # inner member -> its neighbors, all in the ball
+
+        def expand(g) -> tuple:
+            adj[g] = tuple(self.neighbors(g))
+            return adj[g]
+
         members, sizes = [], []  # grown with the search: radius may be huge
-        for g, d in bfs(center, self.neighbors, radius, cap):
+        for g, d in bfs(center, expand, radius, cap):
             members.append(g)
             sizes[d:] = [len(members)]
+        outer = members[len(adj):]  # the sphere at distance radius
+        adj.update(dict.fromkeys(outer))  # the keys become the member set
+        for g in outer:
+            adj[g] = tuple(h for h in self.neighbors(g) if h in adj)
         return Ball(center=center, radius=radius, members=tuple(members),
-                    sizes=tuple(sizes))
+                    sizes=tuple(sizes), adjacency=adj)
 
     def bfs_stream(self, cap: int = DEFAULT_BALL_CAP) -> Iterator:
         """Elements of G in BFS order from the identity (up to cap)."""

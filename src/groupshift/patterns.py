@@ -56,9 +56,11 @@ class WindowConfig:
         missing = [g for g in self.window.members if g not in self.cells]
         if missing:
             raise InputError(f"window symbol map misses {len(missing)} cells")
+        if type(self.alphabet_size) is not int:  # bools are rejected too
+            raise InputError(f"non-int alphabet size {self.alphabet_size!r}")
         for g, a in self.cells.items():
-            if not 0 <= a < self.alphabet_size:
-                raise InputError(f"symbol {a} outside alphabet at {g}")
+            if type(a) is not int or not 0 <= a < self.alphabet_size:
+                raise InputError(f"symbol {a!r} outside alphabet at {g}")
 
     def __getitem__(self, g) -> int:
         return self.cells[g]

@@ -176,9 +176,11 @@ BASE_WINDOW = {"group": "z^2", "radius": 1, "alphabet_size": 2,
 
 # Each argv exits 2 (input error); "{name}" fields name files the test
 # writes: a missing path, non-JSON text, JSON without cells, JSON with a
-# non-string group, a valid window configuration, and three copies of
+# non-string group, a valid window configuration, and six copies of
 # BASE_WINDOW that are wrong in one way each: radius ``true``, one
-# more cell outside the ball, and the cell "x" listed again as "x y y^-1".
+# more cell outside the ball, the cell "x" listed again as "x y y^-1",
+# the symbol 0.5 or ``true`` at the identity, and alphabet size 2.5.
+# "{config.parent}" is a directory, so it cannot be written as a file.
 MALFORMED_INPUTS = {
     "density-verify-missing": ["density", "verify", "--config", "{missing}",
                                "--levels", "1", "--alpha", "1/2"],
@@ -218,6 +220,21 @@ MALFORMED_INPUTS = {
     "color-squarefree-maxlen-negative": ["color", "squarefree", "--group",
                                          "z^2", "--radius", "2",
                                          "--alphabet", "4", "--maxlen", "-1"],
+    "group-ball-out-is-directory": ["group", "ball", "--group", "z",
+                                    "--radius", "1", "--out",
+                                    "{config.parent}"],
+    "group-ball-out-in-missing-directory": ["group", "ball", "--group", "z",
+                                            "--radius", "1", "--out",
+                                            "{missing}/x.json"],
+    "density-verify-fractional-symbol": ["density", "verify", "--config",
+                                         "{halfsymbol}", "--levels", "1",
+                                         "--alpha", "0"],
+    "density-verify-bool-symbol": ["density", "verify", "--config",
+                                   "{boolsymbol}", "--levels", "1",
+                                   "--alpha", "0"],
+    "density-verify-fractional-alphabet": ["density", "verify", "--config",
+                                           "{halfalphabet}", "--levels", "1",
+                                           "--alpha", "0"],
 }
 
 
@@ -226,7 +243,8 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     files = {name: tmp_path / f"{name}.json"
              for name in ("missing", "text", "nocells", "intgroup", "config",
-                          "out", "boolradius", "offwindow", "twospellings")}
+                          "out", "boolradius", "offwindow", "twospellings",
+                          "halfsymbol", "boolsymbol", "halfalphabet")}
     files["text"].write_text("not json {")
     files["nocells"].write_text(json.dumps(
         {"group": "z^2", "radius": 1, "alphabet_size": 2}))
@@ -237,7 +255,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     for name, change in (("boolradius", {"radius": True}),
                          ("offwindow", {"cells": cells + [["x^5", 0]]}),
                          ("twospellings",
-                          {"cells": cells + [["x y y^-1", 0]]})):
+                          {"cells": cells + [["x y y^-1", 0]]}),
+                         ("halfsymbol", {"cells": [["", 0.5]] + cells[1:]}),
+                         ("boolsymbol", {"cells": [["", True]] + cells[1:]}),
+                         ("halfalphabet", {"alphabet_size": 2.5})):
         files[name].write_text(json.dumps({**BASE_WINDOW, **change}))
     assert run([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from groupshift.groups import FreeGroup, InputError, IntegerLattice
+from groupshift.groups import (
+    DiscreteHeisenberg,
+    FreeGroup,
+    FreeProductZ2Z3,
+    InputError,
+    IntegerLattice,
+)
+from groupshift import density
 from groupshift.patterns import EmptySupportError, WindowConfig
 from groupshift.density import (
     Slope,
@@ -23,6 +30,44 @@ from groupshift.density import (
 def path_adjacency(n):
     return {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n)
             for i in range(n)}
+
+
+# Two window radii per model, small enough for a three-level forest.
+FOREST_CASES = [
+    (IntegerLattice(1), 10), (IntegerLattice(1), 25),
+    (IntegerLattice(2), 8), (IntegerLattice(2), 14),
+    (FreeGroup(2), 3), (FreeGroup(2), 5),
+    (FreeProductZ2Z3(), 6), (FreeProductZ2Z3(), 9),
+    (DiscreteHeisenberg(), 4), (DiscreteHeisenberg(), 6),
+]
+
+
+def oracle_parents(group, prev, centers):
+    """The per-non-center search build_forest replaced: a center is its
+    own parent, else the one center at distance 1, else the least center
+    at distance 2 under canonical_key."""
+    centers = set(centers)
+    parent = {}
+    for g in prev.centers:
+        if g in centers:
+            parent[g] = g
+            continue
+        dist = graph_bfs_within(prev.edges, g, 2)
+        at_one = [h for h in dist if dist[h] == 1 and h in centers]
+        if at_one:
+            assert len(at_one) == 1
+            parent[g] = at_one[0]
+            continue
+        at_two = [h for h in dist if dist[h] == 2 and h in centers]
+        parent[g] = min(at_two, key=group.canonical_key)
+    return parent
+
+
+def oracle_interior_centers(f, n):
+    """The group.ball test interior_centers replaced."""
+    members = set(f.window.members)
+    return [g for g in f.levels[n].centers
+            if set(f.group.ball(center=g, radius=n).members) <= members]
 
 
 def all_ones_window(group, radius):
@@ -118,6 +163,32 @@ class TestForest:
             # clusters partition the window
             leaves = [h for c in level.centers for h in f.clusters[n][c]]
             assert sorted(leaves) == sorted(f.window.members)
+
+    @pytest.mark.parametrize("group,radius", FOREST_CASES,
+                             ids=lambda v: getattr(v, "spec", v))
+    def test_parents_match_per_non_center_search(self, group, radius):
+        f = build_forest(group, radius, 3)
+        for n in range(1, 4):
+            expected = oracle_parents(group, f.levels[n - 1],
+                                      f.levels[n].centers)
+            assert list(f.levels[n].parent.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("group,radius", FOREST_CASES,
+                             ids=lambda v: getattr(v, "spec", v))
+    def test_interior_centers_match_ball_search(self, group, radius):
+        f = build_forest(group, radius, 3)
+        for n in range(f.depth + 1):
+            assert f.interior_centers(n) == oracle_interior_centers(f, n)
+
+    @pytest.mark.parametrize("net,message", [
+        (lambda points: list(points), "2-separation violated"),
+        (lambda points: list(points)[:1], "2-covering violated"),
+    ])
+    def test_parent_search_rechecks_the_net(self, monkeypatch, net, message):
+        monkeypatch.setattr(density, "greedy_rnet",
+                            lambda points, adjacency, r: net(points))
+        with pytest.raises(AssertionError, match=message):
+            build_forest(IntegerLattice(1), 10, 1)
 
     def test_interior_centers_have_full_balls(self):
         z2 = IntegerLattice(2)

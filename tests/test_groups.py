@@ -171,6 +171,31 @@ class TestWindowInvariants:
             around = group.neighbors(g)
             assert len(set(around)) == steps and g not in around
 
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_adjacency_is_the_induced_cayley_graph(self, group):
+        """Oracle: the comprehension that built the induced graph apart
+        from the ball search, at radius 0, 1, 3 and at the cap boundary."""
+        size = len(group.ball(radius=3))
+        for ball in [group.ball(radius=r) for r in (0, 1, 3)] + [
+                group.ball(radius=3, cap=size)]:
+            members = set(ball.members)
+            assert ball.adjacency == {
+                g: tuple(h for h in group.neighbors(g) if h in members)
+                for g in ball.members}
+            assert list(ball.adjacency) == list(ball.members)
+        assert group.ball(radius=0).adjacency == {group.identity(): ()}
+
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_ball_calls_neighbors_at_most_once_per_member(self, group,
+                                                          monkeypatch):
+        calls = []
+        neighbors = group.neighbors
+        monkeypatch.setattr(group, "neighbors",
+                            lambda g: calls.append(g) or neighbors(g))
+        ball = group.ball(radius=4)
+        assert len(calls) == len(set(calls)) <= len(ball)
+        assert set(calls) <= set(ball.members)
+
 
 class TestWordRuns:
     def test_a_token_is_one_run(self):
