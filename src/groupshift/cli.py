@@ -62,7 +62,8 @@ def _load(path: str, from_json):
     """
     try:
         return from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from None
 
 

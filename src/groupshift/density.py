@@ -4,9 +4,11 @@ The construction reads one graph, the Cayley graph of the window ball.
 It repeatedly takes a greedy maximal 2-separating (hence 2-covering)
 subset, gives each point its nearest center (least on a tie) within
 distance 2 as parent, and connects centers whose clusters are adjacent.
-A Sturmian word laid along a convex enumeration of each component's
-leaves then pins the ones-count of every cluster to within one of its
-proportional share.
+The parent maps are the forest's only record of its hierarchy: a
+cluster (the leaves below a center) and the quotient edges of each
+level are read off them.  A Sturmian word laid along a convex
+enumeration of each component's leaves then pins the ones-count of
+every cluster to within one of its proportional share.
 
 All guarantees are intrinsic to the window: cluster upper bounds hold for
 every center, while lower bounds (and the aggregate density bound built
@@ -86,7 +88,6 @@ class CoveringForest:
     group: GroupModel
     window: Ball
     levels: list[ForestLevel]          # index 0 .. n_max
-    clusters: list[dict]               # level -> center -> tuple of leaves
 
     @property
     def depth(self) -> int:
@@ -106,8 +107,16 @@ class CoveringForest:
             out.append(kids)
         return out
 
-    def cluster(self, n: int, g) -> tuple:
-        return self.clusters[n][g]
+    def cluster(self, n: int, g) -> list:
+        """The leaves below center g of level n, children in canonical order.
+
+        Each step down keeps the order, so the leaves below every node
+        occupy a contiguous interval of the output.
+        """
+        nodes = [g]
+        for m in range(n, 0, -1):
+            nodes = [c for h in nodes for c in self.children[m][h]]
+        return nodes
 
     def interior_centers(self, n: int) -> list:
         """Centers whose level-n ball stays inside the window.
@@ -134,8 +143,6 @@ def build_forest(group: GroupModel, window_radius: int,
     level0 = ForestLevel(centers=window.members, edges=window.adjacency,
                          parent=None)
     forest_levels = [level0]
-    p_n = {g: g for g in window.members}  # leaf -> its level-n center
-    clusters = [{g: (g,) for g in window.members}]
 
     for n in range(1, levels + 1):
         prev = forest_levels[-1]
@@ -152,29 +159,24 @@ def build_forest(group: GroupModel, window_radius: int,
             raise AssertionError("2-covering violated")
         parent = {g: near[g][1] for g in prev.centers}
 
-        p_n = {leaf: parent[p] for leaf, p in p_n.items()}
-        cluster_map: dict = {c: [] for c in centers}
-        for leaf in window.members:
-            cluster_map[p_n[leaf]].append(leaf)
-        cluster_map = {c: tuple(v) for c, v in cluster_map.items()}
-
+        # A level-n cluster is the union of its children's clusters, so two
+        # touch iff children of theirs do.  By induction from level 0 (the
+        # window's Cayley graph), prev.edges join exactly the touching
+        # level-(n-1) clusters, so their ends mapped by parent give level n's.
         edges: dict = {c: set() for c in centers}
-        for g in window.members:
-            cg = p_n[g]
-            for h in window.adjacency[g]:  # symmetric: h's pass adds cg
-                if cg != p_n[h]:
-                    edges[cg].add(p_n[h])
+        for a, nbrs in prev.edges.items():
+            pa = parent[a]
+            for b in nbrs:  # symmetric: b's pass adds pa
+                if pa != parent[b]:
+                    edges[pa].add(parent[b])
         edges = {c: tuple(sorted(v, key=group.canonical_key))
                  for c, v in edges.items()}
 
         forest_levels.append(ForestLevel(
             centers=tuple(centers), edges=edges, parent=parent
         ))
-        clusters.append(cluster_map)
 
-    return CoveringForest(
-        group=group, window=window, levels=forest_levels, clusters=clusters,
-    )
+    return CoveringForest(group=group, window=window, levels=forest_levels)
 
 
 def convex_enumeration(f: CoveringForest, component) -> list:
@@ -183,17 +185,9 @@ def convex_enumeration(f: CoveringForest, component) -> list:
     Children are visited in canonical order, so the descendant leaves of
     every node occupy a contiguous interval of the output.
     """
-    top = f.depth
-    if component not in f.clusters[top]:
+    if component not in f.children[f.depth]:
         raise InputError("unknown top-level component")
-
-    def leaves(node, n: int) -> list:
-        if n == 0:
-            return [node]
-        return [leaf for child in f.children[n][node]
-                for leaf in leaves(child, n - 1)]
-
-    return leaves(component, top)
+    return f.cluster(f.depth, component)
 
 
 def sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:

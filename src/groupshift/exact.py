@@ -39,18 +39,12 @@ class Quad:
         other = Quad.of(other)
         return Quad(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "Quad":
-        return Quad(-self.a, -self.b)
-
     def __mul__(self, other: "Quad") -> "Quad":
         other = Quad.of(other)
         return Quad(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Quad":
         if n < 0:
@@ -93,21 +87,8 @@ class Quad:
     def __le__(self, other) -> bool:
         return (self - Quad.of(other)).sign() <= 0
 
-    def __gt__(self, other) -> bool:
-        return (self - Quad.of(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - Quad.of(other)).sign() >= 0
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 2 ** 0.5
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        return f"{self.a} + {self.b}*sqrt2"
 
 
 def half_power_of_two(k: int) -> Quad:

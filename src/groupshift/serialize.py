@@ -6,8 +6,10 @@ runs with identical inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,24 @@ from .patterns import WindowConfig
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Render ints of any length while the context is open.
+
+    Exact margins can exceed the int -> str digit limit of Python 3.10.7+
+    (4,300 digits by default); parsing input keeps the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # < 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def quad_to_json(q: Quad):
@@ -94,6 +114,7 @@ def weight_from_json(value) -> Quad:
     return Quad(Fraction(value["rational"]), Fraction(value["sqrt2"]))
 
 
+@unlimited_int_digits()
 def instance_to_json(inst: LLLInstance) -> dict:
     var_ids = {v: f"v{i}" for i, v in enumerate(inst.variables)}
     return {
@@ -128,6 +149,7 @@ def instance_from_json(data: dict) -> LLLInstance:
     return LLLInstance(variables=variables, alphabet=alphabet, events=events)
 
 
+@unlimited_int_digits()
 def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
     # Events of one signature share a margin object (see
     # lll.verify_condition), so each distinct margin is rendered once.  The

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,14 @@ BAD_INSTANCES = {
         {"id": [1, 0], "support": ["v0"], "probability": "-5",
          "weight": "1/2"},
     ],
+    "zero-denominator-probability": [
+        {"id": [1, 0], "support": ["v0"], "probability": "1/0",
+         "weight": "1/2"},
+    ],
+    "zero-denominator-weight": [
+        {"id": [1, 0], "support": ["v0"], "probability": "1/2",
+         "weight": {"rational": "0", "sqrt2": "1/0"}},
+    ],
 }
 
 
@@ -380,6 +389,27 @@ def test_invalid_instance_exits_2(tmp_path, capsys, events):
     err = capsys.readouterr().err
     assert "error: input" in err
     assert "Traceback" not in err
+
+
+def test_margin_beyond_int_digit_limit_is_rendered_exactly(tmp_path,
+                                                           capsys):
+    # 800 events on one variable: each margin is w (1 - w)^799 with
+    # w = 2^-20, whose denominator 2^16000 has 4,817 digits.
+    w = Fraction(1, 2 ** 20)
+    events = [{"id": [k], "support": ["v0"], "probability": "0",
+               "weight": str(w)} for k in range(800)]
+    inst, out = tmp_path / "inst.json", tmp_path / "verdict.json"
+    inst.write_text(json.dumps(
+        {"variables": [{"id": "v0", "alphabet": 2}], "events": events}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(["lll", "verify", "--instance", str(inst),
+                "--out", str(out)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    capsys.readouterr()
+    margin = json.loads(out.read_text())["events"][0]["margin"]
+    assert len(margin) > 4300
+    with serialize.unlimited_int_digits():
+        assert Fraction(margin) == w * (1 - w) ** 799
 
 
 # SHA-256 of each artifact of a small color-two-then-verify pipeline.  A
@@ -420,6 +450,12 @@ GOLDEN_RUNS = [
     (["density", "build-forest", "--group", "z2*z3", "--radius", "6",
       "--levels", "2", "--out", "forest.json"],
      "ea83e9789649dfca7d3119a88f0b1f75c567d00ded7d259e0b7e2e28e745cfff"),
+    (["density", "build-forest", "--group", "z^2", "--radius", "16",
+      "--levels", "3", "--out", "forest3.json"],
+     "6b3e99e25438213d29f1ce286e5afe206e97b892d3b24eeee7afc0ade573063b"),
+    (["density", "build-forest", "--group", "heisenberg", "--radius", "6",
+      "--levels", "3", "--format", "dot", "--out", "forest3.dot"],
+     "549721ea235f14412f75103bc2c77e0234efcf51194091d70c18b14ed8f2858e"),
     (["color", "squarefree", "--group", "free:2", "--radius", "2",
       "--alphabet", "16", "--maxlen", "2", "--seed", "3",
       "--out", "square.json"],

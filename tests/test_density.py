@@ -63,6 +63,29 @@ def oracle_parents(group, prev, centers):
     return parent
 
 
+def oracle_clusters_and_edges(f):
+    """The window-wide computation build_forest replaced: a leaf -> level-n
+    center map p_n, its fibres as clusters (in window order), and for every
+    window edge g-h with p_n[g] != p_n[h] the quotient edge p_n[g]-p_n[h].
+    Returns one (clusters, edges) pair per level n >= 1."""
+    window, key = f.window, f.group.canonical_key
+    p_n = {g: g for g in window.members}
+    out = []
+    for level in f.levels[1:]:
+        p_n = {leaf: level.parent[p] for leaf, p in p_n.items()}
+        clusters = {c: [] for c in level.centers}
+        for leaf in window.members:
+            clusters[p_n[leaf]].append(leaf)
+        edges = {c: set() for c in level.centers}
+        for g in window.members:
+            for h in window.adjacency[g]:
+                if p_n[g] != p_n[h]:
+                    edges[p_n[g]].add(p_n[h])
+        out.append((clusters, {c: tuple(sorted(v, key=key))
+                               for c, v in edges.items()}))
+    return out
+
+
 def oracle_interior_centers(f, n):
     """The group.ball test interior_centers replaced."""
     members = set(f.window.members)
@@ -161,7 +184,7 @@ class TestForest:
                 dist = graph_bfs_within(prev.edges, g, 2)
                 assert par in dist
             # clusters partition the window
-            leaves = [h for c in level.centers for h in f.clusters[n][c]]
+            leaves = [h for c in level.centers for h in f.cluster(n, c)]
             assert sorted(leaves) == sorted(f.window.members)
 
     @pytest.mark.parametrize("group,radius", FOREST_CASES,
@@ -172,6 +195,22 @@ class TestForest:
             expected = oracle_parents(group, f.levels[n - 1],
                                       f.levels[n].centers)
             assert list(f.levels[n].parent.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("group,radius", FOREST_CASES,
+                             ids=lambda v: getattr(v, "spec", v))
+    def test_clusters_and_edges_match_window_oracle(self, group, radius):
+        f = build_forest(group, radius, 3)
+        for n, (clusters, edges) in enumerate(oracle_clusters_and_edges(f),
+                                              start=1):
+            level = f.levels[n]
+            assert {c: set(f.cluster(n, c)) for c in level.centers} == {
+                c: set(leaves) for c, leaves in clusters.items()}
+            assert list(level.edges.items()) == list(edges.items())
+            for c in level.centers:  # children in canonical order
+                kids = sorted((a for a, p in level.parent.items() if p == c),
+                              key=group.canonical_key)
+                assert f.cluster(n, c) == [
+                    leaf for a in kids for leaf in f.cluster(n - 1, a)]
 
     @pytest.mark.parametrize("group,radius", FOREST_CASES,
                              ids=lambda v: getattr(v, "spec", v))
