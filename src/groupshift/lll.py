@@ -2,9 +2,15 @@
 
 Three things live here: an exact verifier for the condition
 mu(A) <= x(A) * prod_{B in Gamma(A)} (1 - x(B)), a deterministic
-resampling construction, and the mechanical re-derivations of the two
+Moser-Tardos resampler, and the mechanical re-derivations of the two
 numeric constants used by the coloring constructions (C = 17 and the
 2^19 |S|^2 alphabet bound).
+
+The verifier and the resampler read the dependency graph off one index,
+:func:`events_by_variable`.  The resampler keeps the violated events in
+a min-heap and rechecks only the culprit's neighbours; it still
+resamples the least-id violated event, so its trace is that of a full
+rescan.
 
 All comparisons are exact: probabilities and weights are elements of
 Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
@@ -12,6 +18,7 @@ Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +74,22 @@ class Verdict:
     margins: dict  # event id -> Quad (rhs - mu)
 
 
+def events_by_variable(supports) -> dict:
+    """Per variable, the ascending positions i whose ``supports[i]`` uses it.
+
+    Events i and j are neighbours in Gamma exactly when some list holds both.
+    """
+    index: dict = {}
+    for i, support in enumerate(supports):
+        for v in support:
+            positions = index.get(v)
+            if positions is None:
+                index[v] = [i]
+            elif positions[-1] != i:
+                positions.append(i)
+    return index
+
+
 def neighbour_counts(supports, classes) -> list[dict]:
     """Per event, the number of other events of each class sharing a variable.
 
@@ -81,11 +104,11 @@ def neighbour_counts(supports, classes) -> list[dict]:
     """
     # Per variable, one bitmask of incident events per class.
     masks: dict = {}
-    for i, (support, k) in enumerate(zip(supports, classes)):
-        bit = 1 << i
-        for v in support:
-            row = masks.setdefault(v, {})
-            row[k] = row.get(k, 0) | bit
+    for v, positions in events_by_variable(supports).items():
+        row = masks[v] = {}
+        for i in positions:
+            k = classes[i]
+            row[k] = row.get(k, 0) | 1 << i
     order = list(dict.fromkeys(classes))
     counts = []
     for i, (support, k) in enumerate(zip(supports, classes)):
@@ -174,30 +197,45 @@ class ResampleRun:
 
 
 def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
-    """Moser-Tardos style resampling, deterministic given the seed.
+    """Moser-Tardos resampling, deterministic given the seed.
 
     Samples every variable uniformly, then repeatedly resamples the
-    support of the least-id violated event until none is violated.
+    support of the least-id violated event until none is violated.  Every
+    predicate is evaluated once on the first assignment; after that only
+    the events sharing a variable with the culprit are rechecked, since no
+    other event can change status (Moser and Tardos, JACM 2010).  The
+    violated positions of the id-sorted event list sit in a min-heap whose
+    entries are confirmed by a ``bad`` flag, so the heap top, once stale
+    entries are dropped, is the least-id violated event: the culprit, the
+    random draws and the trace are those of a rescan from the least id.
+    A final scan of every event certifies the result independently of
+    this bookkeeping.
     """
     rng = random.Random(seed)
     assignment = {v: rng.randrange(inst.alphabet[v]) for v in inst.variables}
     events = sorted(inst.events, key=lambda e: e.id)
+    sharing = events_by_variable(e.support for e in events)
+    bad = [e.violated(assignment) for e in events]
+    heap = [i for i, b in enumerate(bad) if b]  # ascending, so a heap
     trace: list = []
-    while True:
-        culprit = None
-        for e in events:
-            if e.violated(assignment):
-                culprit = e
-                break
-        if culprit is None:
-            break
+    while heap:
+        i = heap[0]
+        if not bad[i]:
+            heapq.heappop(heap)
+            continue
         if len(trace) >= cap:
             raise NonterminatingInstanceError(
                 f"resample cap {cap} exceeded", trace
             )
+        culprit = events[i]
         trace.append(culprit.id)
         for v in culprit.support:
             assignment[v] = rng.randrange(inst.alphabet[v])
+        for j in {j for v in culprit.support for j in sharing[v]}:
+            violated = events[j].violated(assignment)
+            if violated and not bad[j]:
+                heapq.heappush(heap, j)
+            bad[j] = violated
     for e in events:  # post-hoc certification, independent of search order
         if e.violated(assignment):
             raise AssertionError(f"event {e.id} violated after resampling")

@@ -439,33 +439,49 @@ def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
 
 
 # One small run of every other artifact-writing subcommand, in order (the
-# measure step reads the fill), and the SHA-256 of what each one writes.
+# measure step reads the fill), and the SHA-256 of each file it writes.
 GOLDEN_RUNS = [
     (["density", "fill", "--group", "z^2", "--radius", "12", "--levels", "2",
       "--alpha", "2/5", "--out", "fill.json"],
-     "a6ab8d5a79035c8b0042ca0728d06ab87e11e8937f8983adbf4156acc05fe1df"),
+     {"fill.json":
+      "a6ab8d5a79035c8b0042ca0728d06ab87e11e8937f8983adbf4156acc05fe1df"}),
     (["density", "measure", "--config", "fill.json", "--balls", "1..12",
       "--alpha", "2/5", "--out", "measure.json"],
-     "93c386858ec02152e8be8995105bf17724da7efba9e07289b017df6335e35eb5"),
+     {"measure.json":
+      "93c386858ec02152e8be8995105bf17724da7efba9e07289b017df6335e35eb5"}),
     (["density", "build-forest", "--group", "z2*z3", "--radius", "6",
       "--levels", "2", "--out", "forest.json"],
-     "ea83e9789649dfca7d3119a88f0b1f75c567d00ded7d259e0b7e2e28e745cfff"),
+     {"forest.json":
+      "ea83e9789649dfca7d3119a88f0b1f75c567d00ded7d259e0b7e2e28e745cfff"}),
     (["density", "build-forest", "--group", "z^2", "--radius", "16",
       "--levels", "3", "--out", "forest3.json"],
-     "6b3e99e25438213d29f1ce286e5afe206e97b892d3b24eeee7afc0ade573063b"),
+     {"forest3.json":
+      "6b3e99e25438213d29f1ce286e5afe206e97b892d3b24eeee7afc0ade573063b"}),
     (["density", "build-forest", "--group", "heisenberg", "--radius", "6",
       "--levels", "3", "--format", "dot", "--out", "forest3.dot"],
-     "549721ea235f14412f75103bc2c77e0234efcf51194091d70c18b14ed8f2858e"),
+     {"forest3.dot":
+      "549721ea235f14412f75103bc2c77e0234efcf51194091d70c18b14ed8f2858e"}),
     (["color", "squarefree", "--group", "free:2", "--radius", "2",
       "--alphabet", "16", "--maxlen", "2", "--seed", "3",
       "--out", "square.json"],
-     "090f02fb5524ccc050038d6d5ed9d9fea2708b42b45afda0f969ba6f6883746e"),
+     {"square.json":
+      "090f02fb5524ccc050038d6d5ed9d9fea2708b42b45afda0f969ba6f6883746e"}),
     (["witness", "--group", "heisenberg", "--word", "z^40",
       "--out", "witness.dot"],
-     "76b96485b5cc5794a0079c8c2f4ba3ec1f2cdeaa72441a0581e3505c207112f4"),
+     {"witness.dot":
+      "76b96485b5cc5794a0079c8c2f4ba3ec1f2cdeaa72441a0581e3505c207112f4"}),
     (["group", "ball", "--group", "heisenberg", "--radius", "3",
       "--out", "ball.json"],
-     "9255ed887c0af3e0649e34cdeaa2e063f4e63291120280de6d6b302751431128"),
+     {"ball.json":
+      "9255ed887c0af3e0649e34cdeaa2e063f4e63291120280de6d6b302751431128"}),
+    # C = 2 is below the admissible constant: 158 resamples, trace pinned.
+    (["color", "two", "--group", "z^2", "--radius", "12", "--c", "2",
+      "--levels", "2", "--seed", "7", "--out", "cfg2.json",
+      "--trace-out", "trace2.json"],
+     {"cfg2.json":
+      "986d1e96000f9aa90c5cffbe0b0099f72b8e69d9256acc71ec441875e95e28ca",
+      "trace2.json":
+      "184880be212a2d65ff195400378ba005b07b984e6ae1eefe56e6a4c3078594ee"}),
 ]
 
 
@@ -474,8 +490,9 @@ def test_every_artifact_matches_golden_hashes(tmp_path, monkeypatch, capsys):
     for argv, _ in GOLDEN_RUNS:
         assert run(argv) == 0
     capsys.readouterr()
-    assert [serialize.sha256_file(tmp_path / argv[-1])
-            for argv, _ in GOLDEN_RUNS] == [digest for _, digest in GOLDEN_RUNS]
+    assert [{name: serialize.sha256_file(tmp_path / name) for name in digests}
+            for _, digests in GOLDEN_RUNS] == [
+                digests for _, digests in GOLDEN_RUNS]
 
 
 # --- CLI fuzz -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,15 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupshift
+from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.exact import Quad, half_power_of_two, sqrt2_power
-from groupshift.groups import InputError
+from groupshift.groups import InputError, parse_group_spec
 from groupshift.lll import (
     BadEvent,
     LLLInstance,
     NonterminatingInstanceError,
+    ResampleRun,
     aperiodic_constant_scan,
     audit_event_probability,
     check_aperiodic_constant,
+    events_by_variable,
     geometric_derivative_partial,
     neighbour_counts,
     resample,
@@ -245,6 +249,14 @@ class TestNeighbourCounts:
                     expected[classes[j]] += 1
             assert row == expected
 
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=8))
+    def test_index_lists_each_sharing_event_once(self, supports):
+        index = events_by_variable(supports)
+        assert set(index) == {v for support in supports for v in support}
+        for v, positions in index.items():
+            assert positions == [i for i, support in enumerate(supports)
+                                 if v in support]
+
 
 # Resampling in a child running under python -O: the predicate is clean
 # on its first call (the search) and violated afterwards, so only the
@@ -342,6 +354,82 @@ class TestResample:
                      weight=Quad.of(Fraction(1, 2)),
                      violated=lambda a: True)
         assert audit_event_probability(make_instance([e]), e) is None
+
+
+def full_scan_resample(inst: LLLInstance, seed: int,
+                       cap: int = 10 ** 6) -> ResampleRun:
+    """The oracle: rescan every event from the least id after each resample."""
+    rng = random.Random(seed)
+    assignment = {v: rng.randrange(inst.alphabet[v]) for v in inst.variables}
+    events = sorted(inst.events, key=lambda e: e.id)
+    trace: list = []
+    while True:
+        culprit = None
+        for e in events:
+            if e.violated(assignment):
+                culprit = e
+                break
+        if culprit is None:
+            break
+        if len(trace) >= cap:
+            raise NonterminatingInstanceError(
+                f"resample cap {cap} exceeded", trace
+            )
+        trace.append(culprit.id)
+        for v in culprit.support:
+            assignment[v] = rng.randrange(inst.alphabet[v])
+    for e in events:
+        if e.violated(assignment):
+            raise AssertionError(f"event {e.id} violated after resampling")
+    return ResampleRun(assignment=assignment, trace=trace, seed=seed)
+
+
+def outcome(resampler, inst, seed, cap=10 ** 6):
+    """The trace and assignment of a run, or the trace it was capped with."""
+    try:
+        run = resampler(inst, seed=seed, cap=cap)
+    except NonterminatingInstanceError as err:
+        return "capped", err.trace
+    return "done", run.trace, run.assignment
+
+
+@st.composite
+def all_equal_instances(draw):
+    """Events "all equal on the support" over 1-8 variables with alphabets
+    of size 2-3, ids shuffled against list order.  A support that repeats
+    one variable is always violated, so such instances run into any cap."""
+    variables = tuple(f"v{k}" for k in range(draw(st.integers(1, 8))))
+    alphabet = {v: draw(st.integers(2, 3)) for v in variables}
+    supports = draw(st.lists(
+        st.lists(st.sampled_from(variables), min_size=2, max_size=4).map(tuple),
+        max_size=10))
+    ids = draw(st.permutations(range(len(supports))))
+    half = Quad.of(Fraction(1, 2))
+
+    def all_equal(support):
+        return lambda a: len({a[v] for v in support}) == 1
+
+    events = [BadEvent(id=(k,), support=support, probability=half,
+                       weight=half, violated=all_equal(support))
+              for k, support in zip(ids, supports)]
+    return LLLInstance(variables=variables, alphabet=alphabet, events=events)
+
+
+class TestResampleOracle:
+    @given(all_equal_instances(), st.integers(0, 2 ** 16))
+    def test_matches_full_scan(self, inst, seed):
+        for cap in (0, 5, 100, 1000):
+            assert outcome(resample, inst, seed, cap) == outcome(
+                full_scan_resample, inst, seed, cap)
+
+    def test_matches_full_scan_on_bench_instance(self):
+        group = parse_group_spec("z^2")
+        inst = build_2coloring_instance(group, 27, build_t_sets(group, 2, 2),
+                                        2)
+        for seed in (1, 2, 3):
+            expected = outcome(full_scan_resample, inst, seed)
+            assert expected[0] == "done" and len(expected[1]) > 900
+            assert outcome(resample, inst, seed) == expected
 
 
 class TestConstants:
