@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .exact import Quad
@@ -182,57 +183,72 @@ def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
 
 @dataclass(frozen=True)
 class PathWindow:
-    """A Cayley-graph window: vertices plus symmetric adjacency."""
+    """A Cayley-graph window on positions: ints in ``members`` order.
 
-    vertices: tuple
-    adjacency: dict
+    Vertex i is ``members[i]`` and ``adjacency[i]`` is the tuple of its
+    neighbours' positions, symmetric.  Odd paths, bad events and the
+    square scan all run on positions; ``members`` maps them back.
+    """
+
+    members: tuple
+    adjacency: tuple
 
     @classmethod
     def from_ball(cls, group: GroupModel, radius: int) -> "PathWindow":
         ball = group.ball(radius=radius)
-        return cls(vertices=ball.members, adjacency=ball.adjacency)
+        index = {g: i for i, g in enumerate(ball.members)}
+        return cls(members=ball.members, adjacency=tuple(
+            tuple(index[h] for h in ball.adjacency[g]) for g in ball.members
+        ))
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self.members))
 
 
 def enumerate_odd_paths(w: PathWindow, max_half_length: int,
                         budget: int = 10 ** 6) -> Iterator[tuple]:
     """Simple paths of odd edge-length <= 2*max_half_length - 1.
 
-    Each path is emitted exactly once up to direction reversal (the end
-    with the smaller vertex index comes first).  Raises InputError when
-    max_half_length < 1 and ResourceLimitError when the budget is exceeded.
+    Paths are tuples of positions.  Each is emitted exactly once up to
+    direction reversal (the end with the smaller position comes first),
+    in depth-first order: by start position, then by neighbour order.
+    Raises InputError when max_half_length < 1 and ResourceLimitError when
+    the budget is exceeded.
     """
     if max_half_length < 1:
         raise InputError(f"max half-length {max_half_length} is not positive")
-    index = {v: i for i, v in enumerate(w.vertices)}
+    adjacency = w.adjacency
     max_vertices = 2 * max_half_length
     emitted = 0
-    path: list = []
-    on_path: set = set()
-
-    def extend() -> Iterator[tuple]:
-        nonlocal emitted
-        if len(path) % 2 == 0 and index[path[0]] < index[path[-1]]:
-            emitted += 1
-            if emitted > budget:
-                raise ResourceLimitError(
-                    f"odd-path budget {budget} exceeded after {emitted - 1}"
-                )
-            yield tuple(path)
-        if len(path) == max_vertices:
-            return
-        for nxt in w.adjacency[path[-1]]:
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from extend()
-            path.pop()
-            on_path.remove(nxt)
-
+    on_path = bytearray(len(adjacency))
     for start in w.vertices:
         path = [start]
-        on_path = {start}
-        yield from extend()
+        on_path[start] = 1
+        # stack[k] iterates the neighbours of path[k] not yet tried.
+        stack = [iter(adjacency[start])]
+        while stack:
+            for nxt in stack[-1]:
+                if not on_path[nxt]:
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = 0
+                continue
+            path.append(nxt)
+            if len(path) % 2 == 0 and start < nxt:
+                emitted += 1
+                if emitted > budget:
+                    raise ResourceLimitError(
+                        f"odd-path budget {budget} exceeded after "
+                        f"{emitted - 1}"
+                    )
+                yield tuple(path)
+            if len(path) == max_vertices:
+                path.pop()
+            else:
+                on_path[nxt] = 1
+                stack.append(iter(adjacency[nxt]))
 
 
 def is_vertex_square(coloring: dict, path: tuple) -> bool:
@@ -243,7 +259,10 @@ def is_vertex_square(coloring: dict, path: tuple) -> bool:
 
 def find_vertex_square(coloring: dict, w: PathWindow,
                        max_half_length: int) -> Optional[tuple]:
-    """First enumerated odd path that is a vertex square, or None."""
+    """First enumerated odd path that is a vertex square, or None.
+
+    ``coloring`` maps positions to colors; the path is in positions.
+    """
     for path in enumerate_odd_paths(w, max_half_length):
         if is_vertex_square(coloring, path):
             return path
@@ -253,25 +272,33 @@ def find_vertex_square(coloring: dict, w: PathWindow,
 def build_squarefree_instance(w: PathWindow, alphabet_size: int,
                               max_half_length: int, generator_count: int,
                               budget: int = 10 ** 6) -> LLLInstance:
-    """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n."""
+    """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n.
+
+    The variables are the window positions.  A simple path has distinct
+    vertices, so it is its own support.  Events of one half-length n share
+    one probability and one weight.
+    """
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
     base = 8 * generator_count * generator_count
+    probability = [Quad(Fraction(1, alphabet_size ** n))
+                   for n in range(max_half_length + 1)]
+    weight = [Quad(Fraction(1, base ** n)) for n in range(max_half_length + 1)]
     events = []
     for k, path in enumerate(enumerate_odd_paths(w, max_half_length, budget)):
         n = len(path) // 2
         events.append(BadEvent(
             id=(n, k),
-            support=tuple(dict.fromkeys(path)),
-            probability=Quad(Fraction(1, alphabet_size ** n)),
-            weight=Quad(Fraction(1, base ** n)),
-            violated=lambda a, path=path, n=n: all(
-                a[path[i]] == a[path[i + n]] for i in range(n)
-            ),
+            support=path,
+            probability=probability[n],
+            weight=weight[n],
+            violated=lambda a, first=itemgetter(*path[:n]),
+            second=itemgetter(*path[n:]): first(a) == second(a),
         ))
+    variables = tuple(w.vertices)
     return LLLInstance(
-        variables=w.vertices,
-        alphabet={v: alphabet_size for v in w.vertices},
+        variables=variables,
+        alphabet=dict.fromkeys(variables, alphabet_size),
         events=events,
     )
 

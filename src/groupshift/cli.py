@@ -169,8 +169,9 @@ def cmd_color_squarefree(args) -> int:
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     witness = aperiodic.find_vertex_square(run.assignment, window,
                                            args.maxlen)
+    cells = {g: run.assignment[i] for i, g in enumerate(window.members)}
     config = WindowConfig(
-        group=group, radius=args.radius, cells=run.assignment,
+        group=group, radius=args.radius, cells=cells,
         alphabet_size=args.alphabet,
     )
     outputs = {}

@@ -80,14 +80,47 @@ def oracle_witness(group, word, node_cap=10 ** 5):
     return best, seen[best], tuple(vertices)
 
 
+def oracle_odd_paths(group, radius, max_half_length):
+    """The recursive, element-keyed enumeration the position DFS replaced:
+    paths of B(1, radius) as tuples of members, in its emission order."""
+    ball = group.ball(radius=radius)
+    index = {v: i for i, v in enumerate(ball.members)}
+    paths = []
+
+    def extend(path, on_path):
+        if len(path) % 2 == 0 and index[path[0]] < index[path[-1]]:
+            paths.append(tuple(path))
+        if len(path) == 2 * max_half_length:
+            return
+        for nxt in ball.adjacency[path[-1]]:
+            if nxt not in on_path:
+                extend(path + [nxt], on_path | {nxt})
+
+    for start in ball.members:
+        extend([start], {start})
+    return paths
+
+
 def graph_window(edges):
-    vertices = tuple(dict.fromkeys(v for e in edges for v in e))
-    adjacency = {v: [] for v in vertices}
+    """The window of a hand-made graph; members in order of appearance."""
+    members = tuple(dict.fromkeys(v for e in edges for v in e))
+    index = {v: i for i, v in enumerate(members)}
+    adjacency = [[] for _ in members]
     for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return PathWindow(vertices=vertices,
-                      adjacency={v: tuple(n) for v, n in adjacency.items()})
+        adjacency[index[a]].append(index[b])
+        adjacency[index[b]].append(index[a])
+    return PathWindow(members=members,
+                      adjacency=tuple(tuple(n) for n in adjacency))
+
+
+def on_members(w, path):
+    """A path of window positions as the members it visits."""
+    return tuple(w.members[i] for i in path)
+
+
+def on_positions(w, coloring):
+    """A coloring of members as a coloring of window positions."""
+    return {i: coloring[g] for i, g in enumerate(w.members)}
 
 
 class TestTSets:
@@ -213,11 +246,12 @@ class TestTwoColoringInstance:
 class TestOddPaths:
     def test_single_edge(self):
         w = graph_window([(1, 2)])
-        assert list(enumerate_odd_paths(w, 1)) == [(1, 2)]
+        assert [on_members(w, p) for p in enumerate_odd_paths(w, 1)] == [
+            (1, 2)]
 
     def test_path_graph(self):
         w = graph_window([(1, 2), (2, 3), (3, 4)])
-        paths = list(enumerate_odd_paths(w, 2))
+        paths = [on_members(w, p) for p in enumerate_odd_paths(w, 2)]
         by_len = {}
         for p in paths:
             by_len.setdefault(len(p) - 1, []).append(p)
@@ -252,28 +286,67 @@ class TestOddPaths:
             oracle_odd_path_count(w, L)
         )
 
+    # The five group models of tests/test_groups.py::ALL_GROUPS.
+    @pytest.mark.parametrize("spec", ["z", "z^2", "free:2", "z2*z3",
+                                      "heisenberg"])
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_positions_map_to_element_enumeration(self, spec, L):
+        group = parse_group_spec(spec)
+        w = PathWindow.from_ball(group, 3)
+        assert w.members == group.ball(radius=3).members
+        assert [on_members(w, p) for p in enumerate_odd_paths(w, L)] == (
+            oracle_odd_paths(group, 3, L))
+
     def test_budget_enforced(self):
         w = PathWindow.from_ball(IntegerLattice(2), 3)
         with pytest.raises(ResourceLimitError):
             list(enumerate_odd_paths(w, 3, budget=10))
+        # The exact path count is enough; one less raises on the last path.
+        paths = list(enumerate_odd_paths(w, 3))
+        exact = len(paths)
+        assert list(enumerate_odd_paths(w, 3, budget=exact)) == paths
+        emitted = []
+        message = f"odd-path budget {exact - 1} exceeded after {exact - 1}"
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            for p in enumerate_odd_paths(w, 3, budget=exact - 1):
+                emitted.append(p)
+        assert emitted == paths[:-1]
 
 
 class TestVertexSquares:
     def test_monochromatic_edge(self):
         w = graph_window([(1, 2)])
-        assert find_vertex_square({1: 0, 2: 0}, w, 1) == (1, 2)
+        square = find_vertex_square(on_positions(w, {1: 0, 2: 0}), w, 1)
+        assert on_members(w, square) == (1, 2)
 
     def test_proper_coloring_of_even_cycle(self):
         w = graph_window([(1, 2), (2, 3), (3, 4), (4, 1)])
         coloring = {1: 0, 2: 1, 3: 0, 4: 1}
-        assert find_vertex_square(coloring, w, 1) is None
+        assert find_vertex_square(on_positions(w, coloring), w, 1) is None
 
     def test_abab_path(self):
         w = graph_window([(1, 2), (2, 3), (3, 4)])
         coloring = {1: 0, 2: 1, 3: 0, 4: 1}
-        witness = find_vertex_square(coloring, w, 2)
+        witness = on_members(
+            w, find_vertex_square(on_positions(w, coloring), w, 2))
         assert witness == (1, 2, 3, 4)
         assert is_vertex_square(coloring, witness)
+
+    def test_planted_square_maps_to_a_cayley_path(self):
+        # Distinct colors except a b a b on (-1,0) (0,0) (1,0) (2,0): the
+        # x-axis path is the only square up to reversal.
+        z2 = IntegerLattice(2)
+        w = PathWindow.from_ball(z2, 3)
+        coloring = {g: i for i, g in enumerate(w.members)}
+        coloring[(1, 0)] = coloring[(-1, 0)]
+        coloring[(2, 0)] = coloring[(0, 0)]
+        planted = ((-1, 0), (0, 0), (1, 0), (2, 0))
+        square = find_vertex_square(on_positions(w, coloring), w, 3)
+        members = on_members(w, square)
+        assert members in (planted, planted[::-1])
+        assert is_vertex_square(coloring, members)
+        for a, b in zip(members, members[1:]):
+            assert z2.length(z2.mul(z2.inv(a), b)) == 1
 
 
 class TestSquarefreeInstance:

@@ -466,6 +466,22 @@ GOLDEN_RUNS = [
       "--out", "square.json"],
      {"square.json":
       "090f02fb5524ccc050038d6d5ed9d9fea2708b42b45afda0f969ba6f6883746e"}),
+    # Odd paths of length 5 on the other models, non-abelian and abelian.
+    (["color", "squarefree", "--group", "heisenberg", "--radius", "3",
+      "--alphabet", "16", "--maxlen", "3", "--seed", "2",
+      "--out", "square-h.json"],
+     {"square-h.json":
+      "8d407729734213018b951c39c2abd77f486423cdafad7832f601aa3cf70268ef"}),
+    (["color", "squarefree", "--group", "z2*z3", "--radius", "6",
+      "--alphabet", "16", "--maxlen", "3", "--seed", "2",
+      "--out", "square-z2z3.json"],
+     {"square-z2z3.json":
+      "7c8b0b1f358f5b3f93be4c3b162c7a97f65602681dc4f2b05995b0f38b008162"}),
+    (["color", "squarefree", "--group", "z^2", "--radius", "4",
+      "--alphabet", "16", "--maxlen", "3", "--seed", "2",
+      "--out", "square-z2.json"],
+     {"square-z2.json":
+      "20066193c933e1e0022097aa97f30feebeb756deb4ed044f569a20adce107228"}),
     (["witness", "--group", "heisenberg", "--word", "z^40",
       "--out", "witness.dot"],
      {"witness.dot":
