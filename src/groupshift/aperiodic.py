@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .exact import Quad
-from .groups import GroupModel, InputError, ResourceLimitError
+from .groups import Ball, GroupModel, InputError, ResourceLimitError
 from .lll import (
     BadEvent,
     LLLInstance,
@@ -98,60 +98,61 @@ def check_t_sets(group: GroupModel, tsets: TSets) -> None:
             raise InputError(f"T_{i} meets s_{i} T_{i}")
 
 
-def fitting_pairs(group: GroupModel, positions, inside, s,
+def fitting_pairs(group: GroupModel, window: Ball, s,
                   t_set) -> Iterator[tuple]:
     """The fitting positions of one level, with their translated pairs.
 
-    For each g in ``positions``, in order, yields ``(g, pairs)`` with
-    ``pairs`` the tuple of (g t, g s t) over t in ``t_set``, provided every
-    pair lies in ``inside`` (any container supporting ``in``); positions
-    where g T or g s T leaves ``inside`` are skipped.  This is the single
-    definition of a fitting (n, g) shared by the instance builder and the
-    distinct-neighborhood verifier.
+    For each position i of the window, in order, yields ``(i, pairs)``
+    with ``pairs`` the tuple of the positions of (g t, g s t) over t in
+    ``t_set``, g = ``window.members[i]``, provided every product lies in
+    the window; positions where g T or g s T leaves the window are
+    skipped.  This is the single definition of a fitting (n, g) shared by
+    the instance builder and the distinct-neighborhood verifier.
     """
-    shifted = [(t, group.mul(s, t)) for t in t_set]
-    for g in positions:
+    mul, index = group.mul, window.index
+    shifted = [(t, mul(s, t)) for t in t_set]
+    for g, i in index.items():
         pairs = []
         for t, st in shifted:
-            u = group.mul(g, t)
-            v = group.mul(g, st)
-            if u not in inside or v not in inside:
+            u = index.get(mul(g, t))
+            v = index.get(mul(g, st))
+            if u is None or v is None:
                 break
             pairs.append((u, v))
         else:
-            yield g, tuple(pairs)
+            yield i, tuple(pairs)
 
 
-def build_2coloring_instance(group: GroupModel, window_radius: int,
-                             tsets: TSets, n_max: int) -> LLLInstance:
-    """Binary variables on the window; one event per fitting (n, g).
+def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
+                             n_max: int) -> LLLInstance:
+    """Binary variables on the window positions; one event per fitting (n, g).
 
-    The event for (n, g) is violated when the restriction to g T_n equals
-    the restriction to g s_n T_n under t -> s_n t; probability 2^(-C n),
-    weight 2^(-C n / 2).
+    The event for (n, g), with id (n, position of g), is violated when the
+    restriction to g T_n equals the restriction to g s_n T_n under
+    t -> s_n t; probability 2^(-C n), weight 2^(-C n / 2).
     """
     if n_max > tsets.levels:
         raise InputError("n_max exceeds available T-set levels")
-    window = group.ball(radius=window_radius)
-    index = {g: i for i, g in enumerate(window.members)}
     events: list[BadEvent] = []
     for n in range(1, n_max + 1):
         s, t_set = tsets.level(n)
-        for g, pairs in fitting_pairs(group, window.members, window, s,
-                                      t_set):
-            support = tuple(dict.fromkeys(p for pair in pairs for p in pair))
+        probability = two_coloring_probability(tsets.c, n)
+        weight = two_coloring_weight(tsets.c, n)
+        for i, pairs in fitting_pairs(group, window, s, t_set):
+            first, second = zip(*pairs)
             events.append(BadEvent(
-                id=(n, index[g]),
-                support=support,
-                probability=two_coloring_probability(tsets.c, n),
-                weight=two_coloring_weight(tsets.c, n),
-                violated=lambda a, pairs=pairs: all(
-                    a[u] == a[v] for u, v in pairs
-                ),
+                id=(n, i),
+                support=tuple(dict.fromkeys(p for pair in pairs
+                                            for p in pair)),
+                probability=probability,
+                weight=weight,
+                violated=lambda a, first=itemgetter(*first),
+                second=itemgetter(*second): first(a) == second(a),
             ))
+    variables = tuple(range(len(window)))
     return LLLInstance(
-        variables=window.members,
-        alphabet={g: 2 for g in window.members},
+        variables=variables,
+        alphabet=dict.fromkeys(variables, 2),
         events=events,
     )
 
@@ -168,16 +169,21 @@ class DistinctNeighborhoodReport:
 
 def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
                                  n_max: int) -> DistinctNeighborhoodReport:
-    """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g)."""
+    """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g).
+
+    The comparison runs on a color list indexed by window position; the
+    report names each violation by its level and element.
+    """
+    members = x.window.members
+    colors = [x.cells[g] for g in members]
     violations = []
     checked = 0
     for n in range(1, min(n_max, tsets.levels) + 1):
         s, t_set = tsets.level(n)
-        for g, pairs in fitting_pairs(x.group, x.window.members, x.cells, s,
-                                      t_set):
+        for i, pairs in fitting_pairs(x.group, x.window, s, t_set):
             checked += 1
-            if all(x.cells[u] == x.cells[v] for u, v in pairs):
-                violations.append((n, g))
+            if all(colors[u] == colors[v] for u, v in pairs):
+                violations.append((n, members[i]))
     return DistinctNeighborhoodReport(violations=violations, checked=checked)
 
 
@@ -194,9 +200,8 @@ class PathWindow:
     adjacency: tuple
 
     @classmethod
-    def from_ball(cls, group: GroupModel, radius: int) -> "PathWindow":
-        ball = group.ball(radius=radius)
-        index = {g: i for i, g in enumerate(ball.members)}
+    def from_ball(cls, ball: Ball) -> "PathWindow":
+        index = ball.index
         return cls(members=ball.members, adjacency=tuple(
             tuple(index[h] for h in ball.adjacency[g]) for g in ball.members
         ))

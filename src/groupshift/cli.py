@@ -71,10 +71,22 @@ def _parse_radii(spec: str) -> list[int]:
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in spec.split(",")]
+            radii = list(range(int(lo), int(hi) + 1))
+        else:
+            radii = [int(s) for s in spec.split(",")]
     except ValueError:
         raise InputError(f"malformed radius list {spec!r}") from None
+    if not radii:
+        raise InputError(f"radius list {spec!r} is empty")
+    return radii
+
+
+def _on_elements(group, ball, assignment: dict,
+                 alphabet_size: int) -> WindowConfig:
+    """The window configuration of an assignment to ball positions."""
+    cells = {g: assignment[i] for i, g in enumerate(ball.members)}
+    return WindowConfig(group=group, radius=ball.radius, cells=cells,
+                        alphabet_size=alphabet_size, window=ball)
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -125,14 +137,12 @@ def cmd_lll_verify(args) -> int:
 def cmd_color_two(args) -> int:
     group = parse_group_spec(args.group)
     tsets = aperiodic.build_t_sets(group, args.c, args.levels)
+    window = group.ball(radius=args.radius)
     inst = aperiodic.build_2coloring_instance(
-        group, args.radius, tsets, args.levels
+        group, window, tsets, args.levels
     )
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
-    config = WindowConfig(
-        group=group, radius=args.radius, cells=run.assignment,
-        alphabet_size=2,
-    )
+    config = _on_elements(group, window, run.assignment, 2)
     report = aperiodic.verify_distinct_neighborhood(
         config, tsets, args.levels
     )
@@ -158,7 +168,8 @@ def cmd_color_two(args) -> int:
 
 def cmd_color_squarefree(args) -> int:
     group = parse_group_spec(args.group)
-    window = aperiodic.PathWindow.from_ball(group, args.radius)
+    ball = group.ball(radius=args.radius)
+    window = aperiodic.PathWindow.from_ball(ball)
     if args.alphabet < lll.squarefree_alphabet_bound(len(group.labels)):
         print("warning: alphabet below the certified bound",
               file=sys.stderr)
@@ -169,11 +180,7 @@ def cmd_color_squarefree(args) -> int:
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     witness = aperiodic.find_vertex_square(run.assignment, window,
                                            args.maxlen)
-    cells = {g: run.assignment[i] for i, g in enumerate(window.members)}
-    config = WindowConfig(
-        group=group, radius=args.radius, cells=cells,
-        alphabet_size=args.alphabet,
-    )
+    config = _on_elements(group, ball, run.assignment, args.alphabet)
     outputs = {}
     if args.out:
         outputs[args.out] = serialize.dumps(serialize.window_to_json(config))

@@ -21,8 +21,10 @@ to share between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -96,6 +98,7 @@ class Ball:
     |B(center, r)| for r = 0..radius, so ``members[:sizes[r]]`` is the
     ball of radius r about the same center.  ``adjacency`` maps each
     member to its neighbors in the ball; its keys are ``members``.
+    ``index`` maps each member to its position in ``members``.
     """
 
     center: tuple
@@ -109,6 +112,10 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.members)}
 
 
 class GroupModel:
@@ -267,10 +274,10 @@ class IntegerLattice(GroupModel):
         return tuple(v)
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def length(self, g):
         return sum(abs(x) for x in g)

@@ -73,14 +73,15 @@ def test_criterion_3_verifier_and_sampler():
     start = time.time()
     z2 = IntegerLattice(2)
     tsets = build_t_sets(z2, c=17, i_max=2)
-    inst = build_2coloring_instance(z2, 20, tsets, n_max=2)
+    window = z2.ball(radius=20)
+    inst = build_2coloring_instance(z2, window, tsets, n_max=2)
     verdict = verify_condition(inst)
     margins_ok = verdict.holds and all(
         m.sign() >= 0 for m in verdict.margins.values()
     )
     run = resample(inst, seed=0, cap=10 ** 4)
-    x = WindowConfig(group=z2, radius=20, cells=run.assignment,
-                     alphabet_size=2)
+    cells = {g: run.assignment[i] for i, g in enumerate(window.members)}
+    x = WindowConfig(group=z2, radius=20, cells=cells, alphabet_size=2)
     rep = verify_distinct_neighborhood(x, tsets, n_max=2)
     ok = margins_ok and rep.checked >= 100 and not rep.violations
     report(3, "2-coloring condition + resample + distinct neighborhoods",
@@ -90,7 +91,7 @@ def test_criterion_3_verifier_and_sampler():
 def test_criterion_4_squarefree():
     start = time.time()
     f2 = FreeGroup(2)
-    w = PathWindow.from_ball(f2, 3)
+    w = PathWindow.from_ball(f2.ball(radius=3))
     inst = build_squarefree_instance(w, 2 ** 21, 3, 2)
     run = resample(inst, seed=0)
     no_square = find_vertex_square(run.assignment, w, 3) is None
@@ -223,7 +224,7 @@ def test_criterion_9_oracle_equivalences():
         return count // 2
 
     for group, radius, L in ((IntegerLattice(2), 2, 3), (FreeGroup(2), 2, 2)):
-        w = PathWindow.from_ball(group, radius)
+        w = PathWindow.from_ball(group.ball(radius=radius))
         assert len(w.vertices) <= 30
         if len(list(enumerate_odd_paths(w, L))) != directed_recount(w, L):
             ok = False

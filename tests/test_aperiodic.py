@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupshift.exact import Quad
 from groupshift.groups import (
@@ -18,6 +20,7 @@ from groupshift.aperiodic import (
     check_t_sets,
     enumerate_odd_paths,
     find_vertex_square,
+    fitting_pairs,
     is_vertex_square,
     path_dependency_counts,
     verify_distinct_neighborhood,
@@ -101,6 +104,46 @@ def oracle_odd_paths(group, radius, max_half_length):
     return paths
 
 
+def oracle_fitting_pairs(group, positions, inside, s, t_set):
+    """The element-keyed fitting pairs the position version replaced: for
+    each g in ``positions`` whose g T and g s T lie in ``inside``, yields
+    g and the pairs (g t, g s t) over t in ``t_set``."""
+    shifted = [(t, group.mul(s, t)) for t in t_set]
+    for g in positions:
+        pairs = []
+        for t, st_ in shifted:
+            u = group.mul(g, t)
+            v = group.mul(g, st_)
+            if u not in inside or v not in inside:
+                break
+            pairs.append((u, v))
+        else:
+            yield g, tuple(pairs)
+
+
+def oracle_distinct_check(x, tsets, n_max):
+    """(checked, violations) of x by the element-keyed oracle pairs."""
+    checked, violations = 0, []
+    for n in range(1, min(n_max, tsets.levels) + 1):
+        s, t_set = tsets.level(n)
+        for g, pairs in oracle_fitting_pairs(x.group, x.window.members,
+                                             x.cells, s, t_set):
+            checked += 1
+            if all(x.cells[u] == x.cells[v] for u, v in pairs):
+                violations.append((n, g))
+    return checked, violations
+
+
+def on_elements(members, assignment):
+    """An assignment of window positions as cells keyed by members."""
+    return {g: assignment[i] for i, g in enumerate(members)}
+
+
+fitting_windows = st.tuples(
+    st.sampled_from(["z", "z^2", "free:2", "z2*z3", "heisenberg"]),
+    st.integers(0, 4), st.sampled_from([2, 3]), st.integers(1, 2))
+
+
 def graph_window(edges):
     """The window of a hand-made graph; members in order of appearance."""
     members = tuple(dict.fromkeys(v for e in edges for v in e))
@@ -172,7 +215,8 @@ class TestTwoColoringInstance:
                 if cover <= window:
                     expected.add((n, i))
         assert 0 < len(expected) < 2 * len(members)
-        inst = build_2coloring_instance(group, radius, tsets, n_max=2)
+        inst = build_2coloring_instance(group, group.ball(radius=radius),
+                                        tsets, n_max=2)
         ids = [e.id for e in inst.events]
         assert len(ids) == len(expected)
         assert set(ids) == expected
@@ -183,7 +227,7 @@ class TestTwoColoringInstance:
     def test_probability_and_weight(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
-        inst = build_2coloring_instance(z2, 8, tsets, n_max=1)
+        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets, n_max=1)
         assert inst.events
         for e in inst.events:
             assert e.probability == Quad.of(Fraction(1, 2 ** 17))
@@ -192,7 +236,7 @@ class TestTwoColoringInstance:
     def test_probability_audit(self):
         z = IntegerLattice(1)
         tsets = build_t_sets(z, c=3, i_max=2)
-        inst = build_2coloring_instance(z, 12, tsets, n_max=2)
+        inst = build_2coloring_instance(z, z.ball(radius=12), tsets, n_max=2)
         levels = {e.id[0] for e in inst.events}
         assert levels == {1, 2}
         for e in inst.events:
@@ -203,7 +247,7 @@ class TestTwoColoringInstance:
         z = IntegerLattice(1)
         c = 3
         tsets = build_t_sets(z, c=c, i_max=2)
-        inst = build_2coloring_instance(z, 12, tsets, n_max=2)
+        inst = build_2coloring_instance(z, z.ball(radius=12), tsets, n_max=2)
         supports = [set(e.support) for e in inst.events]
         for i, e in enumerate(inst.events):
             for m in (1, 2):
@@ -234,13 +278,76 @@ class TestTwoColoringInstance:
     def test_pipeline_small(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
-        inst = build_2coloring_instance(z2, 8, tsets, n_max=1)
+        window = z2.ball(radius=8)
+        inst = build_2coloring_instance(z2, window, tsets, n_max=1)
         assert inst.events
         assert verify_condition(inst).holds
         run = resample(inst, seed=0)
-        x = WindowConfig(group=z2, radius=8, cells=run.assignment,
+        x = WindowConfig(group=z2, radius=8,
+                         cells=on_elements(window.members, run.assignment),
                          alphabet_size=2)
         assert verify_distinct_neighborhood(x, tsets, 1).ok
+
+
+class TestFittingPairsOnPositions:
+    @settings(max_examples=60, deadline=None)
+    @given(fitting_windows)
+    def test_pairs_and_ids_map_to_element_oracle(self, case):
+        spec, radius, c, levels = case
+        group = parse_group_spec(spec)
+        tsets = build_t_sets(group, c, levels)
+        window = group.ball(radius=radius)
+        members = window.members
+        expected_ids, expected_supports = [], []
+        for n in range(1, levels + 1):
+            s, t_set = tsets.level(n)
+            expected = list(oracle_fitting_pairs(group, members, window, s,
+                                                 t_set))
+            got = [(members[i], tuple((members[u], members[v])
+                                      for u, v in pairs))
+                   for i, pairs in fitting_pairs(group, window, s, t_set)]
+            assert got == expected
+            expected_ids += [(n, members.index(g)) for g, _ in expected]
+            expected_supports += [
+                tuple(dict.fromkeys(h for pair in pairs for h in pair))
+                for _, pairs in expected]
+        inst = build_2coloring_instance(group, window, tsets, levels)
+        assert inst.variables == tuple(range(len(members)))
+        assert [e.id for e in inst.events] == expected_ids
+        assert [tuple(members[i] for i in e.support)
+                for e in inst.events] == expected_supports
+
+    @settings(max_examples=60, deadline=None)
+    @given(fitting_windows, st.sampled_from([0.0, 0.5, 0.9]),
+           st.integers(0, 2 ** 32))
+    def test_random_coloring_check_matches_oracle(self, case, ones, seed):
+        spec, radius, c, levels = case
+        group = parse_group_spec(spec)
+        tsets = build_t_sets(group, c, levels)
+        rng = random.Random(seed)
+        cells = {g: int(rng.random() < ones)
+                 for g in group.ball(radius=radius).members}
+        x = WindowConfig(group=group, radius=radius, cells=cells,
+                         alphabet_size=2)
+        report = verify_distinct_neighborhood(x, tsets, levels)
+        assert (report.checked, report.violations) == oracle_distinct_check(
+            x, tsets, levels)
+
+    def test_predicate_matches_oracle_check(self):
+        # An event is violated exactly when the oracle check flags it.
+        z2 = IntegerLattice(2)
+        tsets = build_t_sets(z2, c=2, i_max=2)
+        window = z2.ball(radius=5)
+        inst = build_2coloring_instance(z2, window, tsets, n_max=2)
+        rng = random.Random(3)
+        for _ in range(20):
+            assignment = {i: rng.randrange(2) for i in inst.variables}
+            x = WindowConfig(group=z2, radius=5,
+                             cells=on_elements(window.members, assignment),
+                             alphabet_size=2, window=window)
+            flagged = [(n, window.members[i]) for n, i in
+                       (e.id for e in inst.events if e.violated(assignment))]
+            assert flagged == oracle_distinct_check(x, tsets, 2)[1]
 
 
 class TestOddPaths:
@@ -267,7 +374,7 @@ class TestOddPaths:
         assert sum(1 for p in paths if len(p) == 4) == 0
 
     def test_no_duplicates_up_to_reversal(self):
-        w = PathWindow.from_ball(IntegerLattice(2), 2)
+        w = PathWindow.from_ball(IntegerLattice(2).ball(radius=2))
         paths = list(enumerate_odd_paths(w, 2))
         seen = set()
         for p in paths:
@@ -280,7 +387,7 @@ class TestOddPaths:
         (FreeGroup(2), 2, 2),
     ])
     def test_count_matches_oracle(self, group, radius, L):
-        w = PathWindow.from_ball(group, radius)
+        w = PathWindow.from_ball(group.ball(radius=radius))
         assert len(w.vertices) <= 30
         assert len(list(enumerate_odd_paths(w, L))) == (
             oracle_odd_path_count(w, L)
@@ -292,13 +399,13 @@ class TestOddPaths:
     @pytest.mark.parametrize("L", [2, 3])
     def test_positions_map_to_element_enumeration(self, spec, L):
         group = parse_group_spec(spec)
-        w = PathWindow.from_ball(group, 3)
+        w = PathWindow.from_ball(group.ball(radius=3))
         assert w.members == group.ball(radius=3).members
         assert [on_members(w, p) for p in enumerate_odd_paths(w, L)] == (
             oracle_odd_paths(group, 3, L))
 
     def test_budget_enforced(self):
-        w = PathWindow.from_ball(IntegerLattice(2), 3)
+        w = PathWindow.from_ball(IntegerLattice(2).ball(radius=3))
         with pytest.raises(ResourceLimitError):
             list(enumerate_odd_paths(w, 3, budget=10))
         # The exact path count is enough; one less raises on the last path.
@@ -336,7 +443,7 @@ class TestVertexSquares:
         # Distinct colors except a b a b on (-1,0) (0,0) (1,0) (2,0): the
         # x-axis path is the only square up to reversal.
         z2 = IntegerLattice(2)
-        w = PathWindow.from_ball(z2, 3)
+        w = PathWindow.from_ball(z2.ball(radius=3))
         coloring = {g: i for i, g in enumerate(w.members)}
         coloring[(1, 0)] = coloring[(-1, 0)]
         coloring[(2, 0)] = coloring[(0, 0)]
@@ -352,7 +459,7 @@ class TestVertexSquares:
 class TestSquarefreeInstance:
     def test_event_parameters(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f, 2)
+        w = PathWindow.from_ball(f.ball(radius=2))
         inst = build_squarefree_instance(w, 2 ** 21, 2, 2)
         for e in inst.events:
             n = e.id[0]
@@ -361,27 +468,27 @@ class TestSquarefreeInstance:
 
     def test_condition_holds_on_free_window(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f, 2)
+        w = PathWindow.from_ball(f.ball(radius=2))
         inst = build_squarefree_instance(w, 2 ** 21, 2, 2)
         assert verify_condition(inst).holds
 
     def test_probability_audit_small_alphabet(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f, 1)
+        w = PathWindow.from_ball(f.ball(radius=1))
         inst = build_squarefree_instance(w, 4, 2, 2)
         for e in inst.events:
             assert audit_event_probability(inst, e) == e.probability.a
 
     def test_resample_then_independent_scan(self):
         z = IntegerLattice(1)
-        w = PathWindow.from_ball(z, 6)
+        w = PathWindow.from_ball(z.ball(radius=6))
         inst = build_squarefree_instance(w, 64, 2, 1)
         run = resample(inst, seed=0)
         assert find_vertex_square(run.assignment, w, 2) is None
 
     def test_path_dependency_bound(self):
         s = 2
-        w = PathWindow.from_ball(FreeGroup(s), 2)
+        w = PathWindow.from_ball(FreeGroup(s).ball(radius=2))
         counts = path_dependency_counts(w, 2)
         paths = list(enumerate_odd_paths(w, 2))
         for path, row in zip(paths, counts):

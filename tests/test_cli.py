@@ -44,7 +44,7 @@ class TestSerialization:
     def test_instance_round_trip_preserves_margins(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
-        inst = build_2coloring_instance(z2, 8, tsets, n_max=1)
+        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets, n_max=1)
         data = json.loads(serialize.dumps(serialize.instance_to_json(inst)))
         back = serialize.instance_from_json(data)
         original = verify_condition(inst)
@@ -295,6 +295,16 @@ class TestPipelines:
         assert report["alpha"] == "2/5"
         assert len(report["entries"]) == 10
         capsys.readouterr()
+
+    def test_descending_radius_list_is_an_input_error(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.json"
+        write_constant_config(cfg)
+        out_path = tmp_path / "report.json"
+        assert run(["density", "measure", "--config", str(cfg),
+                    "--balls", "5..1", "--out", str(out_path)]) == 2
+        assert "radius list '5..1' is empty" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_squarefree_small(self, tmp_path, capsys):
         out = tmp_path / "sf.json"

@@ -213,6 +213,18 @@ class TestWordRuns:
         assert group.evaluate(letters) == GroupModel.evaluate(group, letters)
 
 
+class TestLatticeProduct:
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), *[st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d,
+                               max_size=d).map(tuple)] * 2)))
+    def test_coordinatewise_sum_and_negation(self, case):
+        d, a, b = case
+        z = IntegerLattice(d)
+        assert z.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert z.inv(a) == tuple(-x for x in a)
+        assert z.mul(a, z.inv(a)) == z.identity()
+
+
 def oracle_least_conjugate(group, g):
     """The conjugation loop least_conjugate replaced: conjugate by the
     first letter s of the geodesic (s^-1 g s) up to 2|g| times and keep
