@@ -32,7 +32,6 @@ from .lll import (
     verify_condition,
 )
 from .aperiodic import (
-    PathWindow,
     TSets,
     build_2coloring_instance,
     build_squarefree_instance,

@@ -6,6 +6,9 @@ one bad event per (level n, position g) asserting equality of the two
 translated restrictions.  Second, square-free vertex colorings of Cayley
 graphs: odd-path enumeration, vertex-square detection and the conjugation
 walk that turns a nontrivial stabilizer element into a square witness.
+Both run on the positions of one window, a :class:`~groupshift.groups.Ball`:
+variables, event supports and paths are ints, and the ball's members map
+them back to elements.
 """
 
 from __future__ import annotations
@@ -187,35 +190,11 @@ def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
     return DistinctNeighborhoodReport(violations=violations, checked=checked)
 
 
-@dataclass(frozen=True)
-class PathWindow:
-    """A Cayley-graph window on positions: ints in ``members`` order.
-
-    Vertex i is ``members[i]`` and ``adjacency[i]`` is the tuple of its
-    neighbours' positions, symmetric.  Odd paths, bad events and the
-    square scan all run on positions; ``members`` maps them back.
-    """
-
-    members: tuple
-    adjacency: tuple
-
-    @classmethod
-    def from_ball(cls, ball: Ball) -> "PathWindow":
-        index = ball.index
-        return cls(members=ball.members, adjacency=tuple(
-            tuple(index[h] for h in ball.adjacency[g]) for g in ball.members
-        ))
-
-    @property
-    def vertices(self) -> range:
-        return range(len(self.members))
-
-
-def enumerate_odd_paths(w: PathWindow, max_half_length: int,
+def enumerate_odd_paths(w: Ball, max_half_length: int,
                         budget: int = 10 ** 6) -> Iterator[tuple]:
     """Simple paths of odd edge-length <= 2*max_half_length - 1.
 
-    Paths are tuples of positions.  Each is emitted exactly once up to
+    Paths are tuples of window positions.  Each is emitted exactly once up to
     direction reversal (the end with the smaller position comes first),
     in depth-first order: by start position, then by neighbour order.
     Raises InputError when max_half_length < 1 and ResourceLimitError when
@@ -227,7 +206,7 @@ def enumerate_odd_paths(w: PathWindow, max_half_length: int,
     max_vertices = 2 * max_half_length
     emitted = 0
     on_path = bytearray(len(adjacency))
-    for start in w.vertices:
+    for start in range(len(adjacency)):
         path = [start]
         on_path[start] = 1
         # stack[k] iterates the neighbours of path[k] not yet tried.
@@ -262,7 +241,7 @@ def is_vertex_square(coloring: dict, path: tuple) -> bool:
     return all(coloring[path[i]] == coloring[path[i + n]] for i in range(n))
 
 
-def find_vertex_square(coloring: dict, w: PathWindow,
+def find_vertex_square(coloring: dict, w: Ball,
                        max_half_length: int) -> Optional[tuple]:
     """First enumerated odd path that is a vertex square, or None.
 
@@ -274,7 +253,7 @@ def find_vertex_square(coloring: dict, w: PathWindow,
     return None
 
 
-def build_squarefree_instance(w: PathWindow, alphabet_size: int,
+def build_squarefree_instance(w: Ball, alphabet_size: int,
                               max_half_length: int, generator_count: int,
                               budget: int = 10 ** 6) -> LLLInstance:
     """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n.
@@ -300,7 +279,7 @@ def build_squarefree_instance(w: PathWindow, alphabet_size: int,
             violated=lambda a, first=itemgetter(*path[:n]),
             second=itemgetter(*path[n:]): first(a) == second(a),
         ))
-    variables = tuple(w.vertices)
+    variables = tuple(range(len(w)))
     return LLLInstance(
         variables=variables,
         alphabet=dict.fromkeys(variables, alphabet_size),
@@ -308,7 +287,7 @@ def build_squarefree_instance(w: PathWindow, alphabet_size: int,
     )
 
 
-def path_dependency_counts(w: PathWindow, max_half_length: int,
+def path_dependency_counts(w: Ball, max_half_length: int,
                            budget: int = 10 ** 6) -> list[dict]:
     """For each odd path, count odd paths of each half-length sharing a vertex.
 

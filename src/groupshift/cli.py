@@ -168,8 +168,7 @@ def cmd_color_two(args) -> int:
 
 def cmd_color_squarefree(args) -> int:
     group = parse_group_spec(args.group)
-    ball = group.ball(radius=args.radius)
-    window = aperiodic.PathWindow.from_ball(ball)
+    window = group.ball(radius=args.radius)
     if args.alphabet < lll.squarefree_alphabet_bound(len(group.labels)):
         print("warning: alphabet below the certified bound",
               file=sys.stderr)
@@ -180,7 +179,7 @@ def cmd_color_squarefree(args) -> int:
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     witness = aperiodic.find_vertex_square(run.assignment, window,
                                            args.maxlen)
-    config = _on_elements(group, ball, run.assignment, args.alphabet)
+    config = _on_elements(group, window, run.assignment, args.alphabet)
     outputs = {}
     if args.out:
         outputs[args.out] = serialize.dumps(serialize.window_to_json(config))
@@ -218,9 +217,17 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_density_build_forest(args) -> int:
+def _forest_on_ball(args) -> density.CoveringForest:
+    """The forest on B(1, --radius), its level count checked first."""
     group = parse_group_spec(args.group)
-    forest = density.build_forest(group, args.radius, args.levels)
+    if args.levels < 1:
+        raise InputError("need at least one level")
+    window = group.ball(radius=args.radius)
+    return density.build_forest(group, window, args.levels)
+
+
+def cmd_density_build_forest(args) -> int:
+    forest = _forest_on_ball(args)
     if args.format == "dot":
         text = serialize.forest_to_dot(forest)
     else:
@@ -232,8 +239,7 @@ def cmd_density_build_forest(args) -> int:
 
 
 def cmd_density_fill(args) -> int:
-    group = parse_group_spec(args.group)
-    forest = density.build_forest(group, args.radius, args.levels)
+    forest = _forest_on_ball(args)
     alpha = density.Slope.parse(args.alpha)
     config = density.fill_density(forest, alpha)
     if args.format == "csv":
@@ -251,9 +257,7 @@ def cmd_density_fill(args) -> int:
 
 def cmd_density_verify(args) -> int:
     config = _load(args.config, serialize.window_from_json)
-    forest = density.build_forest(
-        config.group, config.window.radius, args.levels
-    )
+    forest = density.build_forest(config.group, config.window, args.levels)
     alpha = density.Slope.parse(args.alpha)
     report = density.verify_condition1(config, forest, alpha)
     failures = [c for c in report.clusters if not c.ok]

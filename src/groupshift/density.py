@@ -1,9 +1,13 @@
 """Covering forests, Sturmian filling and density verification.
 
-The construction reads one graph, the Cayley graph of the window ball.
-It repeatedly takes a greedy maximal 2-separating (hence 2-covering)
-subset, gives each point its nearest center (least on a tie) within
-distance 2 as parent, and connects centers whose clusters are adjacent.
+The construction reads one graph, the Cayley graph induced on the window
+ball, and runs on the ball's positions: centers, parents and quotient
+edges are ints, ordered by the canonical keys of their members, and the
+members map them back to elements only where a fill or forest is
+written.  It repeatedly takes a greedy maximal 2-separating (hence
+2-covering) subset, gives each point its nearest center (least on a tie)
+within distance 2 as parent, and connects centers whose clusters are
+adjacent.
 The parent maps are the forest's only record of its hierarchy: a
 cluster (the leaves below a center) and the quotient edges of each
 level are read off them.  A Sturmian word laid along a convex
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .groups import Ball, GroupModel, InputError, bfs
 from .patterns import WindowConfig, density_of, interior_and_boundary
@@ -55,16 +59,12 @@ class Slope:
         return str(self.value)
 
 
-def graph_bfs_within(adjacency: dict, start, radius: int) -> dict:
-    """Distances from start up to radius in an adjacency-dict graph."""
-    return dict(bfs(start, adjacency.__getitem__, radius))
-
-
-def greedy_rnet(points, adjacency: dict, r: int) -> list:
+def greedy_rnet(points, adjacency, r: int) -> list:
     """Greedy maximal r-separating subset; maximality makes it r-covering.
 
     Scans ``points`` in the given order; a point is admitted when its
-    graph distance to every earlier choice exceeds r.
+    distance in the graph ``adjacency`` (anything that maps a vertex to
+    its neighbors) to every earlier choice exceeds r.
     """
     chosen: list = []
     blocked: set = set()
@@ -72,15 +72,15 @@ def greedy_rnet(points, adjacency: dict, r: int) -> list:
         if p in blocked:
             continue
         chosen.append(p)
-        blocked.update(graph_bfs_within(adjacency, p, r))
+        blocked.update(g for g, _ in bfs(p, adjacency.__getitem__, r))
     return chosen
 
 
 @dataclass
 class ForestLevel:
-    centers: tuple            # A_n, in scan order
-    edges: dict               # quotient-graph adjacency on centers
-    parent: Optional[dict]    # A_{n-1} element -> center (None at level 0)
+    centers: Sequence[int]    # A_n as window positions, in scan order
+    edges: Sequence           # quotient-graph adjacency: center -> centers
+    parent: Optional[dict]    # A_{n-1} position -> center (None at level 0)
 
 
 @dataclass
@@ -94,6 +94,11 @@ class CoveringForest:
         return len(self.levels) - 1
 
     @cached_property
+    def keys(self) -> list:
+        """The canonical_key of each window member, by position."""
+        return list(map(self.group.canonical_key, self.window.members))
+
+    @cached_property
     def children(self) -> list[dict]:
         """Level n -> center -> its canonically sorted level-(n-1) children.
 
@@ -102,12 +107,12 @@ class CoveringForest:
         out: list[dict] = [{}]
         for level in self.levels[1:]:
             kids: dict = {}
-            for child in sorted(level.parent, key=self.group.canonical_key):
+            for child in sorted(level.parent, key=self.keys.__getitem__):
                 kids.setdefault(level.parent[child], []).append(child)
             out.append(kids)
         return out
 
-    def cluster(self, n: int, g) -> list:
+    def cluster(self, n: int, g: int) -> list[int]:
         """The leaves below center g of level n, children in canonical order.
 
         Each step down keeps the order, so the leaves below every node
@@ -118,7 +123,7 @@ class CoveringForest:
             nodes = [c for h in nodes for c in self.children[m][h]]
         return nodes
 
-    def interior_centers(self, n: int) -> list:
+    def interior_centers(self, n: int) -> list[int]:
         """Centers whose level-n ball stays inside the window.
 
         This is the margin the cluster lower bound B(g, n) <= C_n(g)
@@ -134,22 +139,25 @@ class CoveringForest:
                        for h, d in bfs(g, adjacency.__getitem__, n) if d < n)]
 
 
-def build_forest(group: GroupModel, window_radius: int,
+def build_forest(group: GroupModel, window: Ball,
                  levels: int) -> CoveringForest:
-    """Build the covering forest on a window, level by level."""
+    """Build the covering forest on a window, level by level.
+
+    Centers, parents and edges are positions of ``window``; level 0 is
+    the window's Cayley graph.
+    """
     if levels < 1:
         raise InputError("need at least one level")
-    window = group.ball(radius=window_radius)
-    level0 = ForestLevel(centers=window.members, edges=window.adjacency,
-                         parent=None)
-    forest_levels = [level0]
+    forest = CoveringForest(group=group, window=window, levels=[ForestLevel(
+        centers=range(len(window)), edges=window.adjacency, parent=None)])
+    canonical = forest.keys.__getitem__
 
     for n in range(1, levels + 1):
-        prev = forest_levels[-1]
+        prev = forest.levels[-1]
         centers = greedy_rnet(prev.centers, prev.edges, 2)
         # parent: the least (distance, canonical_key) center within 2
         near: dict = {}  # g -> (distance, center)
-        for c in sorted(centers, key=group.canonical_key):
+        for c in sorted(centers, key=canonical):
             if c in near:  # an earlier center lies within distance 2
                 raise AssertionError("2-separation violated")
             for g, d in bfs(c, prev.edges.__getitem__, 2):
@@ -164,19 +172,19 @@ def build_forest(group: GroupModel, window_radius: int,
         # window's Cayley graph), prev.edges join exactly the touching
         # level-(n-1) clusters, so their ends mapped by parent give level n's.
         edges: dict = {c: set() for c in centers}
-        for a, nbrs in prev.edges.items():
+        for a in prev.centers:
             pa = parent[a]
-            for b in nbrs:  # symmetric: b's pass adds pa
+            for b in prev.edges[a]:  # symmetric: b's pass adds pa
                 if pa != parent[b]:
                     edges[pa].add(parent[b])
-        edges = {c: tuple(sorted(v, key=group.canonical_key))
+        edges = {c: tuple(sorted(v, key=canonical))
                  for c, v in edges.items()}
 
-        forest_levels.append(ForestLevel(
+        forest.levels.append(ForestLevel(
             centers=tuple(centers), edges=edges, parent=parent
         ))
 
-    return CoveringForest(group=group, window=window, levels=forest_levels)
+    return forest
 
 
 def convex_enumeration(f: CoveringForest, component) -> list:
@@ -205,14 +213,14 @@ def sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
 def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
     """Lay a Sturmian word of slope alpha along each component's leaves."""
     a = alpha.value
-    cells: dict = {}
-    top_centers = sorted(f.levels[f.depth].centers, key=f.group.canonical_key)
-    for center in top_centers:
+    colors = [0] * len(f.window)
+    for center in sorted(f.levels[f.depth].centers, key=f.keys.__getitem__):
         order = convex_enumeration(f, center)
         for bit, leaf in zip(sturmian(a, len(order)), order):
-            cells[leaf] = bit
+            colors[leaf] = bit
     return WindowConfig(
-        group=f.group, radius=f.window.radius, cells=cells,
+        group=f.group, radius=f.window.radius,
+        cells=dict(zip(f.window.members, colors)),
         alphabet_size=2, window=f.window,
     )
 
@@ -257,10 +265,13 @@ class Condition1Report:
 
 def verify_condition1(x: WindowConfig, f: CoveringForest,
                       alpha: Slope) -> Condition1Report:
-    """Exact per-interior-cluster share check plus aggregate density bound."""
-    if x.window.radius != f.window.radius:
+    """Exact per-interior-cluster share check plus aggregate density bound;
+    the report names each center by its element."""
+    if x.window != f.window:
         raise InputError("configuration window does not match forest window")
     a = alpha.value
+    members = f.window.members
+    colors = [x.cells[g] for g in members]
     cluster_checks = []
     aggregates = []
     for n in range(1, f.depth + 1):
@@ -268,16 +279,16 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
         union: list = []
         for g in interior:
             cl = f.cluster(n, g)
-            ones = int(density_of(x.cells[h] for h in cl) * len(cl))
+            ones = int(density_of(colors[h] for h in cl) * len(cl))
             cluster_checks.append(ClusterCheck(
-                level=n, center=g, size=len(cl),
+                level=n, center=members[g], size=len(cl),
                 floor_share=(a * len(cl)).__floor__(), ones=ones,
             ))
             union.extend(cl)
         if union:
             aggregates.append(AggregateCheck(
                 level=n, union_size=len(union), center_count=len(interior),
-                dens=density_of(x.cells[h] for h in union),
+                dens=density_of(colors[h] for h in union),
                 bound=Fraction(len(interior), len(union)), alpha=a,
             ))
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)

@@ -4,15 +4,16 @@ Four families are built in: integer lattices Z^d, free groups, the free
 product Z/2 * Z/3 and the discrete Heisenberg group.  Each one exposes a
 canonical form with O(word length) canonicalization, plus the Cayley-graph
 machinery the rest of the library is built on.  One breadth-first search,
-:func:`bfs`, finds a ball's members and the Cayley graph induced on them
-at once; a ball of radius R keeps its sphere sizes, so every ball of
-radius r <= R about the same center is a prefix of its members and needs
-no search of its own.  Each model writes its
-least conjugates (:meth:`GroupModel.least_conjugate`) as a formula, with
-no loop over conjugates: the least rotation of the cyclic reduction in
-the free groups and the free product, g itself in Z^d, and in the
-Heisenberg group the first member of a residue class c + k gcd(a, b)
-from the least c of least length.
+:func:`bfs`, numbers a ball's members in the order it finds them and
+builds the Cayley graph induced on them on those positions.  A ball of
+radius R keeps its sphere sizes, so every ball of radius r <= R about
+the same center is a prefix of its members and needs no search of its
+own.  Each model writes its least conjugates
+(:meth:`GroupModel.least_conjugate`) as a formula, with no loop over
+conjugates: the least rotation of the cyclic reduction in the free
+groups and the free product, g itself in Z^d, and in the Heisenberg
+group the first member of a residue class c + k gcd(a, b) from the
+least c of least length.
 
 Elements are opaque hashable canonical forms (tuples); all operations on
 them go through their :class:`GroupModel`.  Values are immutable and safe
@@ -24,7 +25,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -92,30 +92,28 @@ def bfs(start, neighbors: Callable, radius: int | None = None,
 
 @dataclass(frozen=True)
 class Ball:
-    """A word-metric ball with the Cayley graph induced on it.
+    """A word-metric ball: the window every construction runs on.
 
-    ``members`` are in deterministic BFS order and ``sizes[r]`` is
-    |B(center, r)| for r = 0..radius, so ``members[:sizes[r]]`` is the
-    ball of radius r about the same center.  ``adjacency`` maps each
-    member to its neighbors in the ball; its keys are ``members``.
-    ``index`` maps each member to its position in ``members``.
+    Vertex i is ``members[i]``; members are in deterministic BFS order and
+    ``sizes[r]`` is |B(center, r)| for r = 0..radius, so
+    ``members[:sizes[r]]`` is the ball of radius r about the same center.
+    ``index`` maps each member to its position and ``adjacency[i]`` is the
+    tuple of the positions of its neighbors in the ball, in step order:
+    the Cayley graph induced on the ball.
     """
 
     center: tuple
     radius: int
     members: tuple
     sizes: tuple
-    adjacency: dict = field(compare=False, repr=False)
+    index: dict = field(compare=False, repr=False)
+    adjacency: tuple = field(compare=False, repr=False)
 
     def __contains__(self, g) -> bool:
-        return g in self.adjacency
+        return g in self.index
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def index(self) -> dict:
-        return {g: i for i, g in enumerate(self.members)}
 
 
 class GroupModel:
@@ -214,22 +212,27 @@ class GroupModel:
             raise InputError(f"ball radius {radius} is negative")
         if center is None:
             center = self.identity()
-        adj: dict = {}  # inner member -> its neighbors, all in the ball
+        members, index = [center], {center: 0}
+        adjacency: list = []  # adjacency[i]: neighbor positions of member i
 
-        def expand(g) -> tuple:
-            adj[g] = tuple(self.neighbors(g))
-            return adj[g]
+        def expand(i: int) -> tuple:
+            nbrs = self.neighbors(members[i])
+            for h in nbrs:
+                if h not in index:  # first seen: h takes the next position
+                    index[h] = len(members)
+                    members.append(h)
+            adjacency.append(tuple(map(index.__getitem__, nbrs)))
+            return adjacency[i]
 
-        members, sizes = [], []  # grown with the search: radius may be huge
-        for g, d in bfs(center, expand, radius, cap):
-            members.append(g)
-            sizes[d:] = [len(members)]
-        outer = members[len(adj):]  # the sphere at distance radius
-        adj.update(dict.fromkeys(outer))  # the keys become the member set
-        for g in outer:
-            adj[g] = tuple(h for h in self.neighbors(g) if h in adj)
+        sizes: list = []  # grown with the search: radius may be huge
+        for i, d in bfs(0, expand, radius, cap):
+            sizes[d:] = [i + 1]
+        for g in members[len(adjacency):]:  # the sphere at distance radius
+            adjacency.append(tuple(index[h] for h in self.neighbors(g)
+                                   if h in index))
         return Ball(center=center, radius=radius, members=tuple(members),
-                    sizes=tuple(sizes), adjacency=adj)
+                    sizes=tuple(sizes), index=index,
+                    adjacency=tuple(adjacency))
 
     def bfs_stream(self, cap: int = DEFAULT_BALL_CAP) -> Iterator:
         """Elements of G in BFS order from the identity (up to cap)."""

@@ -203,20 +203,21 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
     support of the least-id violated event until none is violated.  Every
     predicate is evaluated once on the first assignment; after that only
     the events sharing a variable with the culprit are rechecked, since no
-    other event can change status (Moser and Tardos, JACM 2010).  The
-    violated positions of the id-sorted event list sit in a min-heap whose
-    entries are confirmed by a ``bad`` flag, so the heap top, once stale
-    entries are dropped, is the least-id violated event: the culprit, the
-    random draws and the trace are those of a rescan from the least id.
-    A final scan of every event certifies the result independently of
-    this bookkeeping.
+    other event can change status (Moser and Tardos, JACM 2010); the
+    variable -> events index that finds them is built only once the first
+    scan has found a violated event.  The violated positions of the
+    id-sorted event list sit in a min-heap whose entries are confirmed by
+    a ``bad`` flag, so the heap top, once stale entries are dropped, is
+    the least-id violated event: the culprit, the random draws and the
+    trace are those of a rescan from the least id.  A final scan of every
+    event certifies the result independently of this bookkeeping.
     """
     rng = random.Random(seed)
     assignment = {v: rng.randrange(inst.alphabet[v]) for v in inst.variables}
     events = sorted(inst.events, key=lambda e: e.id)
-    sharing = events_by_variable(e.support for e in events)
     bad = [e.violated(assignment) for e in events]
     heap = [i for i, b in enumerate(bad) if b]  # ascending, so a heap
+    sharing = events_by_variable(e.support for e in events) if heap else []
     trace: list = []
     while heap:
         i = heap[0]

@@ -187,47 +187,45 @@ def path_to_dot(group: GroupModel, vertices) -> str:
 
 
 def forest_to_dot(forest) -> str:
-    group = forest.group
+    words = [forest.group.element_word(g) for g in forest.window.members]
     lines = ["digraph forest {", "  rankdir=BT;"]
 
     def name(n, g):
-        return f'"L{n}:{group.element_word(g) or "e"}"'
+        return f'"L{n}:{words[g] or "e"}"'
 
     for n in range(len(forest.levels)):
         lines.append("  { rank=same; " + " ".join(
             f"{name(n, g)};" for g in forest.levels[n].centers
         ) + " }")
     for n in range(1, len(forest.levels)):
-        for child, par in sorted(
-            forest.levels[n].parent.items(),
-            key=lambda kv: group.canonical_key(kv[0]),
-        ):
-            lines.append(f"  {name(n - 1, child)} -> {name(n, par)};")
+        parent = forest.levels[n].parent
+        for c in sorted(parent, key=forest.keys.__getitem__):
+            lines.append(f"  {name(n - 1, c)} -> {name(n, parent[c])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def forest_to_json(forest) -> dict:
-    group = forest.group
+    words = [forest.group.element_word(g) for g in forest.window.members]
     levels = []
     for n, level in enumerate(forest.levels):
         entry = {
-            "centers": [group.element_word(g) for g in level.centers],
+            "centers": [words[g] for g in level.centers],
             "edges": sorted(
-                sorted([group.element_word(a), group.element_word(b)])
-                for a in level.edges
+                sorted([words[a], words[b]])
+                for a in level.centers
                 for b in level.edges[a]
-                if group.canonical_key(a) < group.canonical_key(b)
+                if a < b  # each edge once; the pair is sorted by word
             ),
         }
         if level.parent is not None:
             entry["parent"] = {
-                group.element_word(child) or "": group.element_word(par)
+                words[child]: words[par]
                 for child, par in level.parent.items()
             }
         levels.append(entry)
     return {
-        "group": group.spec,
+        "group": forest.group.spec,
         "radius": forest.window.radius,
         "levels": levels,
     }

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from groupshift import cli
 from groupshift.aperiodic import (
-    PathWindow,
     build_2coloring_instance,
     build_squarefree_instance,
     build_t_sets,
@@ -25,13 +24,12 @@ from groupshift.aperiodic import (
 from groupshift.density import (
     build_forest,
     fill_density,
-    graph_bfs_within,
     greedy_rnet,
     sturmian,
     verify_condition1,
     Slope,
 )
-from groupshift.groups import FreeGroup, IntegerLattice
+from groupshift.groups import FreeGroup, IntegerLattice, bfs
 from groupshift.lll import (
     aperiodic_constant_scan,
     check_aperiodic_constant,
@@ -91,7 +89,7 @@ def test_criterion_3_verifier_and_sampler():
 def test_criterion_4_squarefree():
     start = time.time()
     f2 = FreeGroup(2)
-    w = PathWindow.from_ball(f2.ball(radius=3))
+    w = f2.ball(radius=3)
     inst = build_squarefree_instance(w, 2 ** 21, 3, 2)
     run = resample(inst, seed=0)
     no_square = find_vertex_square(run.assignment, w, 3) is None
@@ -125,18 +123,20 @@ def test_criterion_6_cluster_sandwich():
     start = time.time()
     ok = True
     for group, radius in ((IntegerLattice(2), 40), (FreeGroup(2), 6)):
-        forest = build_forest(group, radius, 2)
+        forest = build_forest(group, group.ball(radius=radius), 2)
+        members = forest.window.members
         for n in (1, 2):
             interior = forest.interior_centers(n)
             if not interior:
                 ok = False
             outer = (5 ** n - 1) // 2
             for g in interior:
-                cluster = set(forest.cluster(n, g))
-                inner = set(group.ball(center=g, radius=n).members)
+                center = members[g]
+                cluster = {members[h] for h in forest.cluster(n, g)}
+                inner = set(group.ball(center=center, radius=n).members)
                 if not inner <= cluster:
                     ok = False
-                if any(group.distance(g, h) > outer for h in cluster):
+                if any(group.distance(center, h) > outer for h in cluster):
                     ok = False
     report(6, "cluster sandwich B(g,n) in C_n(g) in B(g,(5^n-1)/2)",
            ok, time.time() - start, 60)
@@ -145,7 +145,7 @@ def test_criterion_6_cluster_sandwich():
 def test_criterion_7_condition1_and_aggregate():
     start = time.time()
     z2 = IntegerLattice(2)
-    forest = build_forest(z2, 30, 2)
+    forest = build_forest(z2, z2.ball(radius=30), 2)
     alpha = Slope.parse("377/610")
     x = fill_density(forest, alpha)
     rep = verify_condition1(x, forest, alpha)
@@ -186,7 +186,7 @@ def test_criterion_9_oracle_equivalences():
                  for g in window.members}
     for r in (2, 3):
         net = greedy_rnet(window.members, adjacency, r)
-        reach = {p: graph_bfs_within(adjacency, p, r) for p in net}
+        reach = {p: dict(bfs(p, adjacency.__getitem__, r)) for p in net}
         if any(q in reach[p] for p in net for q in net if p != q):
             ok = False  # not r-separating
         covered = set().union(*reach.values())
@@ -219,13 +219,13 @@ def test_criterion_9_oracle_equivalences():
                     if nxt not in on_path:
                         extend(path + [nxt], on_path | {nxt})
 
-        for v in w.vertices:
+        for v in range(len(w)):
             extend([v], {v})
         return count // 2
 
     for group, radius, L in ((IntegerLattice(2), 2, 3), (FreeGroup(2), 2, 2)):
-        w = PathWindow.from_ball(group.ball(radius=radius))
-        assert len(w.vertices) <= 30
+        w = group.ball(radius=radius)
+        assert len(w) <= 30
         if len(list(enumerate_odd_paths(w, L))) != directed_recount(w, L):
             ok = False
 

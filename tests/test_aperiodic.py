@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from groupshift.exact import Quad
 from groupshift.groups import (
+    Ball,
     DiscreteHeisenberg,
     FreeGroup,
     IntegerLattice,
     ResourceLimitError,
+    bfs,
     parse_group_spec,
 )
 from groupshift.aperiodic import (
-    PathWindow,
     build_2coloring_instance,
     build_squarefree_instance,
     build_t_sets,
@@ -50,7 +51,7 @@ def oracle_odd_path_count(w, max_half_length):
             if nxt not in on_path:
                 extend(path + [nxt], on_path | {nxt})
 
-    for start in w.vertices:
+    for start in range(len(w)):
         extend([start], {start})
     assert count % 2 == 0
     return count // 2
@@ -83,11 +84,26 @@ def oracle_witness(group, word, node_cap=10 ** 5):
     return best, seen[best], tuple(vertices)
 
 
+def element_adjacency(group, ball):
+    """The element-keyed graph a ball once carried, built apart from the
+    ball search: each member -> its neighbors in the ball, in step order."""
+    return {g: tuple(h for h in group.neighbors(g) if h in ball.index)
+            for g in ball.members}
+
+
+def position_adjacency(members, adjacency):
+    """The deleted PathWindow.from_ball: an element-keyed graph on
+    ``members`` as tuples of neighbor positions."""
+    index = {g: i for i, g in enumerate(members)}
+    return tuple(tuple(index[h] for h in adjacency[g]) for g in members)
+
+
 def oracle_odd_paths(group, radius, max_half_length):
     """The recursive, element-keyed enumeration the position DFS replaced:
     paths of B(1, radius) as tuples of members, in its emission order."""
     ball = group.ball(radius=radius)
     index = {v: i for i, v in enumerate(ball.members)}
+    adjacency = element_adjacency(group, ball)
     paths = []
 
     def extend(path, on_path):
@@ -95,7 +111,7 @@ def oracle_odd_paths(group, radius, max_half_length):
             paths.append(tuple(path))
         if len(path) == 2 * max_half_length:
             return
-        for nxt in ball.adjacency[path[-1]]:
+        for nxt in adjacency[path[-1]]:
             if nxt not in on_path:
                 extend(path + [nxt], on_path | {nxt})
 
@@ -145,15 +161,20 @@ fitting_windows = st.tuples(
 
 
 def graph_window(edges):
-    """The window of a hand-made graph; members in order of appearance."""
-    members = tuple(dict.fromkeys(v for e in edges for v in e))
-    index = {v: i for i, v in enumerate(members)}
-    adjacency = [[] for _ in members]
+    """The window of a hand-made connected graph: members in BFS order
+    from the first vertex listed, neighbors in the order of the edges."""
+    nbrs: dict = {}
     for a, b in edges:
-        adjacency[index[a]].append(index[b])
-        adjacency[index[b]].append(index[a])
-    return PathWindow(members=members,
-                      adjacency=tuple(tuple(n) for n in adjacency))
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    found = list(bfs(edges[0][0], nbrs.__getitem__))
+    members = tuple(v for v, _ in found)
+    radius = found[-1][1]
+    return Ball(center=members[0], radius=radius, members=members,
+                sizes=tuple(sum(d <= r for _, d in found)
+                            for r in range(radius + 1)),
+                index={v: i for i, v in enumerate(members)},
+                adjacency=position_adjacency(members, nbrs))
 
 
 def on_members(w, path):
@@ -374,7 +395,7 @@ class TestOddPaths:
         assert sum(1 for p in paths if len(p) == 4) == 0
 
     def test_no_duplicates_up_to_reversal(self):
-        w = PathWindow.from_ball(IntegerLattice(2).ball(radius=2))
+        w = IntegerLattice(2).ball(radius=2)
         paths = list(enumerate_odd_paths(w, 2))
         seen = set()
         for p in paths:
@@ -387,8 +408,8 @@ class TestOddPaths:
         (FreeGroup(2), 2, 2),
     ])
     def test_count_matches_oracle(self, group, radius, L):
-        w = PathWindow.from_ball(group.ball(radius=radius))
-        assert len(w.vertices) <= 30
+        w = group.ball(radius=radius)
+        assert len(w) <= 30
         assert len(list(enumerate_odd_paths(w, L))) == (
             oracle_odd_path_count(w, L)
         )
@@ -399,13 +420,14 @@ class TestOddPaths:
     @pytest.mark.parametrize("L", [2, 3])
     def test_positions_map_to_element_enumeration(self, spec, L):
         group = parse_group_spec(spec)
-        w = PathWindow.from_ball(group.ball(radius=3))
-        assert w.members == group.ball(radius=3).members
+        w = group.ball(radius=3)
+        assert w.adjacency == position_adjacency(
+            w.members, element_adjacency(group, w))
         assert [on_members(w, p) for p in enumerate_odd_paths(w, L)] == (
             oracle_odd_paths(group, 3, L))
 
     def test_budget_enforced(self):
-        w = PathWindow.from_ball(IntegerLattice(2).ball(radius=3))
+        w = IntegerLattice(2).ball(radius=3)
         with pytest.raises(ResourceLimitError):
             list(enumerate_odd_paths(w, 3, budget=10))
         # The exact path count is enough; one less raises on the last path.
@@ -443,7 +465,7 @@ class TestVertexSquares:
         # Distinct colors except a b a b on (-1,0) (0,0) (1,0) (2,0): the
         # x-axis path is the only square up to reversal.
         z2 = IntegerLattice(2)
-        w = PathWindow.from_ball(z2.ball(radius=3))
+        w = z2.ball(radius=3)
         coloring = {g: i for i, g in enumerate(w.members)}
         coloring[(1, 0)] = coloring[(-1, 0)]
         coloring[(2, 0)] = coloring[(0, 0)]
@@ -459,7 +481,7 @@ class TestVertexSquares:
 class TestSquarefreeInstance:
     def test_event_parameters(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f.ball(radius=2))
+        w = f.ball(radius=2)
         inst = build_squarefree_instance(w, 2 ** 21, 2, 2)
         for e in inst.events:
             n = e.id[0]
@@ -468,27 +490,27 @@ class TestSquarefreeInstance:
 
     def test_condition_holds_on_free_window(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f.ball(radius=2))
+        w = f.ball(radius=2)
         inst = build_squarefree_instance(w, 2 ** 21, 2, 2)
         assert verify_condition(inst).holds
 
     def test_probability_audit_small_alphabet(self):
         f = FreeGroup(2)
-        w = PathWindow.from_ball(f.ball(radius=1))
+        w = f.ball(radius=1)
         inst = build_squarefree_instance(w, 4, 2, 2)
         for e in inst.events:
             assert audit_event_probability(inst, e) == e.probability.a
 
     def test_resample_then_independent_scan(self):
         z = IntegerLattice(1)
-        w = PathWindow.from_ball(z.ball(radius=6))
+        w = z.ball(radius=6)
         inst = build_squarefree_instance(w, 64, 2, 1)
         run = resample(inst, seed=0)
         assert find_vertex_square(run.assignment, w, 2) is None
 
     def test_path_dependency_bound(self):
         s = 2
-        w = PathWindow.from_ball(FreeGroup(s).ball(radius=2))
+        w = FreeGroup(s).ball(radius=2)
         counts = path_dependency_counts(w, 2)
         paths = list(enumerate_odd_paths(w, 2))
         for path, row in zip(paths, counts):

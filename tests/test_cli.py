@@ -15,7 +15,7 @@ import groupshift
 from groupshift import cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.density import build_forest
-from groupshift.groups import IntegerLattice, parse_group_spec
+from groupshift.groups import GroupModel, IntegerLattice, parse_group_spec
 from groupshift.lll import verify_condition
 from groupshift.patterns import WindowConfig
 
@@ -78,7 +78,8 @@ class TestSerialization:
         assert rows == [",0,", "0,0,0", ",0,"]
 
     def test_forest_dot_contains_parent_edges(self):
-        f = build_forest(IntegerLattice(1), 6, 1)
+        z = IntegerLattice(1)
+        f = build_forest(z, z.ball(radius=6), 1)
         dot = serialize.forest_to_dot(f)
         assert "digraph forest" in dot
         assert '"L0:x" -> "L1:e";' in dot
@@ -500,6 +501,26 @@ GOLDEN_RUNS = [
       "--out", "ball.json"],
      {"ball.json":
       "9255ed887c0af3e0649e34cdeaa2e063f4e63291120280de6d6b302751431128"}),
+    # Fills and a forest on non-abelian groups: ball order is not canonical
+    # order within a sphere, so these pin the forest's canonical sorts.
+    (["density", "fill", "--group", "heisenberg", "--radius", "5",
+      "--levels", "2", "--alpha", "2/5", "--out", "fill-h.json"],
+     {"fill-h.json":
+      "041a6ac1a8f07b15cae73dfdcb8e6b6f7b52114dc97b064931e9dda34f3fe03e"}),
+    (["density", "fill", "--group", "free:2", "--radius", "4",
+      "--levels", "2", "--alpha", "377/610", "--out", "fill-f2.json"],
+     {"fill-f2.json":
+      "4428667790b8d001aca9830cab0696ba6312535bc54f4fbde74f29fb8cc3511a"}),
+    (["density", "build-forest", "--group", "free:2", "--radius", "4",
+      "--levels", "2", "--format", "json", "--out", "forest-f2.json"],
+     {"forest-f2.json":
+      "8d49ad1636c06a9e7550b1779f743418c8f775cc96b20ea6286167f2f966f778"}),
+    # The JSON above sorts parents by word, which hides the order the
+    # forest sorts them in; the DOT lists them in canonical order.
+    (["density", "build-forest", "--group", "free:2", "--radius", "4",
+      "--levels", "2", "--format", "dot", "--out", "forest-f2.dot"],
+     {"forest-f2.dot":
+      "2145ca05d07aae3bea33dc2bcd5f6ba91123c2653cf3274f22343293fd8d9e03"}),
     # C = 2 is below the admissible constant: 158 resamples, trace pinned.
     (["color", "two", "--group", "z^2", "--radius", "12", "--c", "2",
       "--levels", "2", "--seed", "7", "--out", "cfg2.json",
@@ -519,6 +540,35 @@ def test_every_artifact_matches_golden_hashes(tmp_path, monkeypatch, capsys):
     assert [{name: serialize.sha256_file(tmp_path / name) for name in digests}
             for _, digests in GOLDEN_RUNS] == [
                 digests for _, digests in GOLDEN_RUNS]
+
+
+def test_density_verify_searches_its_window_once(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["density", "fill", "--group", "z^2", "--radius", "8",
+                "--levels", "2", "--alpha", "2/5", "--out", "fill.json"]) == 0
+    searches = []
+    ball = GroupModel.ball
+    monkeypatch.setattr(GroupModel, "ball", lambda self, *args, **kwargs: (
+        searches.append(kwargs) or ball(self, *args, **kwargs)))
+    assert run(["density", "verify", "--config", "fill.json",
+                "--levels", "2", "--alpha", "2/5"]) == 0
+    assert searches == [{"radius": 8}]
+    assert capsys.readouterr().out.startswith("clusters ")
+
+
+@pytest.mark.parametrize("command", [
+    ["build-forest"], ["fill", "--alpha", "1/2", "--out", "x.json"]])
+def test_forest_levels_are_checked_before_the_window_search(monkeypatch,
+                                                            capsys, command):
+    # B(1, 2000) in z^2 exceeds the ball cap, which would exit 3.
+    searches = []
+    monkeypatch.setattr(GroupModel, "ball",
+                        lambda self, **kwargs: searches.append(kwargs))
+    assert run(["density", *command, "--group", "z^2", "--radius", "2000",
+                "--levels", "0"]) == 2
+    assert searches == []
+    assert "need at least one level" in capsys.readouterr().err
 
 
 # --- CLI fuzz -------------------------------------------------------------

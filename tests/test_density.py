@@ -19,7 +19,6 @@ from groupshift.density import (
     convex_enumeration,
     fill_density,
     forbidden_check,
-    graph_bfs_within,
     greedy_rnet,
     measure_density,
     sturmian,
@@ -32,6 +31,31 @@ def path_adjacency(n):
             for i in range(n)}
 
 
+def graph_bfs_within(adjacency, start, radius):
+    """The distance map the forest read before it called bfs: distances
+    from start up to radius, one frontier at a time."""
+    dist, frontier = {start: 0}, [start]
+    for d in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for h in adjacency[g]:
+                if h not in dist:
+                    dist[h] = d
+                    nxt.append(h)
+        frontier = nxt
+    return dist
+
+
+def forest(group, radius, levels):
+    """The covering forest on B(1, radius)."""
+    return build_forest(group, group.ball(radius=radius), levels)
+
+
+def canonical(f):
+    """Sort key of window positions: the canonical key of their members."""
+    return lambda i: f.group.canonical_key(f.window.members[i])
+
+
 # Two window radii per model, small enough for a three-level forest.
 FOREST_CASES = [
     (IntegerLattice(1), 10), (IntegerLattice(1), 25),
@@ -42,11 +66,11 @@ FOREST_CASES = [
 ]
 
 
-def oracle_parents(group, prev, centers):
+def oracle_parents(f, n):
     """The per-non-center search build_forest replaced: a center is its
     own parent, else the one center at distance 1, else the least center
-    at distance 2 under canonical_key."""
-    centers = set(centers)
+    at distance 2 under canonical_key of its member."""
+    prev, centers = f.levels[n - 1], set(f.levels[n].centers)
     parent = {}
     for g in prev.centers:
         if g in centers:
@@ -59,7 +83,7 @@ def oracle_parents(group, prev, centers):
             parent[g] = at_one[0]
             continue
         at_two = [h for h in dist if dist[h] == 2 and h in centers]
-        parent[g] = min(at_two, key=group.canonical_key)
+        parent[g] = min(at_two, key=canonical(f))
     return parent
 
 
@@ -68,29 +92,30 @@ def oracle_clusters_and_edges(f):
     center map p_n, its fibres as clusters (in window order), and for every
     window edge g-h with p_n[g] != p_n[h] the quotient edge p_n[g]-p_n[h].
     Returns one (clusters, edges) pair per level n >= 1."""
-    window, key = f.window, f.group.canonical_key
-    p_n = {g: g for g in window.members}
+    window = f.window
+    p_n = list(range(len(window)))
     out = []
     for level in f.levels[1:]:
-        p_n = {leaf: level.parent[p] for leaf, p in p_n.items()}
+        p_n = [level.parent[p] for p in p_n]
         clusters = {c: [] for c in level.centers}
-        for leaf in window.members:
-            clusters[p_n[leaf]].append(leaf)
+        for leaf, center in enumerate(p_n):
+            clusters[center].append(leaf)
         edges = {c: set() for c in level.centers}
-        for g in window.members:
-            for h in window.adjacency[g]:
+        for g, nbrs in enumerate(window.adjacency):
+            for h in nbrs:
                 if p_n[g] != p_n[h]:
                     edges[p_n[g]].add(p_n[h])
-        out.append((clusters, {c: tuple(sorted(v, key=key))
+        out.append((clusters, {c: tuple(sorted(v, key=canonical(f)))
                                for c, v in edges.items()}))
     return out
 
 
 def oracle_interior_centers(f, n):
     """The group.ball test interior_centers replaced."""
-    members = set(f.window.members)
+    members = f.window.members
     return [g for g in f.levels[n].centers
-            if set(f.group.ball(center=g, radius=n).members) <= members]
+            if set(f.group.ball(center=members[g], radius=n).members)
+            <= set(members)]
 
 
 def all_ones_window(group, radius):
@@ -131,6 +156,9 @@ class TestGreedyRnet:
         }
         net = greedy_rnet(window.members, adjacency, 2)
         assert set(net) == {(k,) for k in (0, 3, -3, 6, -6, 9, -9)}
+        # The same scan on window positions picks the same points.
+        on_positions = greedy_rnet(range(len(window)), window.adjacency, 2)
+        assert [window.members[i] for i in on_positions] == net
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_separation_and_maximality(self, r):
@@ -155,14 +183,23 @@ class TestGreedyRnet:
 
 class TestForest:
     def test_z_hand_trace(self):
-        z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(IntegerLattice(1), 10, 1)
+        m, at = f.window.members, f.window.index
         level1 = f.levels[1]
-        assert set(level1.centers) == {(k,) for k in (0, 3, -3, 6, -6, 9, -9)}
-        assert set(f.cluster(1, (0,))) == {(0,), (1,), (-1,)}
-        assert set(level1.edges[(0,)]) == {(3,), (-3,)}
-        assert set(level1.edges[(9,)]) == {(6,)}
-        assert set(f.cluster(1, (9,))) == {(8,), (9,), (10,)}
+        assert {m[c] for c in level1.centers} == {
+            (k,) for k in (0, 3, -3, 6, -6, 9, -9)}
+        assert {m[h] for h in f.cluster(1, at[(0,)])} == {(0,), (1,), (-1,)}
+        assert {m[c] for c in level1.edges[at[(0,)]]} == {(3,), (-3,)}
+        assert {m[c] for c in level1.edges[at[(9,)]]} == {(6,)}
+        assert {m[h] for h in f.cluster(1, at[(9,)])} == {(8,), (9,), (10,)}
+
+    def test_level0_is_the_window_graph(self):
+        z2 = IntegerLattice(2)
+        window = z2.ball(radius=6)
+        f = build_forest(z2, window, 1)
+        assert f.window is window
+        assert list(f.levels[0].centers) == list(range(len(window)))
+        assert f.levels[0].edges is window.adjacency
 
     @pytest.mark.parametrize("group,radius", [
         (IntegerLattice(1), 15),
@@ -170,7 +207,7 @@ class TestForest:
         (FreeGroup(2), 4),
     ])
     def test_invariants(self, group, radius):
-        f = build_forest(group, radius, 2)
+        f = forest(group, radius, 2)
         for n in range(1, 3):
             level = f.levels[n]
             prev = f.levels[n - 1]
@@ -185,21 +222,20 @@ class TestForest:
                 assert par in dist
             # clusters partition the window
             leaves = [h for c in level.centers for h in f.cluster(n, c)]
-            assert sorted(leaves) == sorted(f.window.members)
+            assert sorted(leaves) == list(range(len(f.window)))
 
     @pytest.mark.parametrize("group,radius", FOREST_CASES,
                              ids=lambda v: getattr(v, "spec", v))
     def test_parents_match_per_non_center_search(self, group, radius):
-        f = build_forest(group, radius, 3)
+        f = forest(group, radius, 3)
         for n in range(1, 4):
-            expected = oracle_parents(group, f.levels[n - 1],
-                                      f.levels[n].centers)
-            assert list(f.levels[n].parent.items()) == list(expected.items())
+            assert list(f.levels[n].parent.items()) == list(
+                oracle_parents(f, n).items())
 
     @pytest.mark.parametrize("group,radius", FOREST_CASES,
                              ids=lambda v: getattr(v, "spec", v))
     def test_clusters_and_edges_match_window_oracle(self, group, radius):
-        f = build_forest(group, radius, 3)
+        f = forest(group, radius, 3)
         for n, (clusters, edges) in enumerate(oracle_clusters_and_edges(f),
                                               start=1):
             level = f.levels[n]
@@ -208,14 +244,14 @@ class TestForest:
             assert list(level.edges.items()) == list(edges.items())
             for c in level.centers:  # children in canonical order
                 kids = sorted((a for a, p in level.parent.items() if p == c),
-                              key=group.canonical_key)
+                              key=canonical(f))
                 assert f.cluster(n, c) == [
                     leaf for a in kids for leaf in f.cluster(n - 1, a)]
 
     @pytest.mark.parametrize("group,radius", FOREST_CASES,
                              ids=lambda v: getattr(v, "spec", v))
     def test_interior_centers_match_ball_search(self, group, radius):
-        f = build_forest(group, radius, 3)
+        f = forest(group, radius, 3)
         for n in range(f.depth + 1):
             assert f.interior_centers(n) == oracle_interior_centers(f, n)
 
@@ -227,55 +263,57 @@ class TestForest:
         monkeypatch.setattr(density, "greedy_rnet",
                             lambda points, adjacency, r: net(points))
         with pytest.raises(AssertionError, match=message):
-            build_forest(IntegerLattice(1), 10, 1)
+            forest(IntegerLattice(1), 10, 1)
 
     def test_interior_centers_have_full_balls(self):
         z2 = IntegerLattice(2)
-        f = build_forest(z2, 12, 2)
-        members = set(f.window.members)
+        f = forest(z2, 12, 2)
+        members = f.window.members
         for n in (1, 2):
             interior = f.interior_centers(n)
             assert interior
             for g in interior:
-                assert set(z2.ball(center=g, radius=n).members) <= members
+                assert set(z2.ball(center=members[g], radius=n).members) <= (
+                    set(members))
 
     @pytest.mark.parametrize("group,radius", [
         (IntegerLattice(1), 15),
         (IntegerLattice(2), 12),
     ])
     def test_cluster_sandwich(self, group, radius):
-        f = build_forest(group, radius, 2)
+        f = forest(group, radius, 2)
+        members = f.window.members
         for n in (1, 2):
             outer = (5 ** n - 1) // 2
             for g in f.interior_centers(n):
-                cluster = set(f.cluster(n, g))
-                inner_ball = set(group.ball(center=g, radius=n).members)
-                outer_ball = set(group.ball(center=g, radius=outer).members)
+                cluster = {members[h] for h in f.cluster(n, g)}
+                center = members[g]
+                inner_ball = set(group.ball(center=center, radius=n).members)
+                outer_ball = set(group.ball(center=center,
+                                            radius=outer).members)
                 assert inner_ball <= cluster <= outer_ball
 
     def test_levels_must_be_positive(self):
         with pytest.raises(InputError):
-            build_forest(IntegerLattice(1), 10, 0)
+            forest(IntegerLattice(1), 10, 0)
 
     def test_small_window_degenerates_to_one_center(self):
-        f = build_forest(IntegerLattice(1), 1, 3)
+        f = forest(IntegerLattice(1), 1, 3)
         assert len(f.levels[3].centers) == 1
         assert set(f.cluster(3, f.levels[3].centers[0])) == set(
-            f.window.members
+            range(len(f.window))
         )
 
 
 class TestConvexEnumeration:
     def test_single_leaf(self):
-        z = IntegerLattice(1)
-        f = build_forest(z, 0, 1)
-        assert convex_enumeration(f, (0,)) == [(0,)]
+        f = forest(IntegerLattice(1), 0, 1)
+        assert convex_enumeration(f, 0) == [0]
 
     def test_unknown_component(self):
-        z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(IntegerLattice(1), 10, 1)
         with pytest.raises(InputError):
-            convex_enumeration(f, (1,))
+            convex_enumeration(f, f.window.index[(1,)])
 
     @pytest.mark.parametrize("group,radius", [
         (IntegerLattice(1), 15),
@@ -283,7 +321,7 @@ class TestConvexEnumeration:
         (FreeGroup(2), 4),
     ])
     def test_contiguous_intervals(self, group, radius):
-        f = build_forest(group, radius, 2)
+        f = forest(group, radius, 2)
         for top in f.levels[2].centers:
             order = convex_enumeration(f, top)
             assert sorted(order) == sorted(f.cluster(2, top))
@@ -331,29 +369,31 @@ class TestSturmian:
 
 class TestFillAndVerify:
     def test_alpha_zero_and_one(self):
-        z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(IntegerLattice(1), 10, 1)
         assert set(fill_density(f, Slope.parse("0")).cells.values()) == {0}
         assert set(fill_density(f, Slope.parse("1")).cells.values()) == {1}
 
     def test_cluster_share_on_z(self):
-        z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(IntegerLattice(1), 10, 1)
         x = fill_density(f, Slope.parse("2/5"))
-        ones = sum(x.cells[h] for h in f.cluster(1, (0,)))
+        cluster = f.cluster(1, f.window.index[(0,)])
+        ones = sum(x.cells[f.window.members[h]] for h in cluster)
         assert ones in (1, 2)
 
     def test_all_ones_fails_half_slope(self):
         z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(z, 10, 1)
         report = verify_condition1(all_ones_window(z, 10), f,
                                    Slope.parse("1/2"))
         assert not report.ok
         assert any(c.size >= 3 and not c.ok for c in report.clusters)
+        # Reports name centers by their elements.
+        assert {c.center for c in report.clusters} <= set(f.window.members)
+        assert (0,) in {c.center for c in report.clusters}
 
     def test_window_mismatch(self):
         z = IntegerLattice(1)
-        f = build_forest(z, 10, 1)
+        f = forest(z, 10, 1)
         with pytest.raises(InputError):
             verify_condition1(all_ones_window(z, 8), f, Slope.parse("1/2"))
 
@@ -364,7 +404,7 @@ class TestFillAndVerify:
     ])
     @pytest.mark.parametrize("alpha", ["2/5", "377/610"])
     def test_pipeline_and_aggregate(self, group, radius, levels, alpha):
-        f = build_forest(group, radius, levels)
+        f = forest(group, radius, levels)
         slope = Slope.parse(alpha)
         x = fill_density(f, slope)
         report = verify_condition1(x, f, slope)
@@ -394,9 +434,8 @@ class TestForbiddenCheck:
 
     def test_fill_output_allowed_at_n2(self):
         z = IntegerLattice(1)
-        forest = build_forest(z, 500, 1)
         slope = Slope.parse("1/3")
-        x = fill_density(forest, slope)
+        x = fill_density(forest(z, 500, 1), slope)
         f = [(i,) for i in range(-500, 501)]
         check = forbidden_check(x, f, slope, 2)
         assert check.hypothesis_holds

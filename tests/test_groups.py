@@ -173,17 +173,23 @@ class TestWindowInvariants:
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
     def test_adjacency_is_the_induced_cayley_graph(self, group):
-        """Oracle: the comprehension that built the induced graph apart
-        from the ball search, at radius 0, 1, 3 and at the cap boundary."""
+        """Oracle: the element-keyed comprehension that built the induced
+        graph apart from the ball search, mapped to positions, at radius
+        0, 1, 3 and at the cap boundary."""
         size = len(group.ball(radius=3))
         for ball in [group.ball(radius=r) for r in (0, 1, 3)] + [
                 group.ball(radius=3, cap=size)]:
-            members = set(ball.members)
-            assert ball.adjacency == {
-                g: tuple(h for h in group.neighbors(g) if h in members)
-                for g in ball.members}
-            assert list(ball.adjacency) == list(ball.members)
-        assert group.ball(radius=0).adjacency == {group.identity(): ()}
+            members, index = ball.members, ball.index
+            assert index == {g: i for i, g in enumerate(members)}
+            assert ball.adjacency == tuple(
+                tuple(index[h] for h in group.neighbors(g) if h in index)
+                for g in members)
+            for i, nbrs in enumerate(ball.adjacency):  # symmetric
+                assert all(i in ball.adjacency[j] for j in nbrs)
+            outside = group.ball(radius=ball.radius + 1).members
+            assert all((g in ball) == (g in index) for g in outside)
+            assert len(outside) > len(ball) and (outside[-1] not in ball)
+        assert group.ball(radius=0).adjacency == ((),)
 
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
     def test_ball_calls_neighbors_at_most_once_per_member(self, group,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupshift
+from groupshift import lll
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.exact import Quad, half_power_of_two, sqrt2_power
 from groupshift.groups import InputError, parse_group_spec
@@ -302,6 +303,23 @@ class TestResample:
             weight=Quad.of(Fraction(1, 2)),
             violated=lambda a, s=support: len({a[v] for v in s}) == 1,
         )
+
+    def test_index_is_built_only_after_a_violation(self, monkeypatch):
+        builds = []
+        index = lll.events_by_variable
+        monkeypatch.setattr(lll, "events_by_variable",
+                            lambda supports: builds.append(1) or index(
+                                supports))
+        quiet = BadEvent(id=("never",), support=("v0", "v1"),
+                         probability=Quad.of(0),
+                         weight=Quad.of(Fraction(1, 2)),
+                         violated=lambda a: False)
+        assert resample(make_instance([quiet]), seed=0).resamples == 0
+        assert builds == []
+        inst = make_instance([self.all_equal_event()])
+        runs = [resample(inst, seed=s).resamples for s in range(20)]
+        assert builds == [1] * sum(1 for r in runs if r)
+        assert 0 < len(builds) < len(runs)
 
     def test_zero_events(self):
         inst = make_instance([], variables=("v0", "v1"))
