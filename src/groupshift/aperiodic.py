@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .exact import Quad
 from .groups import Ball, GroupModel, InputError, ResourceLimitError
@@ -174,11 +174,10 @@ def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
                                  n_max: int) -> DistinctNeighborhoodReport:
     """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g).
 
-    The comparison runs on a color list indexed by window position; the
-    report names each violation by its level and element.
+    The comparison runs on the window's colour tuple; the report names
+    each violation by its level and element.
     """
-    members = x.window.members
-    colors = [x.cells[g] for g in members]
+    members, colors = x.window.members, x.colors
     violations = []
     checked = 0
     for n in range(1, min(n_max, tsets.levels) + 1):
@@ -235,17 +234,17 @@ def enumerate_odd_paths(w: Ball, max_half_length: int,
                 stack.append(iter(adjacency[nxt]))
 
 
-def is_vertex_square(coloring: dict, path: tuple) -> bool:
-    """True when the color sequence is a square under the half shift."""
+def is_vertex_square(coloring: Sequence[int], path: tuple) -> bool:
+    """True when the colors along ``path`` repeat under the half shift."""
     n = len(path) // 2
     return all(coloring[path[i]] == coloring[path[i + n]] for i in range(n))
 
 
-def find_vertex_square(coloring: dict, w: Ball,
+def find_vertex_square(coloring: Sequence[int], w: Ball,
                        max_half_length: int) -> Optional[tuple]:
     """First enumerated odd path that is a vertex square, or None.
 
-    ``coloring`` maps positions to colors; the path is in positions.
+    ``coloring[i]`` is the color of position i of ``w``; paths are positions.
     """
     for path in enumerate_odd_paths(w, max_half_length):
         if is_vertex_square(coloring, path):
@@ -259,15 +258,15 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n.
 
     The variables are the window positions.  A simple path has distinct
-    vertices, so it is its own support.  Events of one half-length n share
-    one probability and one weight.
+    vertices, so it is its own support and has at most |w| of them.
+    Events of one half-length n share one probability and one weight.
     """
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
     base = 8 * generator_count * generator_count
-    probability = [Quad(Fraction(1, alphabet_size ** n))
-                   for n in range(max_half_length + 1)]
-    weight = [Quad(Fraction(1, base ** n)) for n in range(max_half_length + 1)]
+    halves = range(min(max_half_length, len(w) // 2) + 1)
+    probability = [Quad(Fraction(1, alphabet_size ** n)) for n in halves]
+    weight = [Quad(Fraction(1, base ** n)) for n in halves]
     events = []
     for k, path in enumerate(enumerate_odd_paths(w, max_half_length, budget)):
         n = len(path) // 2

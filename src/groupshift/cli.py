@@ -67,11 +67,12 @@ def _load(path: str, from_json):
         raise InputError(f"cannot load {path}: {exc}") from None
 
 
-def _parse_radii(spec: str) -> list[int]:
+def _parse_radii(spec: str) -> range | list[int]:
+    """``lo..hi`` as a range (never expanded), else a list of ints."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            radii = list(range(int(lo), int(hi) + 1))
+            radii = range(int(lo), int(hi) + 1)
         else:
             radii = [int(s) for s in spec.split(",")]
     except ValueError:
@@ -79,14 +80,6 @@ def _parse_radii(spec: str) -> list[int]:
     if not radii:
         raise InputError(f"radius list {spec!r} is empty")
     return radii
-
-
-def _on_elements(group, ball, assignment: dict,
-                 alphabet_size: int) -> WindowConfig:
-    """The window configuration of an assignment to ball positions."""
-    cells = {g: assignment[i] for i, g in enumerate(ball.members)}
-    return WindowConfig(group=group, radius=ball.radius, cells=cells,
-                        alphabet_size=alphabet_size, window=ball)
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -142,7 +135,8 @@ def cmd_color_two(args) -> int:
         group, window, tsets, args.levels
     )
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
-    config = _on_elements(group, window, run.assignment, 2)
+    colors = tuple(run.assignment[i] for i in range(len(window)))
+    config = WindowConfig(group, window, colors, 2)
     report = aperiodic.verify_distinct_neighborhood(
         config, tsets, args.levels
     )
@@ -177,9 +171,9 @@ def cmd_color_squarefree(args) -> int:
         budget=args.cap,
     )
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
-    witness = aperiodic.find_vertex_square(run.assignment, window,
-                                           args.maxlen)
-    config = _on_elements(group, window, run.assignment, args.alphabet)
+    colors = tuple(run.assignment[i] for i in range(len(window)))
+    config = WindowConfig(group, window, colors, args.alphabet)
+    witness = aperiodic.find_vertex_square(colors, window, args.maxlen)
     outputs = {}
     if args.out:
         outputs[args.out] = serialize.dumps(serialize.window_to_json(config))

@@ -218,11 +218,7 @@ def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
         order = convex_enumeration(f, center)
         for bit, leaf in zip(sturmian(a, len(order)), order):
             colors[leaf] = bit
-    return WindowConfig(
-        group=f.group, radius=f.window.radius,
-        cells=dict(zip(f.window.members, colors)),
-        alphabet_size=2, window=f.window,
-    )
+    return WindowConfig(f.group, f.window, tuple(colors), 2)
 
 
 @dataclass
@@ -270,8 +266,7 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
     if x.window != f.window:
         raise InputError("configuration window does not match forest window")
     a = alpha.value
-    members = f.window.members
-    colors = [x.cells[g] for g in members]
+    members, colors = f.window.members, x.colors
     cluster_checks = []
     aggregates = []
     for n in range(1, f.depth + 1):
@@ -311,7 +306,7 @@ def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
     be within 1/n of alpha; otherwise the pattern is vacuously allowed.
     """
     F = list(F)
-    if any(g not in x.cells for g in F):
+    if any(g not in x for g in F):
         raise InputError("support escapes the window")
     if n < 1:
         raise InputError("n must be positive")
@@ -320,7 +315,7 @@ def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
     hypothesis = 2 * n * len(boundary) < len(F)
     if not hypothesis:
         return ForbiddenCheck(True, False, len(boundary), len(F), None)
-    deviation = abs(density_of(x.cells[g] for g in F) - alpha.value)
+    deviation = abs(density_of(x[g] for g in F) - alpha.value)
     return ForbiddenCheck(
         allowed=deviation <= Fraction(1, n),
         hypothesis_holds=True,
@@ -347,9 +342,9 @@ def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
     entries = []
     for i, subset in enumerate(sets):
         subset = list(subset)
-        if any(g not in x.cells for g in subset):
+        if any(g not in x for g in subset):
             raise InputError(f"set {i} escapes the window")
-        dens = density_of(x.cells[g] for g in subset)
+        dens = density_of(x[g] for g in subset)
         desc = descriptors[i] if descriptors else f"set-{i}"
         entries.append((desc, len(subset), int(dens * len(subset)), dens))
     return DensityReport(

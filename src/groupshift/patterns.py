@@ -1,13 +1,15 @@
-"""Patterns, finite window configurations and pattern codings.
+"""Patterns, window colorings and pattern codings.
 
-Patterns are anchored at the identity: supports are absolute element sets
-and occurrence positions are left translates.  Occurrence search skips any
-position whose translated support leaves the window.
+A window coloring is one colour tuple on the positions of a
+:class:`~groupshift.groups.Ball`; ``x[g]`` and ``g in x`` read it by group
+element.  Patterns are anchored at the identity: supports are absolute
+element sets and occurrence positions are left translates.  Occurrence
+search skips any position whose translated support leaves the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -42,31 +44,29 @@ def make_pattern(group: GroupModel, cells: dict) -> Pattern:
 
 @dataclass
 class WindowConfig:
-    """Symbols assigned to every element of the ball B(1, radius)."""
+    """A coloring of one window: ``colors[i]`` is the symbol on
+    ``window.members[i]``."""
 
     group: GroupModel
-    radius: int
-    cells: dict
+    window: Ball
+    colors: tuple
     alphabet_size: int
-    window: Ball = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.window is None:
-            self.window = self.group.ball(radius=self.radius)
-        missing = [g for g in self.window.members if g not in self.cells]
-        if missing:
-            raise InputError(f"window symbol map misses {len(missing)} cells")
+        if len(self.colors) != len(self.window):
+            raise InputError(f"{len(self.colors)} symbols for "
+                             f"{len(self.window)} window cells")
         if type(self.alphabet_size) is not int:  # bools are rejected too
             raise InputError(f"non-int alphabet size {self.alphabet_size!r}")
-        for g, a in self.cells.items():
+        for g, a in zip(self.window.members, self.colors):
             if type(a) is not int or not 0 <= a < self.alphabet_size:
                 raise InputError(f"symbol {a!r} outside alphabet at {g}")
 
     def __getitem__(self, g) -> int:
-        return self.cells[g]
+        return self.colors[self.window.index[g]]
 
     def __contains__(self, g) -> bool:
-        return g in self.cells
+        return g in self.window.index
 
 
 def density_of(symbols) -> Fraction:
@@ -134,7 +134,7 @@ def pattern_occurrences(x: WindowConfig, p: Pattern) -> list:
         ok = True
         for h, a in zip(p.support, p.symbols):
             gh = group.mul(g, h)
-            if gh not in x.cells or x.cells[gh] != a:
+            if gh not in x or x[gh] != a:
                 ok = False
                 break
         if ok:

@@ -54,9 +54,8 @@ def window_to_json(x: WindowConfig) -> dict:
         "group": x.group.spec,
         "radius": x.window.radius,
         "alphabet_size": x.alphabet_size,
-        "cells": [
-            [x.group.element_word(g), x.cells[g]] for g in x.window.members
-        ],
+        "cells": [[x.group.element_word(g), a]
+                  for g, a in zip(x.window.members, x.colors)],
     }
 
 
@@ -68,17 +67,20 @@ def window_from_json(data: dict) -> WindowConfig:
     radius = data["radius"]
     if type(radius) is not int or radius < 0:
         raise InputError(f"window radius {radius!r} is not an int >= 0")
-    cells = {}
+    window = group.ball(radius=radius)
+    placed = {}
     for word, symbol in data["cells"]:
-        g = group.canonicalize(word)
-        if g in cells:
+        i = window.index.get(group.canonicalize(word))
+        if i is None:
+            raise InputError(f"cell {word!r} lies outside the ball")
+        if i in placed:
             raise InputError(f"cell {word!r} repeats an earlier element")
-        cells[g] = symbol
-    config = WindowConfig(group=group, radius=radius, cells=cells,
-                          alphabet_size=data["alphabet_size"])
-    if len(cells) != len(config.window):
-        raise InputError("window lists a cell outside the ball")
-    return config
+        placed[i] = symbol
+    if len(placed) != len(window):
+        raise InputError(f"window misses {len(window) - len(placed)} cells")
+    return WindowConfig(group=group, window=window,
+                        colors=tuple(placed[i] for i in range(len(window))),
+                        alphabet_size=data["alphabet_size"])
 
 
 def _z2_rows(x: WindowConfig, what: str, blank, sep: str) -> list[str]:
@@ -87,7 +89,8 @@ def _z2_rows(x: WindowConfig, what: str, blank, sep: str) -> list[str]:
         raise InputError(f"{what} export requires a z^2 window")
     r = x.window.radius
     return [
-        sep.join(str(x.cells.get((i, j), blank)) for i in range(-r, r + 1))
+        sep.join(str(x[i, j] if (i, j) in x else blank)
+                 for i in range(-r, r + 1))
         for j in range(r, -r - 1, -1)
     ]
 

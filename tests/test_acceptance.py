@@ -78,8 +78,8 @@ def test_criterion_3_verifier_and_sampler():
         m.sign() >= 0 for m in verdict.margins.values()
     )
     run = resample(inst, seed=0, cap=10 ** 4)
-    cells = {g: run.assignment[i] for i, g in enumerate(window.members)}
-    x = WindowConfig(group=z2, radius=20, cells=cells, alphabet_size=2)
+    colors = tuple(run.assignment[i] for i in range(len(window)))
+    x = WindowConfig(group=z2, window=window, colors=colors, alphabet_size=2)
     rep = verify_distinct_neighborhood(x, tsets, n_max=2)
     ok = margins_ok and rep.checked >= 100 and not rep.violations
     report(3, "2-coloring condition + resample + distinct neighborhoods",
@@ -194,15 +194,16 @@ def test_criterion_9_oracle_equivalences():
             ok = False  # not maximal: some point could still be added
 
     rng = random.Random(2024)
-    cells = {g: rng.randrange(2) for g in z2.ball(radius=5).members}
-    x = WindowConfig(group=z2, radius=5, cells=cells, alphabet_size=2)
+    window = z2.ball(radius=5)
+    colors = tuple(rng.randrange(2) for _ in window.members)
+    x = WindowConfig(group=z2, window=window, colors=colors, alphabet_size=2)
     support = rng.sample(z2.ball(radius=1).members, 3)
     p = make_pattern(z2, {g: rng.randrange(2) for g in support})
     naive = []
     for g in x.window.members:
         hits = [z2.mul(g, h) for h in p.support]
-        if all(gh in x.cells for gh in hits) and all(
-                x.cells[gh] == a for gh, a in zip(hits, p.symbols)):
+        if all(gh in x for gh in hits) and all(
+                x[gh] == a for gh, a in zip(hits, p.symbols)):
             naive.append(g)
     if pattern_occurrences(x, p) != naive:
         ok = False

@@ -32,9 +32,9 @@ from groupshift.patterns import WindowConfig
 
 
 def constant_window(group, radius, symbol=0):
-    cells = {g: symbol for g in group.ball(radius=radius).members}
-    return WindowConfig(group=group, radius=radius, cells=cells,
-                       alphabet_size=2)
+    window = group.ball(radius=radius)
+    return WindowConfig(group=group, window=window,
+                        colors=(symbol,) * len(window), alphabet_size=2)
 
 
 def oracle_odd_path_count(w, max_half_length):
@@ -143,16 +143,16 @@ def oracle_distinct_check(x, tsets, n_max):
     for n in range(1, min(n_max, tsets.levels) + 1):
         s, t_set = tsets.level(n)
         for g, pairs in oracle_fitting_pairs(x.group, x.window.members,
-                                             x.cells, s, t_set):
+                                             x, s, t_set):
             checked += 1
-            if all(x.cells[u] == x.cells[v] for u, v in pairs):
+            if all(x[u] == x[v] for u, v in pairs):
                 violations.append((n, g))
     return checked, violations
 
 
-def on_elements(members, assignment):
-    """An assignment of window positions as cells keyed by members."""
-    return {g: assignment[i] for i, g in enumerate(members)}
+def in_position_order(assignment):
+    """The colour tuple of an assignment to window positions 0, 1, ..."""
+    return tuple(assignment[i] for i in range(len(assignment)))
 
 
 fitting_windows = st.tuples(
@@ -304,8 +304,8 @@ class TestTwoColoringInstance:
         assert inst.events
         assert verify_condition(inst).holds
         run = resample(inst, seed=0)
-        x = WindowConfig(group=z2, radius=8,
-                         cells=on_elements(window.members, run.assignment),
+        x = WindowConfig(group=z2, window=window,
+                         colors=in_position_order(run.assignment),
                          alphabet_size=2)
         assert verify_distinct_neighborhood(x, tsets, 1).ok
 
@@ -346,9 +346,9 @@ class TestFittingPairsOnPositions:
         group = parse_group_spec(spec)
         tsets = build_t_sets(group, c, levels)
         rng = random.Random(seed)
-        cells = {g: int(rng.random() < ones)
-                 for g in group.ball(radius=radius).members}
-        x = WindowConfig(group=group, radius=radius, cells=cells,
+        window = group.ball(radius=radius)
+        colors = tuple(int(rng.random() < ones) for _ in window.members)
+        x = WindowConfig(group=group, window=window, colors=colors,
                          alphabet_size=2)
         report = verify_distinct_neighborhood(x, tsets, levels)
         assert (report.checked, report.violations) == oracle_distinct_check(
@@ -363,9 +363,9 @@ class TestFittingPairsOnPositions:
         rng = random.Random(3)
         for _ in range(20):
             assignment = {i: rng.randrange(2) for i in inst.variables}
-            x = WindowConfig(group=z2, radius=5,
-                             cells=on_elements(window.members, assignment),
-                             alphabet_size=2, window=window)
+            x = WindowConfig(group=z2, window=window,
+                             colors=in_position_order(assignment),
+                             alphabet_size=2)
             flagged = [(n, window.members[i]) for n, i in
                        (e.id for e in inst.events if e.violated(assignment))]
             assert flagged == oracle_distinct_check(x, tsets, 2)[1]

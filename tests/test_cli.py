@@ -24,22 +24,60 @@ def run(argv):
     return cli.dispatch(argv)
 
 
+def run_capped(argv, limit=1 << 30, cwd=None):
+    """Run the CLI in a child process whose address space is capped at
+    ``limit`` bytes, so a runaway allocation fails in the child alone."""
+    code = ("import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, hard))\n"
+            "from groupshift import cli\n"
+            "sys.exit(cli.dispatch(sys.argv[1:]))\n")
+    src = str(Path(groupshift.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        timeout=120, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def write_constant_config(path, radius=6, symbol=0):
     z2 = IntegerLattice(2)
-    cells = {g: symbol for g in z2.ball(radius=radius).members}
-    x = WindowConfig(group=z2, radius=radius, cells=cells, alphabet_size=2)
+    window = z2.ball(radius=radius)
+    x = WindowConfig(group=z2, window=window, colors=(symbol,) * len(window),
+                     alphabet_size=2)
     path.write_text(serialize.dumps(serialize.window_to_json(x)))
 
 
 class TestSerialization:
     def test_window_round_trip(self):
         z2 = IntegerLattice(2)
-        cells = {g: (g[0] + g[1]) % 2 for g in z2.ball(radius=3).members}
-        x = WindowConfig(group=z2, radius=3, cells=cells, alphabet_size=2)
+        window = z2.ball(radius=3)
+        colors = tuple((g[0] + g[1]) % 2 for g in window.members)
+        x = WindowConfig(group=z2, window=window, colors=colors,
+                         alphabet_size=2)
         data = serialize.window_to_json(x)
         back = serialize.window_from_json(json.loads(serialize.dumps(data)))
-        assert back.cells == x.cells
+        assert back.colors == x.colors
+        assert back.window.members == window.members
         assert back.window.radius == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["z", "z^2", "free:2", "z2*z3", "heisenberg"]),
+           st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_window_decodes_cells_in_any_order_and_spelling(self, spec,
+                                                            radius, rng):
+        group = parse_group_spec(spec)
+        window = group.ball(radius=radius)
+        colors = tuple(rng.randrange(3) for _ in window.members)
+        text = serialize.dumps(serialize.window_to_json(
+            WindowConfig(group, window, colors, 3)))
+        data = json.loads(text)
+        s = group.labels[0]
+        cells = [[f"{w} {s} {s}^-1" if rng.random() < 0.5 else w, a]
+                 for w, a in data["cells"]]
+        rng.shuffle(cells)
+        back = serialize.window_from_json({**data, "cells": cells})
+        assert back.colors == colors
+        assert serialize.dumps(serialize.window_to_json(back)) == text
 
     def test_instance_round_trip_preserves_margins(self):
         z2 = IntegerLattice(2)
@@ -62,8 +100,9 @@ class TestSerialization:
 
     def test_pgm_shape(self):
         z2 = IntegerLattice(2)
-        cells = {g: 1 for g in z2.ball(radius=2).members}
-        x = WindowConfig(group=z2, radius=2, cells=cells, alphabet_size=2)
+        window = z2.ball(radius=2)
+        x = WindowConfig(group=z2, window=window, colors=(1,) * len(window),
+                         alphabet_size=2)
         lines = serialize.window_to_pgm(x).splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "5 5"
@@ -72,8 +111,9 @@ class TestSerialization:
 
     def test_csv_shape(self):
         z2 = IntegerLattice(2)
-        cells = {g: 0 for g in z2.ball(radius=1).members}
-        x = WindowConfig(group=z2, radius=1, cells=cells, alphabet_size=2)
+        window = z2.ball(radius=1)
+        x = WindowConfig(group=z2, window=window, colors=(0,) * len(window),
+                         alphabet_size=2)
         rows = serialize.window_to_csv(x).splitlines()
         assert rows == [",0,", "0,0,0", ",0,"]
 
@@ -117,18 +157,8 @@ class TestExitCodes:
     def test_out_of_memory_exits_3(self):
         # The geodesic x^1000000000 needs ~8 GB; the child limits its own
         # address space to 2 GB, so building it raises MemoryError.
-        code = ("import resource, sys\n"
-                "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
-                "from groupshift import cli\n"
-                "sys.exit(cli.dispatch(sys.argv[1:]))\n")
-        src = str(Path(groupshift.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "witness", "--group", "z^2",
-             "--word", "x^1000000000"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_capped(["witness", "--group", "z^2",
+                           "--word", "x^1000000000"], limit=2 << 30)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: resource:")
         assert "Traceback" not in proc.stderr
@@ -178,11 +208,14 @@ BASE_WINDOW = {"group": "z^2", "radius": 1, "alphabet_size": 2,
 
 # Each argv exits 2 (input error); "{name}" fields name files the test
 # writes: a missing path, non-JSON text, JSON without cells, JSON with a
-# non-string group, a valid window configuration, and six copies of
+# non-string group, a valid window configuration, and seven copies of
 # BASE_WINDOW that are wrong in one way each: radius ``true``, one
 # more cell outside the ball, the cell "x" listed again as "x y y^-1",
-# the symbol 0.5 or ``true`` at the identity, and alphabet size 2.5.
-# "{config.parent}" is a directory, so it cannot be written as a file.
+# the cell "y^-1" left out, the symbol 0.5 or ``true`` at the identity,
+# and alphabet size 2.5.  "{config.parent}" is a directory, so it cannot
+# be written as a file.  The cases in CAPPED run in a child process under
+# a 1 GiB address-space limit: a build that allocates before it checks
+# would take the host's memory there.
 MALFORMED_INPUTS = {
     "density-verify-missing": ["density", "verify", "--config", "{missing}",
                                "--levels", "1", "--alpha", "1/2"],
@@ -216,6 +249,11 @@ MALFORMED_INPUTS = {
     "density-verify-two-spellings": ["density", "verify", "--config",
                                      "{twospellings}", "--levels", "1",
                                      "--alpha", "0"],
+    "density-verify-missing-cell": ["density", "verify", "--config",
+                                    "{missingcell}", "--levels", "1",
+                                    "--alpha", "0"],
+    "density-measure-huge-range": ["density", "measure", "--config",
+                                   "{config}", "--balls", "1..1000000000"],
     "color-squarefree-maxlen-0": ["color", "squarefree", "--group", "z^2",
                                   "--radius", "2", "--alphabet", "4",
                                   "--maxlen", "0"],
@@ -240,13 +278,17 @@ MALFORMED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(MALFORMED_INPUTS.values()),
+CAPPED = {"density-measure-huge-range"}
+
+
+@pytest.mark.parametrize("case, argv", list(MALFORMED_INPUTS.items()),
                          ids=list(MALFORMED_INPUTS))
-def test_malformed_input_exits_2(tmp_path, capsys, argv):
+def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
     files = {name: tmp_path / f"{name}.json"
              for name in ("missing", "text", "nocells", "intgroup", "config",
                           "out", "boolradius", "offwindow", "twospellings",
-                          "halfsymbol", "boolsymbol", "halfalphabet")}
+                          "missingcell", "halfsymbol", "boolsymbol",
+                          "halfalphabet")}
     files["text"].write_text("not json {")
     files["nocells"].write_text(json.dumps(
         {"group": "z^2", "radius": 1, "alphabet_size": 2}))
@@ -258,12 +300,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
                          ("offwindow", {"cells": cells + [["x^5", 0]]}),
                          ("twospellings",
                           {"cells": cells + [["x y y^-1", 0]]}),
+                         ("missingcell", {"cells": cells[:-1]}),
                          ("halfsymbol", {"cells": [["", 0.5]] + cells[1:]}),
                          ("boolsymbol", {"cells": [["", True]] + cells[1:]}),
                          ("halfalphabet", {"alphabet_size": 2.5})):
         files[name].write_text(json.dumps({**BASE_WINDOW, **change}))
-    assert run([a.format(**files) for a in argv]) == 2
-    err = capsys.readouterr().err
+    argv = [a.format(**files) for a in argv]
+    if case in CAPPED:
+        proc = run_capped(argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = run(argv), capsys.readouterr().err
+    assert code == 2
     assert "error: input" in err
     assert "Traceback" not in err
 
@@ -315,6 +363,21 @@ class TestPipelines:
         assert code == 0
         assert out.exists()
         capsys.readouterr()
+
+    def test_squarefree_maxlen_beyond_the_window(self, tmp_path):
+        # No simple path on the 13-cell window has more than 12 vertices,
+        # so every half-length from 6 on gives the same instance and the
+        # same coloring.  The child's memory is capped: a build whose
+        # work grows with --maxlen fails there instead of on the host.
+        argv = ["color", "squarefree", "--group", "z^2", "--radius", "2",
+                "--alphabet", "16", "--seed", "0"]
+        for maxlen in ("6", "1000000"):
+            proc = run_capped(argv + ["--maxlen", maxlen,
+                                      "--out", f"sf{maxlen}.json"],
+                              cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "sf6.json").read_bytes()
+                == (tmp_path / "sf1000000.json").read_bytes())
 
     def test_build_forest_dot(self, tmp_path, capsys):
         out = tmp_path / "forest.dot"

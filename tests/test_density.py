@@ -119,9 +119,9 @@ def oracle_interior_centers(f, n):
 
 
 def all_ones_window(group, radius):
-    cells = {g: 1 for g in group.ball(radius=radius).members}
-    return WindowConfig(group=group, radius=radius, cells=cells,
-                       alphabet_size=2)
+    window = group.ball(radius=radius)
+    return WindowConfig(group=group, window=window,
+                        colors=(1,) * len(window), alphabet_size=2)
 
 
 class TestSlope:
@@ -370,14 +370,14 @@ class TestSturmian:
 class TestFillAndVerify:
     def test_alpha_zero_and_one(self):
         f = forest(IntegerLattice(1), 10, 1)
-        assert set(fill_density(f, Slope.parse("0")).cells.values()) == {0}
-        assert set(fill_density(f, Slope.parse("1")).cells.values()) == {1}
+        assert set(fill_density(f, Slope.parse("0")).colors) == {0}
+        assert set(fill_density(f, Slope.parse("1")).colors) == {1}
 
     def test_cluster_share_on_z(self):
         f = forest(IntegerLattice(1), 10, 1)
         x = fill_density(f, Slope.parse("2/5"))
         cluster = f.cluster(1, f.window.index[(0,)])
-        ones = sum(x.cells[f.window.members[h]] for h in cluster)
+        ones = sum(x[f.window.members[h]] for h in cluster)
         assert ones in (1, 2)
 
     def test_all_ones_fails_half_slope(self):
@@ -458,8 +458,10 @@ class TestMeasureDensity:
 
     def test_checkerboard_against_closed_form(self):
         z2 = IntegerLattice(2)
-        cells = {g: (g[0] + g[1]) % 2 for g in z2.ball(radius=10).members}
-        x = WindowConfig(group=z2, radius=10, cells=cells, alphabet_size=2)
+        window = z2.ball(radius=10)
+        colors = tuple((g[0] + g[1]) % 2 for g in window.members)
+        x = WindowConfig(group=z2, window=window, colors=colors,
+                         alphabet_size=2)
         sets, descs = ball_sequence(x, range(1, 11))
         report = measure_density(x, sets, alpha=Slope.parse("1/2"),
                                  descriptors=descs)

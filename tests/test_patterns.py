@@ -17,9 +17,13 @@ from groupshift.patterns import (
 
 
 def z_window(symbols, radius):
+    """The window B(1, radius) on Z with ``symbols`` read left to right."""
     z = IntegerLattice(1)
-    cells = {(i,): s for i, s in zip(range(-radius, radius + 1), symbols)}
-    return WindowConfig(group=z, radius=radius, cells=cells, alphabet_size=2)
+    window = z.ball(radius=radius)
+    at = dict(zip(range(-radius, radius + 1), symbols))
+    return WindowConfig(group=z, window=window,
+                        colors=tuple(at[i] for (i,) in window.members),
+                        alphabet_size=2)
 
 
 def naive_occurrences(x, p):
@@ -29,8 +33,8 @@ def naive_occurrences(x, p):
     for g in x.window.members:
         translated = {group.mul(g, h): a
                       for h, a in zip(p.support, p.symbols)}
-        if all(gh in x.cells for gh in translated):
-            if all(x.cells[gh] == a for gh, a in translated.items()):
+        if all(gh in x for gh in translated):
+            if all(x[gh] == a for gh, a in translated.items()):
                 out.append(g)
     return out
 
@@ -174,8 +178,10 @@ class TestOccurrences:
     def test_against_naive_oracle(self, seed):
         z2 = IntegerLattice(2)
         rng = random.Random(seed)
-        cells = {g: rng.randrange(2) for g in z2.ball(radius=4).members}
-        x = WindowConfig(group=z2, radius=4, cells=cells, alphabet_size=2)
+        window = z2.ball(radius=4)
+        colors = tuple(rng.randrange(2) for _ in window.members)
+        x = WindowConfig(group=z2, window=window, colors=colors,
+                         alphabet_size=2)
         support = rng.sample(z2.ball(radius=1).members, 3)
         p = make_pattern(z2, {g: rng.randrange(2) for g in support})
         assert pattern_occurrences(x, p) == naive_occurrences(x, p)
@@ -183,17 +189,19 @@ class TestOccurrences:
 
 class TestWindowConfig:
     def test_totality_enforced(self):
+        # A colour tuple shorter than the window is rejected.
         z = IntegerLattice(1)
         from groupshift.groups import InputError
 
         with pytest.raises(InputError):
-            WindowConfig(group=z, radius=2, cells={(0,): 0},
+            WindowConfig(group=z, window=z.ball(radius=2), colors=(0,),
                          alphabet_size=2)
 
     def test_symbol_range_enforced(self):
         z = IntegerLattice(1)
         from groupshift.groups import InputError
 
-        cells = {g: 5 for g in z.ball(radius=1).members}
+        window = z.ball(radius=1)
         with pytest.raises(InputError):
-            WindowConfig(group=z, radius=1, cells=cells, alphabet_size=2)
+            WindowConfig(group=z, window=window, colors=(5,) * len(window),
+                         alphabet_size=2)
