@@ -152,12 +152,7 @@ def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
                 violated=lambda a, first=itemgetter(*first),
                 second=itemgetter(*second): first(a) == second(a),
             ))
-    variables = tuple(range(len(window)))
-    return LLLInstance(
-        variables=variables,
-        alphabet=dict.fromkeys(variables, 2),
-        events=events,
-    )
+    return LLLInstance(alphabet=(2,) * len(window), events=events)
 
 
 @dataclass
@@ -278,12 +273,7 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
             violated=lambda a, first=itemgetter(*path[:n]),
             second=itemgetter(*path[n:]): first(a) == second(a),
         ))
-    variables = tuple(range(len(w)))
-    return LLLInstance(
-        variables=variables,
-        alphabet=dict.fromkeys(variables, alphabet_size),
-        events=events,
-    )
+    return LLLInstance(alphabet=(alphabet_size,) * len(w), events=events)
 
 
 def path_dependency_counts(w: Ball, max_half_length: int,
@@ -295,7 +285,7 @@ def path_dependency_counts(w: Ball, max_half_length: int,
     (excluding the path itself at its own level).
     """
     paths = list(enumerate_odd_paths(w, max_half_length, budget))
-    return neighbour_counts(paths, [len(p) // 2 for p in paths])
+    return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))
 
 
 @dataclass(frozen=True)

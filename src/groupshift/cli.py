@@ -135,7 +135,7 @@ def cmd_color_two(args) -> int:
         group, window, tsets, args.levels
     )
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
-    colors = tuple(run.assignment[i] for i in range(len(window)))
+    colors = tuple(run.assignment)
     config = WindowConfig(group, window, colors, 2)
     report = aperiodic.verify_distinct_neighborhood(
         config, tsets, args.levels
@@ -171,7 +171,7 @@ def cmd_color_squarefree(args) -> int:
         budget=args.cap,
     )
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
-    colors = tuple(run.assignment[i] for i in range(len(window)))
+    colors = tuple(run.assignment)
     config = WindowConfig(group, window, colors, args.alphabet)
     witness = aperiodic.find_vertex_square(colors, window, args.maxlen)
     outputs = {}

@@ -33,10 +33,9 @@ from .patterns import WindowConfig, density_of, interior_and_boundary
 
 @dataclass(frozen=True)
 class Slope:
-    """An exact rational slope in [0,1], with its provenance recorded."""
+    """An exact rational slope in [0,1]."""
 
     value: Fraction
-    provenance: str = "exact"
 
     def __post_init__(self):
         if not 0 <= self.value <= 1:
@@ -52,8 +51,7 @@ class Slope:
         if "/" in text or text.lstrip("+-").isdigit():
             return cls(value)
         # Decimal input: replace by a continued-fraction convergent.
-        approx = value.limit_denominator(2 ** 31)
-        return cls(approx, provenance=f"convergent of {text}")
+        return cls(value.limit_denominator(2 ** 31))
 
     def __str__(self) -> str:
         return str(self.value)

@@ -6,7 +6,10 @@ Moser-Tardos resampler, and the mechanical re-derivations of the two
 numeric constants used by the coloring constructions (C = 17 and the
 2^19 |S|^2 alphabet bound).
 
-The verifier and the resampler read the dependency graph off one index,
+The variables of an instance are the positions 0..n-1: ``alphabet[v]``
+is the number of values of variable v, a support lists positions, and an
+assignment is a list whose entry v is the value of variable v.  The
+verifier and the resampler read the dependency graph off one index,
 :func:`events_by_variable`.  The resampler keeps the violated events in
 a min-heap and rechecks only the culprit's neighbours; it still
 resamples the least-id violated event, so its trace is that of a full
@@ -19,6 +22,7 @@ Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,29 +44,31 @@ class NonterminatingInstanceError(RuntimeError):
 class BadEvent:
     """A bad event: support, exact probability and weight, and predicate.
 
-    ``violated`` receives the full assignment mapping and must only read
-    the support variables.  It may be None for verify-only instances.
+    ``violated`` receives the whole assignment, a list indexed by variable,
+    and must only read the support variables.  It may be None for
+    verify-only instances.
     """
 
     id: tuple
     support: tuple
     probability: Quad
     weight: Quad
-    violated: Optional[Callable[[dict], bool]] = None
+    violated: Optional[Callable[[list], bool]] = None
 
 
 @dataclass
 class LLLInstance:
-    variables: tuple
-    alphabet: dict
+    alphabet: tuple  # alphabet[v] is the number of values of variable v
     events: list[BadEvent] = field(default_factory=list)
 
     def __post_init__(self):
-        varset = set(self.variables)
+        n = len(self.alphabet)
         ids = set()
         for e in self.events:
-            if not set(e.support) <= varset:
-                raise InputError(f"event {e.id} has support outside variables")
+            for v in e.support:
+                if type(v) is not int or not 0 <= v < n:
+                    raise InputError(
+                        f"event {e.id} has support {v!r} outside 0..{n - 1}")
             if e.id in ids:
                 raise InputError(f"event id {e.id} is repeated")
             ids.add(e.id)
@@ -74,41 +80,40 @@ class Verdict:
     margins: dict  # event id -> Quad (rhs - mu)
 
 
-def events_by_variable(supports) -> dict:
-    """Per variable, the ascending positions i whose ``supports[i]`` uses it.
+def events_by_variable(supports, n: int) -> list[list[int]]:
+    """Per variable v < n, the ascending positions i with v in ``supports[i]``.
 
     Events i and j are neighbours in Gamma exactly when some list holds both.
     """
-    index: dict = {}
+    index: list[list[int]] = [[] for _ in range(n)]
     for i, support in enumerate(supports):
         for v in support:
-            positions = index.get(v)
-            if positions is None:
-                index[v] = [i]
-            elif positions[-1] != i:
+            positions = index[v]
+            if not positions or positions[-1] != i:
                 positions.append(i)
     return index
 
 
-def neighbour_counts(supports, classes) -> list[dict]:
+def neighbour_counts(supports, classes, n: int) -> list[dict]:
     """Per event, the number of other events of each class sharing a variable.
 
-    ``supports[i]`` lists the variables of event i and ``classes[i]`` its
-    class.  Entry i of the result maps every class, in order of first
-    appearance, to the number of events j != i of that class whose support
-    meets ``supports[i]``: the class-wise sizes of the dependency
-    neighbourhood Gamma(A_i).  Pass small int class ids (weight-class
-    indices, path half-lengths), never weights themselves: the classes key
-    one dict per variable and per event, and hashing exact weights there
-    costs more than the rest of the count.
+    ``supports[i]`` lists the variables, all below n, of event i and
+    ``classes[i]`` its class.  Entry i of the result maps every class, in
+    order of first appearance, to the number of events j != i of that class
+    whose support meets ``supports[i]``: the class-wise sizes of the
+    dependency neighbourhood Gamma(A_i).  Pass small int class ids
+    (weight-class indices, path half-lengths), never weights themselves: the
+    classes key one dict per variable and per event, and hashing exact
+    weights there costs more than the rest of the count.
     """
     # Per variable, one bitmask of incident events per class.
-    masks: dict = {}
-    for v, positions in events_by_variable(supports).items():
-        row = masks[v] = {}
+    masks: list[dict] = []
+    for positions in events_by_variable(supports, n):
+        row: dict = {}
         for i in positions:
             k = classes[i]
             row[k] = row.get(k, 0) | 1 << i
+        masks.append(row)
     order = list(dict.fromkeys(classes))
     counts = []
     for i, (support, k) in enumerate(zip(supports, classes)):
@@ -158,7 +163,8 @@ def verify_condition(inst: LLLInstance) -> Verdict:
                                     "(0,1)")
     _, probability_ids = class_ids("probability",
                                    lambda p: zero <= p <= one, "[0,1]")
-    counts = neighbour_counts([e.support for e in inst.events], weight_ids)
+    counts = neighbour_counts([e.support for e in inst.events], weight_ids,
+                              len(inst.alphabet))
 
     pow_cache: dict[tuple[int, int], Quad] = {}
 
@@ -187,7 +193,7 @@ def verify_condition(inst: LLLInstance) -> Verdict:
 
 @dataclass
 class ResampleRun:
-    assignment: dict
+    assignment: list  # entry v is the value of variable v
     trace: list  # event ids in resample order
     seed: int
 
@@ -213,11 +219,12 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
     event certifies the result independently of this bookkeeping.
     """
     rng = random.Random(seed)
-    assignment = {v: rng.randrange(inst.alphabet[v]) for v in inst.variables}
+    assignment = [rng.randrange(k) for k in inst.alphabet]
     events = sorted(inst.events, key=lambda e: e.id)
     bad = [e.violated(assignment) for e in events]
     heap = [i for i, b in enumerate(bad) if b]  # ascending, so a heap
-    sharing = events_by_variable(e.support for e in events) if heap else []
+    sharing = events_by_variable((e.support for e in events),
+                                 len(inst.alphabet)) if heap else []
     trace: list = []
     while heap:
         i = heap[0]
@@ -255,22 +262,12 @@ def audit_event_probability(inst: LLLInstance, event: BadEvent,
         total *= s
         if total > 2 ** budget_bits:
             return None
-    sub = {}
+    assignment = [0] * len(inst.alphabet)
     bad = 0
-
-    def rec(i: int):
-        nonlocal bad
-        if i == len(event.support):
-            if event.violated(sub):
-                bad += 1
-            return
-        v = event.support[i]
-        for a in range(sizes[i]):
-            sub[v] = a
-            rec(i + 1)
-        del sub[v]
-
-    rec(0)
+    for values in itertools.product(*map(range, sizes)):
+        for v, a in zip(event.support, values):
+            assignment[v] = a
+        bad += event.violated(assignment)
     return Fraction(bad, total)
 
 

@@ -119,16 +119,14 @@ def weight_from_json(value) -> Quad:
 
 @unlimited_int_digits()
 def instance_to_json(inst: LLLInstance) -> dict:
-    var_ids = {v: f"v{i}" for i, v in enumerate(inst.variables)}
+    names = [f"v{v}" for v in range(len(inst.alphabet))]
     return {
-        "variables": [
-            {"id": var_ids[v], "alphabet": inst.alphabet[v]}
-            for v in inst.variables
-        ],
+        "variables": [{"id": name, "alphabet": k}
+                      for name, k in zip(names, inst.alphabet)],
         "events": [
             {
                 "id": list(e.id),
-                "support": [var_ids[v] for v in e.support],
+                "support": [names[v] for v in e.support],
                 "probability": quad_to_json(e.probability),
                 "weight": quad_to_json(e.weight),
             }
@@ -138,18 +136,31 @@ def instance_to_json(inst: LLLInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> LLLInstance:
-    variables = tuple(v["id"] for v in data["variables"])
-    alphabet = {v["id"]: v["alphabet"] for v in data["variables"]}
+    """Decode an instance; variable v is the v-th declared variable id.
+
+    InputError for an id declared twice or a support id never declared.
+    """
+    position: dict = {}
+    for v, var in enumerate(data["variables"]):
+        if position.setdefault(var["id"], v) != v:
+            raise InputError(f"variable {var['id']!r} is declared twice")
     events = []
     for e in data["events"]:
+        names = e["support"]
+        try:
+            support = tuple(map(position.__getitem__, names))
+        except KeyError as exc:
+            raise InputError(f"support variable {exc} is undeclared") from None
         events.append(BadEvent(
             id=tuple(e["id"]),
-            support=tuple(e["support"]),
+            support=support,
             probability=weight_from_json(e["probability"]),
             weight=weight_from_json(e["weight"]),
             violated=None,
         ))
-    return LLLInstance(variables=variables, alphabet=alphabet, events=events)
+    return LLLInstance(
+        alphabet=tuple(var["alphabet"] for var in data["variables"]),
+        events=events)
 
 
 @unlimited_int_digits()

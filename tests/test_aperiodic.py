@@ -150,11 +150,6 @@ def oracle_distinct_check(x, tsets, n_max):
     return checked, violations
 
 
-def in_position_order(assignment):
-    """The colour tuple of an assignment to window positions 0, 1, ..."""
-    return tuple(assignment[i] for i in range(len(assignment)))
-
-
 fitting_windows = st.tuples(
     st.sampled_from(["z", "z^2", "free:2", "z2*z3", "heisenberg"]),
     st.integers(0, 4), st.sampled_from([2, 3]), st.integers(1, 2))
@@ -305,7 +300,7 @@ class TestTwoColoringInstance:
         assert verify_condition(inst).holds
         run = resample(inst, seed=0)
         x = WindowConfig(group=z2, window=window,
-                         colors=in_position_order(run.assignment),
+                         colors=tuple(run.assignment),
                          alphabet_size=2)
         assert verify_distinct_neighborhood(x, tsets, 1).ok
 
@@ -333,7 +328,7 @@ class TestFittingPairsOnPositions:
                 tuple(dict.fromkeys(h for pair in pairs for h in pair))
                 for _, pairs in expected]
         inst = build_2coloring_instance(group, window, tsets, levels)
-        assert inst.variables == tuple(range(len(members)))
+        assert inst.alphabet == (2,) * len(members)
         assert [e.id for e in inst.events] == expected_ids
         assert [tuple(members[i] for i in e.support)
                 for e in inst.events] == expected_supports
@@ -362,9 +357,9 @@ class TestFittingPairsOnPositions:
         inst = build_2coloring_instance(z2, window, tsets, n_max=2)
         rng = random.Random(3)
         for _ in range(20):
-            assignment = {i: rng.randrange(2) for i in inst.variables}
+            assignment = [rng.randrange(2) for _ in inst.alphabet]
             x = WindowConfig(group=z2, window=window,
-                             colors=in_position_order(assignment),
+                             colors=tuple(assignment),
                              alphabet_size=2)
             flagged = [(n, window.members[i]) for n, i in
                        (e.id for e in inst.events if e.violated(assignment))]

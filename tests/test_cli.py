@@ -92,6 +92,17 @@ class TestSerialization:
             sorted(map(float, original.margins.values()))
         )
 
+    def test_instance_variables_are_read_in_declaration_order(self):
+        data = {"variables": [{"id": "b", "alphabet": 3},
+                              {"id": "a", "alphabet": 2}],
+                "events": [{"id": [1, 0], "support": ["a", "b"],
+                            "probability": "1/6", "weight": "1/2"}]}
+        inst = serialize.instance_from_json(data)
+        assert inst.alphabet == (3, 2)
+        assert inst.events[0].support == (1, 0)
+        assert serialize.instance_to_json(inst)["variables"] == [
+            {"id": "v0", "alphabet": 3}, {"id": "v1", "alphabet": 2}]
+
     def test_dumps_is_deterministic(self):
         payload = {"b": 1, "a": [2, {"z": 3, "y": 4}]}
         assert serialize.dumps(payload) == serialize.dumps(
@@ -428,41 +439,87 @@ class TestDeterminism:
         capsys.readouterr()
 
 
-# Instances that lll verify must reject with exit 2.  With the repeated id
-# the second event's margin used to overwrite the first's, so a failing
-# event was reported "ok"; the negative probability used to certify.
+# Instances that lll verify must reject with exit 2, each given by the keys
+# it sets over one binary variable v0.  With the repeated id the second
+# event's margin used to overwrite the first's, so a failing event was
+# reported "ok"; the negative probability used to certify; the repeated
+# variable used to be read as one variable of alphabet 3.
+ONE_VARIABLE = [{"id": "v0", "alphabet": 2}]
+FAIR_EVENT = {"id": [1, 0], "support": ["v0"], "probability": "1/2",
+              "weight": "1/2"}
 BAD_INSTANCES = {
-    "repeated-id": [
-        {"id": [1, 0], "support": ["v0"], "probability": "1/2",
-         "weight": "1/2"},
+    "repeated-id": {"events": [
+        FAIR_EVENT,
         {"id": [1, 0], "support": ["v0"], "probability": "1/8",
          "weight": "1/2"},
-    ],
-    "negative-probability": [
+    ]},
+    "negative-probability": {"events": [
         {"id": [1, 0], "support": ["v0"], "probability": "-5",
          "weight": "1/2"},
-    ],
-    "zero-denominator-probability": [
+    ]},
+    "zero-denominator-probability": {"events": [
         {"id": [1, 0], "support": ["v0"], "probability": "1/0",
          "weight": "1/2"},
-    ],
-    "zero-denominator-weight": [
+    ]},
+    "zero-denominator-weight": {"events": [
         {"id": [1, 0], "support": ["v0"], "probability": "1/2",
          "weight": {"rational": "0", "sqrt2": "1/0"}},
-    ],
+    ]},
+    "repeated-variable": {
+        "variables": [*ONE_VARIABLE, {"id": "v0", "alphabet": 3}],
+        "events": [FAIR_EVENT],
+    },
+    "undeclared-support": {"events": [{**FAIR_EVENT, "support": ["v9"]}]},
 }
 
 
-@pytest.mark.parametrize("events", list(BAD_INSTANCES.values()),
+@pytest.mark.parametrize("instance", list(BAD_INSTANCES.values()),
                          ids=list(BAD_INSTANCES))
-def test_invalid_instance_exits_2(tmp_path, capsys, events):
+def test_invalid_instance_exits_2(tmp_path, capsys, instance):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(
-        {"variables": [{"id": "v0", "alphabet": 2}], "events": events}))
+    path.write_text(json.dumps({"variables": ONE_VARIABLE, **instance}))
     assert run(["lll", "verify", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error: input" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def instance17(tmp_path_factory):
+    """The instance color two writes at C = 17, and its verdict's bytes."""
+    d = tmp_path_factory.mktemp("instance17")
+    assert run(["color", "two", "--group", "z^2", "--radius", "8",
+                "--c", "17", "--levels", "1", "--out", str(d / "cfg.json"),
+                "--instance-out", str(d / "inst.json")]) == 0
+    assert run(["lll", "verify", "--instance", str(d / "inst.json"),
+                "--out", str(d / "verdict.json")]) == 0
+    return (json.loads((d / "inst.json").read_text()),
+            (d / "verdict.json").read_bytes())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_verdict_ignores_variable_names_and_order(instance17, data):
+    # Variables are read in declaration order under any distinct names, so
+    # renaming and reordering them leaves every margin as it was.
+    inst, verdict = instance17
+    declared = inst["variables"]
+    order = data.draw(st.permutations(range(len(declared))))
+    names = data.draw(st.lists(st.text(max_size=6), min_size=len(declared),
+                               max_size=len(declared), unique=True))
+    rename = {var["id"]: name for var, name in zip(declared, names)}
+    renamed = {
+        "variables": [{**declared[i], "id": rename[declared[i]["id"]]}
+                      for i in order],
+        "events": [{**e, "support": [rename[v] for v in e["support"]]}
+                   for e in inst["events"]],
+    }
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d, "inst.json"), Path(d, "verdict.json")
+        path.write_text(json.dumps(renamed))
+        assert run(["lll", "verify", "--instance", str(path),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == verdict
 
 
 def test_margin_beyond_int_digit_limit_is_rendered_exactly(tmp_path,
@@ -637,9 +694,7 @@ def test_forest_levels_are_checked_before_the_window_search(monkeypatch,
 # --- CLI fuzz -------------------------------------------------------------
 
 GROUP_SPECS = ["z", "z^2", "free:2", "z2*z3", "heisenberg", "so3", "free:x"]
-BASE_INSTANCE = {"variables": [{"id": "v0", "alphabet": 2}],
-                 "events": [{"id": [1, 0], "support": ["v0"],
-                             "probability": "1/2", "weight": "1/2"}]}
+BASE_INSTANCE = {"variables": ONE_VARIABLE, "events": [FAIR_EVENT]}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),

@@ -128,12 +128,10 @@ class TestSlope:
     def test_exact_rational(self):
         s = Slope.parse("377/610")
         assert s.value == Fraction(377, 610)
-        assert s.provenance == "exact"
 
     def test_decimal_becomes_convergent(self):
         s = Slope.parse("0.5")
         assert s.value == Fraction(1, 2)
-        assert "convergent" in s.provenance
 
     def test_out_of_range(self):
         with pytest.raises(InputError):

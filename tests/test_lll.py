@@ -126,19 +126,27 @@ class TestQuadSign:
         assert Quad(0, 0).sign() == 0
 
 
-def make_instance(events, variables=None, alphabet_size=2):
-    if variables is None:
-        variables = tuple(sorted({v for e in events for v in e.support}))
-    return LLLInstance(
-        variables=variables,
-        alphabet={v: alphabet_size for v in variables},
-        events=list(events),
-    )
+def make_instance(events, n=None, alphabet_size=2):
+    """An instance over variables 0..n-1; n defaults to the least that
+    covers every support."""
+    if n is None:
+        n = max((v + 1 for e in events for v in e.support), default=0)
+    return LLLInstance(alphabet=(alphabet_size,) * n, events=list(events))
+
+
+class TestInstance:
+    @pytest.mark.parametrize("v", [-1, 3, "v0", True])
+    def test_support_outside_positions_rejected(self, v):
+        e = BadEvent(id=("e",), support=(0, v),
+                     probability=Quad.of(Fraction(1, 4)),
+                     weight=Quad.of(Fraction(1, 2)))
+        with pytest.raises(InputError, match="outside 0..2"):
+            LLLInstance(alphabet=(2, 2, 2), events=[e])
 
 
 class TestVerifyCondition:
     def test_single_event_empty_product(self):
-        e = BadEvent(id=("e",), support=("v",),
+        e = BadEvent(id=("e",), support=(0,),
                      probability=Quad.of(Fraction(1, 4)),
                      weight=Quad.of(Fraction(1, 2)))
         verdict = verify_condition(make_instance([e]))
@@ -147,7 +155,7 @@ class TestVerifyCondition:
 
     def test_two_events_shared_variable_fail(self):
         events = [
-            BadEvent(id=(k,), support=("v",),
+            BadEvent(id=(k,), support=(0,),
                      probability=Quad.of(Fraction(3, 10)),
                      weight=Quad.of(Fraction(1, 2)))
             for k in range(2)
@@ -157,14 +165,14 @@ class TestVerifyCondition:
         assert verdict.margins[(0,)] == Quad.of(Fraction(-1, 20))
 
     def test_weight_outside_unit_interval_rejected(self):
-        e = BadEvent(id=("e",), support=("v",),
+        e = BadEvent(id=("e",), support=(0,),
                      probability=Quad.of(Fraction(1, 4)),
                      weight=Quad.of(1))
         with pytest.raises(InputError):
             verify_condition(make_instance([e]))
 
     def test_probability_above_one_rejected(self):
-        e = BadEvent(id=("e",), support=("v",),
+        e = BadEvent(id=("e",), support=(0,),
                      probability=Quad.of(Fraction(5, 4)),
                      weight=Quad.of(Fraction(1, 2)))
         with pytest.raises(InputError):
@@ -172,13 +180,13 @@ class TestVerifyCondition:
 
     def test_margins_invariant_under_relabeling(self):
         events = [
-            BadEvent(id=(k,), support=(f"v{k}", f"v{k + 1}"),
+            BadEvent(id=(k,), support=(k, k + 1),
                      probability=Quad.of(Fraction(1, 8)),
                      weight=half_power_of_two(3))
             for k in range(4)
         ]
         base = verify_condition(make_instance(events))
-        rename = {f"v{i}": f"w{(i * 3) % 7}" for i in range(5)}
+        rename = {i: (i * 3) % 7 for i in range(5)}
         renamed = [
             BadEvent(id=e.id, support=tuple(rename[v] for v in e.support),
                      probability=e.probability, weight=e.weight)
@@ -241,7 +249,7 @@ class TestNeighbourCounts:
     def test_matches_pairwise_count(self, events):
         supports = [support for support, _ in events]
         classes = [k for _, k in events]
-        counts = neighbour_counts(supports, classes)
+        counts = neighbour_counts(supports, classes, 6)
         assert len(counts) == len(events)
         for i, row in enumerate(counts):
             expected = {k: 0 for k in classes}
@@ -252,9 +260,11 @@ class TestNeighbourCounts:
 
     @given(st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=8))
     def test_index_lists_each_sharing_event_once(self, supports):
-        index = events_by_variable(supports)
-        assert set(index) == {v for support in supports for v in support}
-        for v, positions in index.items():
+        index = events_by_variable(supports, 6)
+        assert len(index) == 6
+        assert {v for v, positions in enumerate(index) if positions} == {
+            v for support in supports for v in support}
+        for v, positions in enumerate(index):
             assert positions == [i for i, support in enumerate(supports)
                                  if v in support]
 
@@ -275,11 +285,10 @@ def violated(assignment):
     calls.append(1)
     return len(calls) > 1
 
-event = BadEvent(id=("flip",), support=("v",),
+event = BadEvent(id=("flip",), support=(0,),
                  probability=Quad.of(Fraction(1, 2)),
                  weight=Quad.of(Fraction(1, 2)), violated=violated)
-resample(LLLInstance(variables=("v",), alphabet={"v": 2}, events=[event]),
-         seed=0)
+resample(LLLInstance(alphabet=(2,), events=[event]), seed=0)
 """
 
 
@@ -296,7 +305,7 @@ class TestResample:
         assert "AssertionError: event ('flip',) violated" in proc.stderr
 
     def all_equal_event(self, n=4):
-        support = tuple(f"v{i}" for i in range(n))
+        support = tuple(range(n))
         return BadEvent(
             id=("eq",), support=support,
             probability=Quad.of(Fraction(2, 2 ** n)),
@@ -308,9 +317,9 @@ class TestResample:
         builds = []
         index = lll.events_by_variable
         monkeypatch.setattr(lll, "events_by_variable",
-                            lambda supports: builds.append(1) or index(
-                                supports))
-        quiet = BadEvent(id=("never",), support=("v0", "v1"),
+                            lambda supports, n: builds.append(1) or index(
+                                supports, n))
+        quiet = BadEvent(id=("never",), support=(0, 1),
                          probability=Quad.of(0),
                          weight=Quad.of(Fraction(1, 2)),
                          violated=lambda a: False)
@@ -322,15 +331,16 @@ class TestResample:
         assert 0 < len(builds) < len(runs)
 
     def test_zero_events(self):
-        inst = make_instance([], variables=("v0", "v1"))
+        inst = make_instance([], n=2)
         run = resample(inst, seed=5)
         assert run.resamples == 0
-        assert set(run.assignment) == {"v0", "v1"}
+        assert len(run.assignment) == 2
+        assert set(run.assignment) <= {0, 1}
 
     def test_all_equal_event_avoided(self):
         inst = make_instance([self.all_equal_event()])
         run = resample(inst, seed=0)
-        assert len(set(run.assignment.values())) == 2
+        assert len(set(run.assignment)) == 2
 
     def test_deterministic_given_seed(self):
         inst = make_instance([self.all_equal_event()])
@@ -340,7 +350,7 @@ class TestResample:
 
     def test_cap_enforced(self):
         # An unsatisfiable event can never stop resampling.
-        e = BadEvent(id=("always",), support=("v",),
+        e = BadEvent(id=("always",), support=(0,),
                      probability=Quad.of(1),
                      weight=Quad.of(Fraction(1, 2)),
                      violated=lambda a: True)
@@ -366,7 +376,7 @@ class TestResample:
         assert audit_event_probability(inst, e) == Fraction(2, 32)
 
     def test_probability_audit_skips_large_supports(self):
-        support = tuple(f"v{i}" for i in range(30))
+        support = tuple(range(30))
         e = BadEvent(id=("big",), support=support,
                      probability=Quad.of(Fraction(1, 2)),
                      weight=Quad.of(Fraction(1, 2)),
@@ -378,7 +388,7 @@ def full_scan_resample(inst: LLLInstance, seed: int,
                        cap: int = 10 ** 6) -> ResampleRun:
     """The oracle: rescan every event from the least id after each resample."""
     rng = random.Random(seed)
-    assignment = {v: rng.randrange(inst.alphabet[v]) for v in inst.variables}
+    assignment = [rng.randrange(k) for k in inst.alphabet]
     events = sorted(inst.events, key=lambda e: e.id)
     trace: list = []
     while True:
@@ -416,10 +426,10 @@ def all_equal_instances(draw):
     """Events "all equal on the support" over 1-8 variables with alphabets
     of size 2-3, ids shuffled against list order.  A support that repeats
     one variable is always violated, so such instances run into any cap."""
-    variables = tuple(f"v{k}" for k in range(draw(st.integers(1, 8))))
-    alphabet = {v: draw(st.integers(2, 3)) for v in variables}
+    n = draw(st.integers(1, 8))
+    alphabet = tuple(draw(st.integers(2, 3)) for _ in range(n))
     supports = draw(st.lists(
-        st.lists(st.sampled_from(variables), min_size=2, max_size=4).map(tuple),
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=4).map(tuple),
         max_size=10))
     ids = draw(st.permutations(range(len(supports))))
     half = Quad.of(Fraction(1, 2))
@@ -430,7 +440,7 @@ def all_equal_instances(draw):
     events = [BadEvent(id=(k,), support=support, probability=half,
                        weight=half, violated=all_equal(support))
               for k, support in zip(ids, supports)]
-    return LLLInstance(variables=variables, alphabet=alphabet, events=events)
+    return LLLInstance(alphabet=alphabet, events=events)
 
 
 class TestResampleOracle:
