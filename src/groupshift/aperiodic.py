@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .exact import Quad
@@ -23,6 +22,7 @@ from .groups import Ball, GroupModel, InputError, ResourceLimitError
 from .lll import (
     BadEvent,
     LLLInstance,
+    equal_on,
     neighbour_counts,
     two_coloring_probability,
     two_coloring_weight,
@@ -149,8 +149,7 @@ def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
                                             for p in pair)),
                 probability=probability,
                 weight=weight,
-                violated=lambda a, first=itemgetter(*first),
-                second=itemgetter(*second): first(a) == second(a),
+                violated=equal_on(first, second),
             ))
     return LLLInstance(alphabet=(2,) * len(window), events=events)
 
@@ -270,8 +269,7 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
             support=path,
             probability=probability[n],
             weight=weight[n],
-            violated=lambda a, first=itemgetter(*path[:n]),
-            second=itemgetter(*path[n:]): first(a) == second(a),
+            violated=equal_on(path[:n], path[n:]),
         ))
     return LLLInstance(alphabet=(alphabet_size,) * len(w), events=events)
 

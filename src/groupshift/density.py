@@ -53,9 +53,6 @@ class Slope:
         # Decimal input: replace by a continued-fraction convergent.
         return cls(value.limit_denominator(2 ** 31))
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 def greedy_rnet(points, adjacency, r: int) -> list:
     """Greedy maximal r-separating subset; maximality makes it r-covering.
@@ -327,11 +324,6 @@ def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
 class DensityReport:
     entries: list  # (descriptor, size, ones, dens)
     alpha: Optional[Fraction] = None
-
-    def deviations(self) -> list:
-        if self.alpha is None:
-            return []
-        return [abs(dens - self.alpha) for _, _, _, dens in self.entries]
 
 
 def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,

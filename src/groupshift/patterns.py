@@ -1,4 +1,4 @@
-"""Patterns, window colorings and pattern codings.
+"""Patterns and window colorings.
 
 A window coloring is one colour tuple on the positions of a
 :class:`~groupshift.groups.Ball`; ``x[g]`` and ``g in x`` read it by group
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .groups import Ball, GroupModel, InputError
 
@@ -82,11 +81,6 @@ def density_of(symbols) -> Fraction:
     return Fraction(symbols.count(1), len(symbols))
 
 
-def pattern_density(p: Pattern) -> Fraction:
-    """Exact fraction of cells carrying symbol 1."""
-    return density_of(p.symbols)
-
-
 def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:
     """Split F into K-interior and K-boundary: Int = {g : gK subset of F}."""
     F = frozenset(F)
@@ -95,32 +89,6 @@ def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset
         g for g in F if all(group.mul(g, k) in F for k in K)
     )
     return interior, F - interior
-
-
-@dataclass(frozen=True)
-class CodingResult:
-    consistent: bool
-    pattern: Optional[Pattern]
-    witness: Optional[tuple[int, int]]
-
-
-def coding_check(group: GroupModel, tuples) -> CodingResult:
-    """Check a pattern coding for consistency.
-
-    ``tuples`` is a sequence of (word, symbol) pairs; words may be strings
-    or letter lists.  Returns the codified pattern when consistent, or the
-    first witness pair (i, j) with equal words and unequal symbols.
-    """
-    assigned: dict = {}
-    first_index: dict = {}
-    for i, (word, symbol) in enumerate(tuples):
-        g = group.canonicalize(word)
-        if g in assigned and assigned[g] != symbol:
-            return CodingResult(False, None, (first_index[g], i))
-        if g not in assigned:
-            assigned[g] = symbol
-            first_index[g] = i
-    return CodingResult(True, make_pattern(group, assigned), None)
 
 
 def pattern_occurrences(x: WindowConfig, p: Pattern) -> list:

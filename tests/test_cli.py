@@ -443,7 +443,8 @@ class TestDeterminism:
 # it sets over one binary variable v0.  With the repeated id the second
 # event's margin used to overwrite the first's, so a failing event was
 # reported "ok"; the negative probability used to certify; the repeated
-# variable used to be read as one variable of alphabet 3.
+# variable used to be read as one variable of alphabet 3; the alphabet
+# sizes "x", -3, 0 and true used to certify.
 ONE_VARIABLE = [{"id": "v0", "alphabet": 2}]
 FAIR_EVENT = {"id": [1, 0], "support": ["v0"], "probability": "1/2",
               "weight": "1/2"}
@@ -470,6 +471,9 @@ BAD_INSTANCES = {
         "events": [FAIR_EVENT],
     },
     "undeclared-support": {"events": [{**FAIR_EVENT, "support": ["v9"]}]},
+    **{f"alphabet-{k}": {"variables": [{"id": "v0", "alphabet": k}],
+                         "events": [FAIR_EVENT]}
+       for k in ("x", -3, 0, True)},
 }
 
 

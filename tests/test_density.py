@@ -470,7 +470,7 @@ class TestMeasureDensity:
             assert ones == sum(4 * d for d in range(1, r + 1, 2))
             assert dens == Fraction(ones, size)
         # Deviations shrink toward the slope from radius 5 on.
-        devs = report.deviations()
+        devs = [abs(dens - report.alpha) for _, _, _, dens in report.entries]
         assert all(dev <= Fraction(1, 10) for dev in devs[4:])
 
     def test_escaping_set_rejected(self):

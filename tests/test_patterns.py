@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from groupshift.groups import FreeGroup, FreeProductZ2Z3, IntegerLattice
+from groupshift.groups import IntegerLattice
 from groupshift.patterns import (
     EmptySupportError,
     Pattern,
     WindowConfig,
-    coding_check,
+    density_of,
     interior_and_boundary,
     make_pattern,
-    pattern_density,
     pattern_occurrences,
 )
 
@@ -43,31 +42,31 @@ class TestPatternDensity:
     def test_direct_count(self):
         z = IntegerLattice(1)
         cells = {(i,): s for i, s in enumerate((1, 0, 1, 0, 0))}
-        assert pattern_density(make_pattern(z, cells)) == Fraction(2, 5)
+        assert density_of(make_pattern(z, cells).symbols) == Fraction(2, 5)
 
     def test_all_ones(self):
         z = IntegerLattice(1)
         cells = {(i,): 1 for i in range(7)}
-        assert pattern_density(make_pattern(z, cells)) == 1
+        assert density_of(make_pattern(z, cells).symbols) == 1
 
     def test_axis_cells_of_radius2_ball(self):
         z2 = IntegerLattice(2)
         ball = z2.ball(radius=2)
         assert len(ball) == 13
         cells = {g: (1 if z2.length(g) == 1 else 0) for g in ball.members}
-        assert pattern_density(make_pattern(z2, cells)) == Fraction(4, 13)
+        assert density_of(make_pattern(z2, cells).symbols) == Fraction(4, 13)
 
     def test_empty_support_rejected(self):
         with pytest.raises(EmptySupportError):
-            pattern_density(Pattern(support=(), symbols=()))
+            density_of(Pattern(support=(), symbols=()).symbols)
 
     def test_complement(self):
         z2 = IntegerLattice(2)
         rng = random.Random(7)
         cells = {g: rng.randrange(2) for g in z2.ball(radius=3).members}
         flipped = {g: 1 - a for g, a in cells.items()}
-        assert pattern_density(make_pattern(z2, cells)) == (
-            1 - pattern_density(make_pattern(z2, flipped))
+        assert density_of(make_pattern(z2, cells).symbols) == (
+            1 - density_of(make_pattern(z2, flipped).symbols)
         )
 
 
@@ -117,38 +116,6 @@ class TestInteriorBoundary:
             int_small, _ = interior_and_boundary(z2, f, small)
             int_large, _ = interior_and_boundary(z2, f, large)
             assert int_large <= int_small
-
-
-class TestCodingCheck:
-    def test_consistent_same_element(self):
-        f = FreeGroup(2)
-        result = coding_check(f, [("a", 1), ("a a^-1 a", 1)])
-        assert result.consistent
-        assert result.pattern.support == (f.canonicalize("a"),)
-        assert result.pattern.symbols == (1,)
-
-    def test_inconsistent_abelian(self):
-        z2 = IntegerLattice(2)
-        result = coding_check(z2, [("x y", 0), ("y x", 1)])
-        assert not result.consistent
-        assert result.witness == (0, 1)
-
-    def test_consistent_with_relation(self):
-        p = FreeProductZ2Z3()
-        result = coding_check(p, [("a a", 0), ("", 0), ("b", 1)])
-        assert result.consistent
-        assert set(result.pattern.support) == {(), ("b",)}
-
-    def test_round_trip(self):
-        z2 = IntegerLattice(2)
-        rng = random.Random(3)
-        cells = {g: rng.randrange(3) for g in z2.ball(radius=2).members}
-        p = make_pattern(z2, cells)
-        tuples = [(z2.element_word(g), a)
-                  for g, a in zip(p.support, p.symbols)]
-        again = coding_check(z2, tuples)
-        assert again.consistent
-        assert again.pattern == p
 
 
 class TestOccurrences:

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import groupshift
@@ -15,3 +18,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_root_loads_no_submodule():
+    # Each name has one import path, its module; the root is a bare
+    # namespace, so importing it costs no submodule.
+    code = ("import sys, groupshift\n"
+            "print(groupshift.__version__)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('groupshift.')))\n")
+    src = str(Path(groupshift.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == ["0.1.0", "[]"]
