@@ -13,6 +13,7 @@ them back to elements.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -262,15 +263,24 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     probability = [Quad(Fraction(1, alphabet_size ** n)) for n in halves]
     weight = [Quad(Fraction(1, base ** n)) for n in halves]
     events = []
-    for k, path in enumerate(enumerate_odd_paths(w, max_half_length, budget)):
-        n = len(path) // 2
-        events.append(BadEvent(
-            id=(n, k),
-            support=path,
-            probability=probability[n],
-            weight=weight[n],
-            violated=equal_on(path[:n], path[n:]),
-        ))
+    # The events form no reference cycles, but their ~10^5 objects set off
+    # full collections that scan the whole heap and free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for k, path in enumerate(
+                enumerate_odd_paths(w, max_half_length, budget)):
+            n = len(path) // 2
+            events.append(BadEvent(
+                id=(n, k),
+                support=path,
+                probability=probability[n],
+                weight=weight[n],
+                violated=equal_on(path[:n], path[n:]),
+            ))
+    finally:
+        if collecting:
+            gc.enable()
     return LLLInstance(alphabet=(alphabet_size,) * len(w), events=events)
 
 

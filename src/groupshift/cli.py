@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 verification failure (violations found),
 2 usage error, 3 resource error.  All randomness flows through --seed
 (default 0); identical command lines produce byte-identical artifacts.
+
+Each handler imports the modules its subcommand runs, so a launch loads
+only those: every command is a fresh process, and for a short one
+start-up is most of its time.  Handlers call through the module
+(``density.build_forest``), so a function rebound on its module, as the
+benchmark's tracer does, is the one that runs.
 """
 
 from __future__ import annotations
@@ -12,15 +18,17 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import aperiodic, density, lll, serialize
 from .groups import (
     InputError,
     ResourceLimitError,
     format_word,
     parse_group_spec,
 )
-from .patterns import WindowConfig
+
+if TYPE_CHECKING:
+    from . import density
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -31,6 +39,7 @@ EXIT_RESOURCE = 3
 def _write_artifacts(args, outputs: dict, seed=None, caps=None):
     """Write output files plus one manifest per primary artifact; a path
     that cannot be written is an input error (exit 2)."""
+    from . import serialize
     paths = [Path(path) for path in outputs]
     try:
         for path, text in zip(paths, outputs.values()):
@@ -85,6 +94,7 @@ def _parse_radii(spec: str) -> range | list[int]:
 # --- subcommand handlers ------------------------------------------------
 
 def cmd_group_ball(args) -> int:
+    from . import serialize
     group = parse_group_spec(args.group)
     center = group.canonicalize(args.center)
     ball = group.ball(center=center, radius=args.radius, cap=args.cap)
@@ -108,17 +118,20 @@ def cmd_group_canon(args) -> int:
 
 
 def cmd_lll_check_constant(args) -> int:
+    from . import lll
     c = lll.aperiodic_constant_scan(args.cmax)
     print(c)
     return EXIT_OK
 
 
 def cmd_lll_alphabet_bound(args) -> int:
+    from . import lll
     print(lll.squarefree_alphabet_bound(args.s))
     return EXIT_OK
 
 
 def cmd_lll_verify(args) -> int:
+    from . import lll, serialize
     inst = _load(args.instance, serialize.instance_from_json)
     verdict = lll.verify_condition(inst)
     _emit(args, serialize.dumps(serialize.verdict_to_json(inst, verdict)))
@@ -128,6 +141,8 @@ def cmd_lll_verify(args) -> int:
 
 
 def cmd_color_two(args) -> int:
+    from . import aperiodic, lll, serialize
+    from .patterns import WindowConfig
     group = parse_group_spec(args.group)
     tsets = aperiodic.build_t_sets(group, args.c, args.levels)
     window = group.ball(radius=args.radius)
@@ -161,6 +176,8 @@ def cmd_color_two(args) -> int:
 
 
 def cmd_color_squarefree(args) -> int:
+    from . import aperiodic, lll, serialize
+    from .patterns import WindowConfig
     group = parse_group_spec(args.group)
     window = group.ball(radius=args.radius)
     if args.alphabet < lll.squarefree_alphabet_bound(len(group.labels)):
@@ -188,6 +205,7 @@ def cmd_color_squarefree(args) -> int:
 
 
 def cmd_verify_distinct(args) -> int:
+    from . import aperiodic, serialize
     config = _load(args.config, serialize.window_from_json)
     tsets = aperiodic.build_t_sets(config.group, args.c, args.levels)
     report = aperiodic.verify_distinct_neighborhood(
@@ -198,6 +216,7 @@ def cmd_verify_distinct(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import aperiodic, serialize
     group = parse_group_spec(args.group)
     result = aperiodic.witness_path(group, args.word)
     if result.trivial:
@@ -213,6 +232,7 @@ def cmd_witness(args) -> int:
 
 def _forest_on_ball(args) -> density.CoveringForest:
     """The forest on B(1, --radius), its level count checked first."""
+    from . import density
     group = parse_group_spec(args.group)
     if args.levels < 1:
         raise InputError("need at least one level")
@@ -221,6 +241,7 @@ def _forest_on_ball(args) -> density.CoveringForest:
 
 
 def cmd_density_build_forest(args) -> int:
+    from . import serialize
     forest = _forest_on_ball(args)
     if args.format == "dot":
         text = serialize.forest_to_dot(forest)
@@ -233,6 +254,7 @@ def cmd_density_build_forest(args) -> int:
 
 
 def cmd_density_fill(args) -> int:
+    from . import density, serialize
     forest = _forest_on_ball(args)
     alpha = density.Slope.parse(args.alpha)
     config = density.fill_density(forest, alpha)
@@ -250,6 +272,7 @@ def cmd_density_fill(args) -> int:
 
 
 def cmd_density_verify(args) -> int:
+    from . import density, serialize
     config = _load(args.config, serialize.window_from_json)
     forest = density.build_forest(config.group, config.window, args.levels)
     alpha = density.Slope.parse(args.alpha)
@@ -263,6 +286,7 @@ def cmd_density_verify(args) -> int:
 
 
 def cmd_density_measure(args) -> int:
+    from . import density, serialize
     config = _load(args.config, serialize.window_from_json)
     radii = _parse_radii(args.balls)
     sets, descs = density.ball_sequence(config, radii)
@@ -406,8 +430,7 @@ def dispatch(argv=None) -> int:
     except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, lll.NonterminatingInstanceError,
-            MemoryError) as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"error: resource: {str(exc) or 'out of memory'}",
               file=sys.stderr)
         return EXIT_RESOURCE

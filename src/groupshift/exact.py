@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,22 @@ class Quad:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
+
+    def height(self) -> int:
+        """Bit length of max(|p|, |r|, q), where (p + r sqrt(2)) / q is
+        the number in lowest terms.
+
+        Heights bound the size of exact results before they are built.  No
+        integer of a Quad has more bits than its height, and with H = 2**h,
+        h(x * y) <= h(x) + h(y) + 2 and h(x - y) <= h(x) + h(y) + 1: the
+        new denominator divides q1 q2 < H1 H2, and each new numerator, such
+        as p1 p2 + 2 r1 r2 or p1 q2 - p2 q1, is below 3 H1 H2 in absolute
+        value (2 H1 H2 for a difference).
+        """
+        q = lcm(self.a.denominator, self.b.denominator)
+        p = self.a.numerator * (q // self.a.denominator)
+        r = self.b.numerator * (q // self.b.denominator)
+        return max(abs(p), abs(r), q).bit_length()
 
     def __add__(self, other: "Quad") -> "Quad":
         other = Quad.of(other)

@@ -30,11 +30,18 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .exact import Quad, half_power_of_two, sqrt2_power
-from .groups import InputError
+from .groups import InputError, ResourceLimitError
 
 
-class NonterminatingInstanceError(RuntimeError):
-    """Resampling exceeded its cap; carries the resample log."""
+#: Largest bound, in bits, on the height (see :meth:`Quad.height`) of a
+#: margin that :func:`verify_condition` builds.  Exact products grow with
+#: the weights' heights and the neighbourhood, and a verdict writes each
+#: margin in decimal, which takes time quadratic in its length.
+MARGIN_HEIGHT_LIMIT = 1 << 19
+
+
+class NonterminatingInstanceError(ResourceLimitError):
+    """Resampling exceeded its cap (exit 3); carries the resample log."""
 
     def __init__(self, message: str, trace: list):
         super().__init__(message)
@@ -155,6 +162,12 @@ def verify_condition(inst: LLLInstance) -> Verdict:
     signature; events with the same signature share one Quad in
     ``Verdict.margins``.  The key holds int ids, never Quads, for the reason
     given in :func:`neighbour_counts`.
+
+    Before a signature's margin is multiplied out, its height is bounded
+    from those of its factors, w(A) and one (1 - x(B)) per neighbour B, and
+    of mu(A) (see :meth:`Quad.height`).  A bound above
+    :data:`MARGIN_HEIGHT_LIMIT` raises ResourceLimitError instead of
+    building the number.
     """
     zero, one = Quad.of(0), Quad.of(1)
 
@@ -175,8 +188,14 @@ def verify_condition(inst: LLLInstance) -> Verdict:
 
     weights, weight_ids = class_ids("weight", lambda w: zero < w < one,
                                     "(0,1)")
-    _, probability_ids = class_ids("probability",
-                                   lambda p: zero <= p <= one, "[0,1]")
+    probabilities, probability_ids = class_ids(
+        "probability", lambda p: zero <= p <= one, "[0,1]")
+    # Height bounds per class: each factor (1 - w) costs its height plus 2
+    # for the product it joins, and mu(A) its height plus 1 for the
+    # difference.
+    weight_heights = [w.height() for w in weights]
+    factor_heights = [(one - w).height() + 2 for w in weights]
+    probability_heights = [p.height() + 1 for p in probabilities]
     counts = neighbour_counts([e.support for e in inst.events], weight_ids,
                               len(inst.alphabet))
 
@@ -195,6 +214,13 @@ def verify_condition(inst: LLLInstance) -> Verdict:
         key = (k_w, k_p, tuple(row.values()))
         margin = memo.get(key)
         if margin is None:
+            height = (weight_heights[k_w] + probability_heights[k_p]
+                      + sum(count * factor_heights[k]
+                            for k, count in row.items()))
+            if height > MARGIN_HEIGHT_LIMIT:
+                raise ResourceLimitError(
+                    f"the margin of event {e.id} may reach {height} bits, "
+                    f"above the limit of {MARGIN_HEIGHT_LIMIT}")
             rhs = e.weight
             for k, count in row.items():
                 if count:

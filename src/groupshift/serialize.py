@@ -7,16 +7,18 @@ runs with identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .exact import Quad
 from .groups import GroupModel, InputError, IntegerLattice, parse_group_spec
-from .lll import BadEvent, LLLInstance, Verdict
 from .patterns import WindowConfig
+
+if TYPE_CHECKING:  # imported where used: window and forest files need neither
+    from .exact import Quad
+    from .lll import LLLInstance, Verdict
 
 
 def dumps(obj) -> str:
@@ -111,12 +113,6 @@ def window_to_pgm(x: WindowConfig) -> str:
 
 # --- LLL instances and verdicts ----------------------------------------
 
-def weight_from_json(value) -> Quad:
-    if isinstance(value, str):
-        return Quad(Fraction(value))
-    return Quad(Fraction(value["rational"]), Fraction(value["sqrt2"]))
-
-
 @unlimited_int_digits()
 def instance_to_json(inst: LLLInstance) -> dict:
     names = [f"v{v}" for v in range(len(inst.alphabet))]
@@ -140,6 +136,15 @@ def instance_from_json(data: dict) -> LLLInstance:
 
     InputError for an id declared twice or a support id never declared.
     """
+    from .exact import Quad
+    from .lll import BadEvent, LLLInstance
+
+    def quad(value) -> Quad:
+        """The inverse of :func:`quad_to_json`."""
+        if isinstance(value, str):
+            return Quad(Fraction(value))
+        return Quad(Fraction(value["rational"]), Fraction(value["sqrt2"]))
+
     position: dict = {}
     for v, var in enumerate(data["variables"]):
         if position.setdefault(var["id"], v) != v:
@@ -154,8 +159,8 @@ def instance_from_json(data: dict) -> LLLInstance:
         events.append(BadEvent(
             id=tuple(e["id"]),
             support=support,
-            probability=weight_from_json(e["probability"]),
-            weight=weight_from_json(e["weight"]),
+            probability=quad(e["probability"]),
+            weight=quad(e["weight"]),
             violated=None,
         ))
     return LLLInstance(
@@ -248,6 +253,7 @@ def forest_to_json(forest) -> dict:
 # --- run manifest -------------------------------------------------------
 
 def sha256_file(path: Path) -> str:
+    import hashlib  # loads OpenSSL; commands that write no manifest skip it
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -24,9 +25,10 @@ def run(argv):
     return cli.dispatch(argv)
 
 
-def run_capped(argv, limit=1 << 30, cwd=None):
+def run_capped(argv, limit=1 << 30, cwd=None, timeout=120):
     """Run the CLI in a child process whose address space is capped at
-    ``limit`` bytes, so a runaway allocation fails in the child alone."""
+    ``limit`` bytes, so a runaway allocation fails in the child alone; a
+    child still running after ``timeout`` seconds fails the test."""
     code = ("import resource, sys\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, hard))\n"
@@ -35,7 +37,7 @@ def run_capped(argv, limit=1 << 30, cwd=None):
     src = str(Path(groupshift.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True,
-        timeout=120, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -173,6 +175,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: resource:")
         assert "Traceback" not in proc.stderr
+
+    def test_resample_cap_exits_3(self, tmp_path, capsys):
+        # C = 2 is below the admissible constant, so resampling needs more
+        # than one step.
+        assert run(["color", "two", "--group", "z^2", "--radius", "6",
+                    "--c", "2", "--levels", "1", "--cap", "1",
+                    "--out", str(tmp_path / "cfg.json")]) == 3
+        assert capsys.readouterr().err == (
+            "error: resource: resample cap 1 exceeded\n")
 
     def test_verify_distinct_all_zero(self, tmp_path, capsys):
         config = tmp_path / "allzero.json"
@@ -547,6 +558,21 @@ def test_margin_beyond_int_digit_limit_is_rendered_exactly(tmp_path,
         assert Fraction(margin) == w * (1 - w) ** 799
 
 
+def test_margin_above_the_height_limit_exits_3_at_once(tmp_path):
+    # 50 events on one variable with w = 10^-20000: each margin w (1 - w)^49
+    # would have millions of digits, and building and writing it ran until
+    # a 15-second timeout killed it.
+    events = [{"id": [k], "support": ["v0"], "probability": "0",
+               "weight": "1e-20000"} for k in range(50)]
+    (tmp_path / "inst.json").write_text(json.dumps(
+        {"variables": ONE_VARIABLE, "events": events}))
+    proc = run_capped(["lll", "verify", "--instance", "inst.json",
+                       "--out", "verdict.json"], cwd=tmp_path, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: resource: the margin of event")
+    assert not (tmp_path / "verdict.json").exists()
+
+
 # SHA-256 of each artifact of a small color-two-then-verify pipeline.  A
 # change that alters any byte of the coloring, the instance or the verdict
 # fails here; a deliberate output change must update these values.
@@ -693,6 +719,58 @@ def test_forest_levels_are_checked_before_the_window_search(monkeypatch,
                 "--levels", "0"]) == 2
     assert searches == []
     assert "need at least one level" in capsys.readouterr().err
+
+
+# SHA-256 of ``--help`` at COLUMNS=80 for every parser level: the parser
+# must not depend on the modules that the handlers import when they run.
+HELP_SHA256 = {
+    "": "3fa090fa3ec8fc9061b0a616860d5a7609b1321fb6cf54e676afa99d4e61b8da",
+    "group":
+        "8f92a14958554f1bafde0aecc936bd8e2425106f22ea2a0500bd4516844a10e8",
+    "group ball":
+        "89db2dbd41017da97ed129fdbe69cc0946665a135f77ecd2d33102b5db9beb04",
+    "group canon":
+        "d5d90f1d67708efda9999b930d80b7c8ef68486aaef7fe58c3ae734bb48a5f46",
+    "lll": "f64bb39e270daddf169f78f62fa3eaab8779f5ef589cd01fb8a2df2fd1f9a4c1",
+    "lll check-constant":
+        "99396f98d7b730c892e43cffed84ca9099b6cf391b86e11d46b584dcf9e7d7f9",
+    "lll alphabet-bound":
+        "f740f6c18841304f65ca7ba446063bc2542a11beb9b71fe1b93d52b94ff5bc66",
+    "lll verify":
+        "f456891f79bbad9791a45d291c4e0fd5b517210999fc872871480194e94502df",
+    "color":
+        "41c66b9e92fb600f6f8956e92f3ffeac47b85938ba5f0fb557e389d57c0edb69",
+    "color two":
+        "f046835fec76757ffd68cb871de2aa05bfe648f18387c11ea8bcc6506803fd62",
+    "color squarefree":
+        "acef6102115a6071cf6324dd7e56f6eecbdd5c9b817442efd85b518fabb47147",
+    "verify":
+        "f431647daa3fdd57bd611414032373cd70b087f4ad769f7fbc11a5923735d2ea",
+    "verify distinct":
+        "05ec049ca22ffba0024ed29c4f32c6f41c49fe8ce3820b0d04c3d197e84056e0",
+    "witness":
+        "febe584a57a9d841205a402343f6fbb06ef2defa89c4971aedfc3c821c22c413",
+    "density":
+        "e1913ba7e039a6bd857f1e1e4c2798166751f276bd4315f8c9d2eac473498b75",
+    "density build-forest":
+        "c33cc445f5ce68d2913d488df21fbc96d78445ca435a6b5134d7b83b5d018d38",
+    "density fill":
+        "b33502a657bf930872687493feefc2efcbb1fa024c4cbd988ed78ae55eaec060",
+    "density verify":
+        "be9dd3d5a51a87abd91ba900daca495a8ace4c8904158b59ab95e4c919aabf86",
+    "density measure":
+        "9f3308d14a18b1e6be541e2222884eacde3d3ddddcbd18874d36c855407f7ef9",
+}
+
+
+def test_help_of_every_parser_level_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for level in HELP_SHA256:
+        assert run([*level.split(), "--help"]) == 0
+        digests[level] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert digests == HELP_SHA256
 
 
 # --- CLI fuzz -------------------------------------------------------------

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ import groupshift
 from groupshift import lll
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.exact import Quad, half_power_of_two, sqrt2_power
-from groupshift.groups import InputError, parse_group_spec
+from groupshift.groups import InputError, ResourceLimitError, parse_group_spec
 from groupshift.lll import (
     BadEvent,
     LLLInstance,
@@ -71,6 +72,17 @@ class TestQuad:
         for _ in range(n):
             product = product * q
         assert q ** n == product
+
+    @given(fractions, fractions, fractions, fractions)
+    def test_height_bounds_products_and_differences(self, a, b, c, d):
+        x, y = Quad(a, b), Quad(c, d)
+        q = math.lcm(a.denominator, b.denominator)
+        assert x.height() == max(abs(a * q).numerator,
+                                 abs(b * q).numerator, q).bit_length()
+        assert max(a.numerator, a.denominator, b.numerator, b.denominator,
+                   key=abs).bit_length() <= x.height()
+        assert (x * y).height() <= x.height() + y.height() + 2
+        assert (x - y).height() <= x.height() + y.height() + 1
 
     @given(fractions, fractions)
     def test_sign_matches_float(self, a, b):
@@ -238,6 +250,23 @@ class TestVerifyConditionOracle:
             assert verdict.margins[a.id] == rhs - a.probability
         assert verdict.holds == all(
             m.sign() >= 0 for m in verdict.margins.values())
+
+    @given(st.lists(st.tuples(
+        st.sets(st.integers(0, 3), min_size=1, max_size=2),
+        st.integers(0, 20), st.integers(1, 80)), min_size=1, max_size=12))
+    def test_height_bound_is_never_below_a_margin(self, rows):
+        # Weights 2^(-k/2), rational and not, and probabilities 3^-j.  With
+        # the limit one below the highest margin, the bound that
+        # verify_condition checks first must already exceed it.
+        inst = make_instance([
+            BadEvent(id=(i,), support=tuple(sorted(support)),
+                     probability=Quad.of(Fraction(1, 3 ** j)),
+                     weight=half_power_of_two(k))
+            for i, (support, j, k) in enumerate(rows)])
+        top = max(m.height() for m in verify_condition(inst).margins.values())
+        with mock.patch.object(lll, "MARGIN_HEIGHT_LIMIT", top - 1):
+            with pytest.raises(ResourceLimitError):
+                verify_condition(inst)
 
 
 class TestNeighbourCounts:

@@ -32,3 +32,40 @@ def test_package_root_loads_no_submodule():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.splitlines() == ["0.1.0", "[]"]
+
+
+# Each command and the groupshift modules it loads, run in order in one
+# directory (the density verify and measure steps read the fill).  Every
+# module a launch imports adds to its start-up, so a command loads only
+# what it runs.
+COMMAND_MODULES = [
+    (["lll", "alphabet-bound", "--s", "2"], ["cli", "exact", "groups", "lll"]),
+    (["group", "canon", "--group", "z^2", "--word", "x"], ["cli", "groups"]),
+    (["density", "fill", "--group", "z^2", "--radius", "4", "--levels", "1",
+      "--alpha", "1/2", "--out", "fill.json"],
+     ["cli", "density", "groups", "patterns", "serialize"]),
+    (["density", "verify", "--config", "fill.json", "--levels", "1",
+      "--alpha", "1/2"],
+     ["cli", "density", "groups", "patterns", "serialize"]),
+    (["density", "measure", "--config", "fill.json", "--balls", "1..3",
+      "--out", "measure.json"],
+     ["cli", "density", "groups", "patterns", "serialize"]),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    code = ("import sys\n"
+            "from groupshift import cli\n"
+            "code = cli.dispatch(sys.argv[1:])\n"
+            "print(*sorted(m.split('.')[1] for m in sys.modules\n"
+            "              if m.startswith('groupshift.')))\n"
+            "sys.exit(code)\n")
+    src = str(Path(groupshift.__file__).resolve().parents[1])
+    loaded = []
+    for argv, _ in COMMAND_MODULES:
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True, check=True,
+                             cwd=tmp_path, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        loaded.append(out.splitlines()[-1].split())
+    assert loaded == [modules for _, modules in COMMAND_MODULES]
