@@ -5,14 +5,18 @@ computations cannot stay inside the rationals.  All of them live in the
 quadratic field Q(sqrt(2)); this module provides the small amount of exact
 arithmetic needed there.  Sign determination compares squares in plain
 integers (see :meth:`Quad.sign`), so no floating point is ever consulted for
-a verdict.
+a verdict.  :func:`parse_fraction` reads a number from text with a bound on
+its height.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+from .groups import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -125,3 +129,37 @@ def sqrt2_power(k: int) -> Quad:
     if k % 2 == 0:
         return Quad(Fraction(2 ** (k // 2)))
     return Quad(Fraction(0), Fraction(2 ** ((k - 1) // 2)))
+
+
+#: A decimal exponent at the end of a number string, as Fraction reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_fraction(value, height_limit: int) -> Fraction:
+    """``Fraction(value)``; ResourceLimitError if its height (see
+    :meth:`Quad.height`) exceeds ``height_limit``.
+
+    ``Fraction("1e-100000000")`` would build 10**100000000 before any check
+    could run, so a decimal exponent x is read first.  With s != 0 the value
+    without it, s * 10**x has a height above 3|x| - h(s): its reduced
+    denominator (x < 0) or numerator (x > 0) exceeds 10**|x| / 2**h(s).  A
+    number that clears this bound has |x| below (height_limit + h(s)) / 3,
+    and ``int``'s digit limit bounds h(s).
+    """
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    bound = 0  # below the height of the value
+    if exponent is not None:
+        try:
+            significand = Fraction(value[:exponent.start()] + "e0")
+        except ValueError:  # so is value: let Fraction name it
+            return Fraction(value)
+        x = int(exponent[1])
+        if not significand:  # Fraction would still build 10**|x|
+            return significand
+        bound = 3 * abs(x) - Quad(significand).height()
+    if bound < height_limit:
+        number = Fraction(value)
+        if Quad(number).height() <= height_limit:
+            return number
+    raise ResourceLimitError(f"number {value!r:.40} has a height above "
+                             f"{height_limit} bits")

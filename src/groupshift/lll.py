@@ -97,8 +97,12 @@ class LLLInstance:
 
 @dataclass
 class Verdict:
-    holds: bool
     margins: dict  # event id -> Quad (rhs - mu)
+    ok: dict  # event id -> whether its margin is >= 0
+
+    @property
+    def holds(self) -> bool:
+        return all(self.ok.values())
 
 
 def events_by_variable(supports, n: int) -> list[list[int]]:
@@ -124,26 +128,29 @@ def neighbour_counts(supports, classes, n: int) -> list[dict]:
     whose support meets ``supports[i]``: the class-wise sizes of the
     dependency neighbourhood Gamma(A_i).  Pass small int class ids
     (weight-class indices, path half-lengths), never weights themselves: the
-    classes key one dict per variable and per event, and hashing exact
-    weights there costs more than the rest of the count.
+    classes key one dict per event, and hashing exact weights there costs
+    more than the count.
+
+    One bitmask of incident events per variable and one of member events
+    per class: the neighbours of event i are the OR of its variables' masks
+    without bit i, and each class count is one AND and one bit count.
     """
-    # Per variable, one bitmask of incident events per class.
-    masks: list[dict] = []
-    for positions in events_by_variable(supports, n):
-        row: dict = {}
-        for i in positions:
-            k = classes[i]
-            row[k] = row.get(k, 0) | 1 << i
-        masks.append(row)
-    order = list(dict.fromkeys(classes))
-    counts = []
+    # Bit i of incident[v] is set when event i has variable v in its support.
+    incident = [0] * n
+    class_masks: dict = {}  # class -> bitmask of its events
     for i, (support, k) in enumerate(zip(supports, classes)):
-        union = dict.fromkeys(order, 0)
+        bit = 1 << i
         for v in support:
-            for c, mask in masks[v].items():
-                union[c] |= mask
-        union[k] &= ~(1 << i)
-        counts.append({c: mask.bit_count() for c, mask in union.items()})
+            incident[v] |= bit
+        class_masks[k] = class_masks.get(k, 0) | bit
+    counts = []
+    for i, support in enumerate(supports):
+        union = 0
+        for v in support:
+            union |= incident[v]
+        union &= ~(1 << i)
+        counts.append({k: (union & mask).bit_count()
+                       for k, mask in class_masks.items()})
     return counts
 
 
@@ -160,14 +167,16 @@ def verify_condition(inst: LLLInstance) -> Verdict:
     the signature (weight-class id, probability-class id, neighbour counts
     per weight class).  The margin and its sign are computed once per
     signature; events with the same signature share one Quad in
-    ``Verdict.margins``.  The key holds int ids, never Quads, for the reason
-    given in :func:`neighbour_counts`.
+    ``Verdict.margins`` and one flag in ``Verdict.ok``.  The key holds int
+    ids, never Quads, for the reason given in :func:`neighbour_counts`.
 
-    Before a signature's margin is multiplied out, its height is bounded
-    from those of its factors, w(A) and one (1 - x(B)) per neighbour B, and
-    of mu(A) (see :meth:`Quad.height`).  A bound above
-    :data:`MARGIN_HEIGHT_LIMIT` raises ResourceLimitError instead of
-    building the number.
+    Before any margin is multiplied out, the height of each signature's
+    margin is bounded from those of its factors, w(A) and one (1 - x(B)) per
+    neighbour B, and of mu(A) (see :meth:`Quad.height`), in event order.  A
+    bound above :data:`MARGIN_HEIGHT_LIMIT` raises ResourceLimitError naming
+    the first event that carries it, instead of building the number.  The
+    powers (1 - w)^count of one weight class are then built in ascending
+    count order, each from the one before times a power of the gap.
     """
     zero, one = Quad.of(0), Quad.of(1)
 
@@ -199,21 +208,12 @@ def verify_condition(inst: LLLInstance) -> Verdict:
     counts = neighbour_counts([e.support for e in inst.events], weight_ids,
                               len(inst.alphabet))
 
-    pow_cache: dict[tuple[int, int], Quad] = {}
-
-    def base_power(k: int, count: int) -> Quad:
-        key = (k, count)
-        if key not in pow_cache:
-            pow_cache[key] = (one - weights[k]) ** count
-        return pow_cache[key]
-
-    memo: dict[tuple, Quad] = {}
-    margins: dict = {}
+    keys = []
+    rows: dict[tuple, dict] = {}  # signature -> neighbour counts
     for e, k_w, k_p, row in zip(inst.events, weight_ids, probability_ids,
                                 counts):
         key = (k_w, k_p, tuple(row.values()))
-        margin = memo.get(key)
-        if margin is None:
+        if key not in rows:
             height = (weight_heights[k_w] + probability_heights[k_p]
                       + sum(count * factor_heights[k]
                             for k, count in row.items()))
@@ -221,14 +221,34 @@ def verify_condition(inst: LLLInstance) -> Verdict:
                 raise ResourceLimitError(
                     f"the margin of event {e.id} may reach {height} bits, "
                     f"above the limit of {MARGIN_HEIGHT_LIMIT}")
-            rhs = e.weight
-            for k, count in row.items():
-                if count:
-                    rhs = rhs * base_power(k, count)
-            margin = memo[key] = rhs - e.probability
-        margins[e.id] = margin
-    return Verdict(holds=all(m.sign() >= 0 for m in memo.values()),
-                   margins=margins)
+            rows[key] = row
+        keys.append(key)
+
+    powers: dict[tuple[int, int], Quad] = {}  # (class, count) -> (1 - w)^count
+    for k, w in enumerate(weights):
+        base = one - w
+        steps: dict[int, Quad] = {}  # gap -> (1 - w)^gap
+        previous, power = 0, one
+        for count in sorted({row[k] for row in rows.values()} - {0}):
+            gap = count - previous
+            if gap not in steps:
+                steps[gap] = base ** gap
+            power = steps[gap] if previous == 0 else power * steps[gap]
+            powers[k, count] = power
+            previous = count
+
+    margins_by_key: dict[tuple, Quad] = {}
+    for key, row in rows.items():
+        k_w, k_p, _ = key
+        rhs = weights[k_w]
+        for k, count in row.items():
+            if count:
+                rhs = rhs * powers[k, count]
+        margins_by_key[key] = rhs - probabilities[k_p]
+    ok_by_key = {key: m.sign() >= 0 for key, m in margins_by_key.items()}
+    ids = [e.id for e in inst.events]
+    return Verdict(margins=dict(zip(ids, map(margins_by_key.get, keys))),
+                   ok=dict(zip(ids, map(ok_by_key.get, keys))))
 
 
 @dataclass

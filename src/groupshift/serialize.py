@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -22,7 +21,97 @@ if TYPE_CHECKING:  # imported where used: window and forest files need neither
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With an indent, :mod:`json` encodes through its pure-Python generators,
+    one small piece at a time.  This writer lays out the same text with one
+    append per scalar in an object and one ``join`` per list of scalars.
+    Object keys must be strings.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INFINITY = float("inf")
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    """A float as :mod:`json` writes it, non-finite ones included."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: The JSON text of a scalar, by its exact type.  ``type(True)`` is bool,
+#: never int, and a bool indexes ("false", "true") as 0 or 1.
+_SCALARS = {str: _string, int: int.__repr__, float: _float,
+            bool: ("false", "true").__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _scalar(value) -> str:
+    return _SCALARS[type(value)](value)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of ``value``; ``newline`` is a line break and
+    the indent of the line that ``value`` starts on."""
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        out.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                out.append(separator + _string(key) + ": ")
+                _write(item, inner, out)
+            else:
+                out.append(separator + _string(key) + ": " + encode(item))
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds.issubset(_SCALARS):
+            encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
+            out.append("[" + inner + ("," + inner).join(map(encode, value))
+                       + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                out.append(separator)
+                _write(item, inner, out)
+            else:
+                out.append(separator + encode(item))
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):  # subclasses, as json encodes them
+        out.append(_string(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 @contextlib.contextmanager
@@ -135,15 +224,24 @@ def instance_from_json(data: dict) -> LLLInstance:
     """Decode an instance; variable v is the v-th declared variable id.
 
     InputError for an id declared twice or a support id never declared.
+    Each distinct number is read once, and one whose height exceeds
+    :data:`groupshift.lll.MARGIN_HEIGHT_LIMIT` raises ResourceLimitError:
+    a margin that it enters would exceed the limit too.
     """
-    from .exact import Quad
-    from .lll import BadEvent, LLLInstance
+    from .exact import Quad, parse_fraction
+    from .lll import MARGIN_HEIGHT_LIMIT, BadEvent, LLLInstance
+
+    read: dict = {}  # number string or (rational, sqrt2) pair -> Quad
 
     def quad(value) -> Quad:
         """The inverse of :func:`quad_to_json`."""
-        if isinstance(value, str):
-            return Quad(Fraction(value))
-        return Quad(Fraction(value["rational"]), Fraction(value["sqrt2"]))
+        parts = ((value,) if isinstance(value, str)
+                 else (value["rational"], value["sqrt2"]))
+        q = read.get(parts)
+        if q is None:
+            q = read[parts] = Quad(*(
+                parse_fraction(part, MARGIN_HEIGHT_LIMIT) for part in parts))
+        return q
 
     position: dict = {}
     for v, var in enumerate(data["variables"]):
@@ -179,15 +277,15 @@ def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
     for e in inst.events:
         m = verdict.margins[e.id]
         if id(m) not in rendered:
-            rendered[id(m)] = (quad_to_json(m), float(m), m.sign() >= 0)
-        margin, margin_float, ok = rendered[id(m)]
+            rendered[id(m)] = (quad_to_json(m), float(m))
+        margin, margin_float = rendered[id(m)]
         events.append({
             "id": list(e.id),
             "probability": quad_to_json(e.probability),
             "weight": quad_to_json(e.weight),
             "margin": margin,
             "margin_float": margin_float,
-            "ok": ok,
+            "ok": verdict.ok[e.id],
         })
     return {"holds": verdict.holds, "events": events}
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import groupshift
 from groupshift import cli, serialize
@@ -47,6 +47,20 @@ def write_constant_config(path, radius=6, symbol=0):
     x = WindowConfig(group=z2, window=window, colors=(symbol,) * len(window),
                      alphabet_size=2)
     path.write_text(serialize.dumps(serialize.window_to_json(x)))
+
+
+# Any JSON document, with tuples for arrays too; lists of scalars alone
+# come up often, since the writer joins each in one piece.
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2 ** 3000, 2 ** 3000) | st.floats()
+                | st.text())
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.lists(json_scalars, max_size=5)),
+    max_leaves=25)
 
 
 class TestSerialization:
@@ -110,6 +124,16 @@ class TestSerialization:
         assert serialize.dumps(payload) == serialize.dumps(
             json.loads(serialize.dumps(payload))
         )
+
+    @given(json_documents)
+    @example([[], {}, (), [[]], {"": {}}, ((1, "a"), ())])
+    @example([True, 1, False, 0, 1.0, None, [True, False], [None, None]])
+    @example({"\x00\x1f\x7f\"\\": ["\u00e9", "\U0001f600", "\ud800"]})
+    @example([2 ** 4000, -2 ** 4000, [2 ** 64, 1]])
+    @example([float("nan"), float("inf"), -float("inf"), [0.1, -0.0, 1e300]])
+    def test_dumps_matches_json_dumps(self, value):
+        assert serialize.dumps(value) == json.dumps(
+            value, sort_keys=True, indent=2) + "\n"
 
     def test_pgm_shape(self):
         z2 = IntegerLattice(2)
@@ -572,6 +596,41 @@ def test_margin_above_the_height_limit_exits_3_at_once(tmp_path):
     assert proc.stderr.startswith("error: resource: the margin of event")
     assert not (tmp_path / "verdict.json").exists()
 
+
+
+def test_huge_decimal_exponent_exits_3_at_once(tmp_path):
+    # Fraction("1e-100000000") builds 10**100000000 first: this ran past a
+    # 30-second timeout.  Its height is far above the limit, and so would be
+    # the margin of any event that carries it.  Zero is read as zero
+    # whatever its exponent.
+    events = [{**FAIR_EVENT, "probability": "0e-100000000"},
+              {**FAIR_EVENT, "id": [2], "weight": "1e-100000000"}]
+    (tmp_path / "inst.json").write_text(json.dumps(
+        {"variables": ONE_VARIABLE, "events": events}))
+    proc = run_capped(["lll", "verify", "--instance", "inst.json",
+                       "--out", "verdict.json"], cwd=tmp_path, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(
+        "error: resource: number '1e-100000000' has a height above")
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_verdict_over_non_finite_ids_round_trips(tmp_path, capsys):
+    # json.loads reads NaN and +-Infinity, and the verdict echoes each id.
+    ids = [[float("nan")], [float("inf"), 1], [-float("inf")]]
+    events = [{**FAIR_EVENT, "id": i, "probability": "1/8"} for i in ids]
+    inst, out = tmp_path / "inst.json", tmp_path / "verdict.json"
+    inst.write_text(json.dumps({"variables": ONE_VARIABLE, "events": events}))
+    assert run(["lll", "verify", "--instance", str(inst),
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert '"NaN"' not in text and "NaN" in text and "-Infinity" in text
+    verdict = json.loads(text)
+    assert [repr(e["id"]) for e in verdict["events"]] == [
+        "[nan]", "[inf, 1]", "[-inf]"]
+    assert json.dumps(verdict, sort_keys=True, indent=2) + "\n" == text
+    assert serialize.dumps(verdict) == text
 
 # SHA-256 of each artifact of a small color-two-then-verify pipeline.  A
 # change that alters any byte of the coloring, the instance or the verdict

@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 import groupshift
 from groupshift import lll
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
-from groupshift.exact import Quad, half_power_of_two, sqrt2_power
+from groupshift.exact import (Quad, half_power_of_two, parse_fraction,
+                              sqrt2_power)
 from groupshift.groups import InputError, ResourceLimitError, parse_group_spec
 from groupshift.lll import (
     BadEvent,
@@ -83,6 +84,27 @@ class TestQuad:
                    key=abs).bit_length() <= x.height()
         assert (x * y).height() <= x.height() + y.height() + 2
         assert (x - y).height() <= x.height() + y.height() + 1
+
+    @given(st.text("+-0123456789", max_size=6), st.text("0123456789",
+                                                      max_size=6),
+           st.integers(-150, 150), st.integers(-40, 40))
+    def test_parse_fraction_refuses_only_numbers_above_the_limit(
+            self, whole, part, exponent, slack):
+        # The limit lies within 40 bits of the number's height.
+        text = f"{whole}.{part}e{exponent}"
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_fraction(text, 100)
+            return
+        height = Quad(expected).height()
+        limit = max(1, height + slack)
+        if height > limit:
+            with pytest.raises(ResourceLimitError):
+                parse_fraction(text, limit)
+        else:
+            assert parse_fraction(text, limit) == expected
 
     @given(fractions, fractions)
     def test_sign_matches_float(self, a, b):
@@ -267,6 +289,139 @@ class TestVerifyConditionOracle:
         with mock.patch.object(lll, "MARGIN_HEIGHT_LIMIT", top - 1):
             with pytest.raises(ResourceLimitError):
                 verify_condition(inst)
+
+
+def oracle_neighbour_counts(supports, classes, n: int) -> list[dict]:
+    """neighbour_counts as it was before its incidence bitmasks: one
+    bitmask dict per variable, keyed by class, and one union dict per
+    event."""
+    masks: list[dict] = []
+    for positions in events_by_variable(supports, n):
+        row: dict = {}
+        for i in positions:
+            k = classes[i]
+            row[k] = row.get(k, 0) | 1 << i
+        masks.append(row)
+    order = list(dict.fromkeys(classes))
+    counts = []
+    for i, (support, k) in enumerate(zip(supports, classes)):
+        union = dict.fromkeys(order, 0)
+        for v in support:
+            for c, mask in masks[v].items():
+                union[c] |= mask
+        union[k] &= ~(1 << i)
+        counts.append({c: mask.bit_count() for c, mask in union.items()})
+    return counts
+
+
+def oracle_margins(inst: LLLInstance) -> tuple[dict, bool]:
+    """Margins and verdict as verify_condition took them before it built
+    each class's powers in ascending count order: every (class, count)
+    power by square-and-multiply from scratch, and each margin's sign
+    taken once per signature."""
+    one = Quad.of(1)
+    table: dict = {}
+    weight_ids = [table.setdefault(e.weight, len(table)) for e in inst.events]
+    weights = list(table)
+    counts = oracle_neighbour_counts([e.support for e in inst.events],
+                                     weight_ids, len(inst.alphabet))
+    pow_cache: dict = {}
+
+    def base_power(k: int, count: int) -> Quad:
+        key = (k, count)
+        if key not in pow_cache:
+            pow_cache[key] = (one - weights[k]) ** count
+        return pow_cache[key]
+
+    memo: dict = {}
+    margins = {}
+    for e, k_w, row in zip(inst.events, weight_ids, counts):
+        key = (k_w, e.probability, tuple(row.values()))
+        margin = memo.get(key)
+        if margin is None:
+            rhs = e.weight
+            for k, count in row.items():
+                if count:
+                    rhs = rhs * base_power(k, count)
+            margin = memo[key] = rhs - e.probability
+        margins[e.id] = margin
+    return margins, all(m.sign() >= 0 for m in memo.values())
+
+
+# Supports over variables 0..5 that are often empty or private to their
+# event (variables 6 and up, one per event), so that events without
+# neighbours and whole classes without neighbours come up.
+@st.composite
+def support_lists(draw, max_events=10):
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["empty", "private", "shared", "shared"]),
+        st.lists(st.integers(0, 5), min_size=1, max_size=4)),
+        max_size=max_events))
+    return [[] if kind == "empty" else [6 + i] if kind == "private"
+            else shared for i, (kind, shared) in enumerate(rows)]
+
+
+# Rational (even k) and irrational (odd k) weights 2^(-k/2), and 1/3.
+MIXED_WEIGHTS = [half_power_of_two(k) for k in (1, 2, 3, 6, 9)] + [
+    Quad.of(Fraction(1, 3))]
+MIXED_PROBABILITIES = [Quad.of(0), Quad.of(Fraction(1, 64)),
+                       Quad.of(Fraction(1, 9)), half_power_of_two(7)]
+
+
+@st.composite
+def mixed_instances(draw):
+    supports = draw(support_lists())
+    n = 6 + len(supports)
+    return make_instance([
+        BadEvent(id=(i,), support=tuple(support),
+                 probability=draw(st.sampled_from(MIXED_PROBABILITIES)),
+                 weight=draw(st.sampled_from(MIXED_WEIGHTS)))
+        for i, support in enumerate(supports)], n=n)
+
+
+class TestAgainstReplacedCode:
+    @given(support_lists(max_events=14), st.data())
+    def test_neighbour_counts_match_class_dict_masks(self, supports, data):
+        classes = data.draw(st.lists(st.integers(0, 3), min_size=len(supports),
+                                     max_size=len(supports)))
+        counts = neighbour_counts(supports, classes, 6 + len(supports))
+        expected = oracle_neighbour_counts(supports, classes,
+                                           6 + len(supports))
+        # Same dicts, keys in the same order.
+        assert [list(row.items()) for row in counts] == [
+            list(row.items()) for row in expected]
+
+    def test_events_without_neighbours_count_zero(self):
+        supports = [[], [0], [1], [], [1]]
+        counts = neighbour_counts(supports, [0, 1, 0, 1, 2], 2)
+        assert counts == [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0},
+                          {0: 0, 1: 0, 2: 1}, {0: 0, 1: 0, 2: 0},
+                          {0: 1, 1: 0, 2: 0}]
+        assert counts == oracle_neighbour_counts(supports, [0, 1, 0, 1, 2], 2)
+
+    @given(mixed_instances())
+    def test_margins_match_per_signature_powers(self, inst):
+        verdict = verify_condition(inst)
+        margins, holds = oracle_margins(inst)
+        assert verdict.margins == margins
+        assert verdict.holds == holds
+        assert verdict.ok == {i: m.sign() >= 0 for i, m in margins.items()}
+
+    @given(st.integers(1, 12), st.lists(st.integers(1, 40), min_size=1,
+                                        max_size=8))
+    def test_powers_with_gaps_match_per_signature_powers(self, k, sizes):
+        # Star-shaped neighbourhoods: event j of group g shares variable g
+        # with the rest of its group, so its counts are the group sizes
+        # less one, with gaps of any width between them.
+        events = [BadEvent(id=(g, j), support=(g,),
+                           probability=Quad.of(0),
+                           weight=half_power_of_two(k + g % 2))
+                  for g, size in enumerate(sizes) for j in range(size)]
+        inst = make_instance(events)
+        margins, holds = oracle_margins(inst)
+        verdict = verify_condition(inst)
+        assert verdict.margins == margins
+        assert verdict.holds == holds
 
 
 class TestNeighbourCounts:
