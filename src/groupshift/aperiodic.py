@@ -16,6 +16,8 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .exact import Quad
@@ -102,6 +104,41 @@ def check_t_sets(group: GroupModel, tsets: TSets) -> None:
             raise InputError(f"T_{i} meets s_{i} T_{i}")
 
 
+#: Window positions whose right-translation columns :func:`fitting_pairs`
+#: holds at a time, so that its tables take (prefixes) x TABLE_BLOCK
+#: entries whatever the radius.
+TABLE_BLOCK = 1024
+
+
+def _walk_columns(adjacency, sizes, radius, words, block) -> list:
+    """Per word w (a tuple of step indices), the positions of members[i] w
+    for the rows i of ``block`` (consecutive positions) below
+    sizes[radius - |w|].
+
+    Such a row lies within radius - |w| of the center, so every proper
+    prefix of members[i] w lies within radius - 1: an interior vertex,
+    whose adjacency lists every step in step order.  Column w is then
+    column w[:-1] stepped by the last letter, and the columns of shared
+    prefixes are built once.
+    """
+    lo = block[0]
+    columns = {(): block}
+    out = []
+    for word in words:
+        if len(word) > radius:
+            out.append(())
+            continue
+        for j in range(1, len(word) + 1):
+            prefix = word[:j]
+            if prefix not in columns:
+                rows = max(0, sizes[radius - j] - lo)
+                columns[prefix] = list(map(
+                    itemgetter(prefix[-1]),
+                    map(adjacency.__getitem__, columns[prefix[:-1]][:rows])))
+        out.append(columns[word])
+    return out
+
+
 def fitting_pairs(group: GroupModel, window: Ball, s,
                   t_set) -> Iterator[tuple]:
     """The fitting positions of one level, with their translated pairs.
@@ -112,19 +149,41 @@ def fitting_pairs(group: GroupModel, window: Ball, s,
     the window; positions where g T or g s T leaves the window are
     skipped.  This is the single definition of a fitting (n, g) shared by
     the instance builder and the distinct-neighborhood verifier.
+
+    Right translation by h is a walk along a geodesic word of h on the
+    ball's adjacency (see :func:`_walk_columns`), valid for the rows
+    within radius - |h| of the center.  Rows beyond that reach take the
+    product and its lookup, since a walk from there may leave the ball
+    and come back in.  The tables are built one block of
+    :data:`TABLE_BLOCK` rows at a time.
     """
-    mul, index = group.mul, window.index
-    shifted = [(t, mul(s, t)) for t in t_set]
-    for g, i in index.items():
-        pairs = []
-        for t, st in shifted:
-            u = index.get(mul(g, t))
-            v = index.get(mul(g, st))
-            if u is None or v is None:
-                break
-            pairs.append((u, v))
-        else:
-            yield i, tuple(pairs)
+    mul, index, members = group.mul, window.index, window.members
+    radius, sizes = window.radius, window.sizes
+    step = {x: k for k, x in enumerate(group.step_elements())}
+    hs = [h for t in t_set for h in (t, mul(s, t))]  # t, s t alternating
+    words = [tuple(step[group.gen(*letter)] for letter in group.geodesic(h))
+             for h in hs]
+    reach = [sizes[radius - len(w)] if len(w) <= radius else 0
+             for w in words]
+    full = min(reach, default=0)  # the rows that every column covers
+    # The index's own position ints: the events that keep them add none.
+    positions = list(index.values())
+    for lo in range(0, len(positions), TABLE_BLOCK):
+        block = positions[lo:lo + TABLE_BLOCK]
+        columns = _walk_columns(window.adjacency, sizes, radius, words, block)
+        covered = max(0, full - lo)
+        for i, first, second in zip(block[:covered], zip(*columns[0::2]),
+                                    zip(*columns[1::2])):
+            yield i, tuple(zip(first, second))
+        for j, i in enumerate(block[covered:], covered):
+            g, row = members[i], []
+            for column, h, stop in zip(columns, hs, reach):
+                p = column[j] if i < stop else index.get(mul(g, h))
+                if p is None:
+                    break
+                row.append(p)
+            else:
+                yield i, tuple(zip(row[0::2], row[1::2]))
 
 
 def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
@@ -146,8 +205,7 @@ def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
             first, second = zip(*pairs)
             events.append(BadEvent(
                 id=(n, i),
-                support=tuple(dict.fromkeys(p for pair in pairs
-                                            for p in pair)),
+                support=tuple(dict.fromkeys(chain.from_iterable(pairs))),
                 probability=probability,
                 weight=weight,
                 violated=equal_on(first, second),

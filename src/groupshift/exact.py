@@ -85,10 +85,12 @@ class Quad:
 
         With a = p/q and b = r/s in lowest terms (q, s > 0), the signs of p
         and r settle every case but mixed signs.  There |a| and sqrt(2)|b|
-        are compared through their squares, a**2 - 2 b**2, which has the
-        sign of the integer (p s)**2 - 2 (r q)**2: no Fraction is built and
-        no gcd runs, which matters for the ~6,000-bit margins of
-        :func:`groupshift.lll.verify_condition`.
+        compare as X = |p| s and sqrt(2) Y, Y = |r| q: no Fraction is built
+        and no gcd runs, which matters for the ~6,000-bit margins of
+        :func:`groupshift.lll.verify_condition`.  Bit lengths settle most
+        of them: if X has at least two bits more than Y, X >= 2^(bl(Y)+1)
+        > 2 Y, and if it has fewer bits, X < Y.  Only in between are the
+        squares X**2 and 2 Y**2 compared.
         """
         p, r = self.a.numerator, self.b.numerator
         if p == 0 and r == 0:
@@ -97,10 +99,17 @@ class Quad:
             return 1
         if p <= 0 and r <= 0:
             return -1
-        diff = (p * self.b.denominator) ** 2 - 2 * (r * self.a.denominator) ** 2
-        if p > 0:  # r < 0
-            return 1 if diff > 0 else (-1 if diff < 0 else 0)
-        return -1 if diff > 0 else (1 if diff < 0 else 0)
+        x = abs(p) * self.b.denominator
+        y = abs(r) * self.a.denominator
+        gap = x.bit_length() - y.bit_length()
+        if gap >= 2:
+            rational = 1  # sign of X - sqrt(2) Y
+        elif gap < 0:
+            rational = -1
+        else:
+            diff = x * x - 2 * y * y
+            rational = (diff > 0) - (diff < 0)
+        return rational if p > 0 else -rational
 
     def __lt__(self, other) -> bool:
         return (self - Quad.of(other)).sign() < 0

@@ -99,7 +99,11 @@ class Ball:
     ``members[:sizes[r]]`` is the ball of radius r about the same center.
     ``index`` maps each member to its position and ``adjacency[i]`` is the
     tuple of the positions of its neighbors in the ball, in step order:
-    the Cayley graph induced on the ball.
+    the Cayley graph induced on the ball.  A member within radius - 1 of
+    the center (a position below ``sizes[radius - 1]``) has every neighbor
+    in the ball, so ``adjacency[i][k]`` is the position of members[i]
+    times the k-th of :meth:`GroupModel.step_elements`; right translations
+    are walked on that (see :func:`groupshift.aperiodic.fitting_pairs`).
     """
 
     center: tuple

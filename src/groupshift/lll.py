@@ -38,6 +38,12 @@ from .groups import InputError, ResourceLimitError
 #: the weights' heights and the neighbourhood, and a verdict writes each
 #: margin in decimal, which takes time quadratic in its length.
 MARGIN_HEIGHT_LIMIT = 1 << 19
+#: Largest sum of those bounds over the distinct margins, which are each
+#: built and rendered once: the work of a verification.
+MARGINS_HEIGHT_LIMIT = 1 << 24
+#: Largest sum of those bounds over the events, each of which a verdict
+#: writes with its margin: the size of the verdict.
+VERDICT_HEIGHT_LIMIT = 1 << 26
 
 
 class NonterminatingInstanceError(ResourceLimitError):
@@ -174,24 +180,38 @@ def verify_condition(inst: LLLInstance) -> Verdict:
     margin is bounded from those of its factors, w(A) and one (1 - x(B)) per
     neighbour B, and of mu(A) (see :meth:`Quad.height`), in event order.  A
     bound above :data:`MARGIN_HEIGHT_LIMIT` raises ResourceLimitError naming
-    the first event that carries it, instead of building the number.  The
+    the first event that carries it, instead of building the number.  So
+    does a running sum of the bounds above :data:`MARGINS_HEIGHT_LIMIT`
+    over the distinct signatures, or above :data:`VERDICT_HEIGHT_LIMIT`
+    over the events, naming the event at which it crosses.  The
     powers (1 - w)^count of one weight class are then built in ascending
     count order, each from the one before times a power of the gap.
     """
     zero, one = Quad.of(0), Quad.of(1)
 
     def class_ids(field_name: str, in_range, interval: str):
-        """The distinct values of one event field, and each event's index."""
+        """The distinct values of one event field, and each event's index.
+
+        Events often share one Quad object (the builders and
+        ``serialize.instance_from_json`` hand one to every event of a
+        value), so a value is looked up by identity first and hashed only
+        once per object; the events keep every object alive meanwhile, so
+        no id is reused.  Equal objects still share a class.
+        """
         table: dict[Quad, int] = {}
+        seen: dict[int, int] = {}  # id of a value object -> its class
         ids = []
         for e in inst.events:
             value = getattr(e, field_name)
-            k = table.get(value)
+            k = seen.get(id(value))
             if k is None:
-                if not in_range(value):
-                    raise InputError(
-                        f"event {e.id} has {field_name} outside {interval}")
-                k = table[value] = len(table)
+                k = table.get(value)
+                if k is None:
+                    if not in_range(value):
+                        raise InputError(f"event {e.id} has {field_name} "
+                                         f"outside {interval}")
+                    k = table[value] = len(table)
+                seen[id(value)] = k
             ids.append(k)
         return list(table), ids
 
@@ -210,10 +230,13 @@ def verify_condition(inst: LLLInstance) -> Verdict:
 
     keys = []
     rows: dict[tuple, dict] = {}  # signature -> neighbour counts
+    heights: dict[tuple, int] = {}  # signature -> bound on its margin
+    built = written = 0  # bounds summed over signatures and over events
     for e, k_w, k_p, row in zip(inst.events, weight_ids, probability_ids,
                                 counts):
         key = (k_w, k_p, tuple(row.values()))
-        if key not in rows:
+        height = heights.get(key)
+        if height is None:
             height = (weight_heights[k_w] + probability_heights[k_p]
                       + sum(count * factor_heights[k]
                             for k, count in row.items()))
@@ -221,7 +244,20 @@ def verify_condition(inst: LLLInstance) -> Verdict:
                 raise ResourceLimitError(
                     f"the margin of event {e.id} may reach {height} bits, "
                     f"above the limit of {MARGIN_HEIGHT_LIMIT}")
+            built += height
+            if built > MARGINS_HEIGHT_LIMIT:
+                raise ResourceLimitError(
+                    f"the distinct margins through event {e.id} may reach "
+                    f"{built} bits in all, above the limit of "
+                    f"{MARGINS_HEIGHT_LIMIT}")
+            heights[key] = height
             rows[key] = row
+        written += height
+        if written > VERDICT_HEIGHT_LIMIT:
+            raise ResourceLimitError(
+                f"the margins of the events through event {e.id} may reach "
+                f"{written} bits in all, above the verdict limit of "
+                f"{VERDICT_HEIGHT_LIMIT}")
         keys.append(key)
 
     powers: dict[tuple[int, int], Quad] = {}  # (class, count) -> (1 - w)^count

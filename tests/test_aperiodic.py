@@ -15,6 +15,7 @@ from groupshift.groups import (
     parse_group_spec,
 )
 from groupshift.aperiodic import (
+    TABLE_BLOCK,
     build_2coloring_instance,
     build_squarefree_instance,
     build_t_sets,
@@ -150,9 +151,43 @@ def oracle_distinct_check(x, tsets, n_max):
     return checked, violations
 
 
+def oracle_position_fitting_pairs(group, window, s, t_set):
+    """The replaced ``fitting_pairs``: every g t and g s t through
+    ``group.mul`` and a lookup in the window's index."""
+    mul, index = group.mul, window.index
+    shifted = [(t, mul(s, t)) for t in t_set]
+    for g, i in index.items():
+        pairs = []
+        for t, st_ in shifted:
+            u = index.get(mul(g, t))
+            v = index.get(mul(g, st_))
+            if u is None or v is None:
+                break
+            pairs.append((u, v))
+        else:
+            yield i, tuple(pairs)
+
+
 fitting_windows = st.tuples(
     st.sampled_from(["z", "z^2", "free:2", "z2*z3", "heisenberg"]),
     st.integers(0, 4), st.sampled_from([2, 3]), st.integers(1, 2))
+
+#: Radii up to 10, less where the ball would take long to search.
+WIDEST_RADIUS = {"z": 10, "z^2": 10, "free:2": 6, "z2*z3": 10,
+                 "heisenberg": 10}
+
+
+@st.composite
+def centered_fitting_windows(draw):
+    """(group, window, C, levels): a ball of radius up to 10 about a
+    center drawn from B(1, 3), often not the identity."""
+    spec = draw(st.sampled_from(sorted(WIDEST_RADIUS)))
+    group = parse_group_spec(spec)
+    near = group.ball(radius=3).members
+    center = near[draw(st.integers(0, len(near) - 1))]
+    radius = draw(st.integers(0, WIDEST_RADIUS[spec]))
+    return (group, group.ball(center=center, radius=radius),
+            draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2)))
 
 
 def graph_window(edges):
@@ -307,21 +342,22 @@ class TestTwoColoringInstance:
 
 class TestFittingPairsOnPositions:
     @settings(max_examples=60, deadline=None)
-    @given(fitting_windows)
+    @given(centered_fitting_windows())
     def test_pairs_and_ids_map_to_element_oracle(self, case):
-        spec, radius, c, levels = case
-        group = parse_group_spec(spec)
+        group, window, c, levels = case
         tsets = build_t_sets(group, c, levels)
-        window = group.ball(radius=radius)
         members = window.members
         expected_ids, expected_supports = [], []
         for n in range(1, levels + 1):
             s, t_set = tsets.level(n)
             expected = list(oracle_fitting_pairs(group, members, window, s,
                                                  t_set))
+            pairs_at = list(fitting_pairs(group, window, s, t_set))
+            assert pairs_at == list(
+                oracle_position_fitting_pairs(group, window, s, t_set))
             got = [(members[i], tuple((members[u], members[v])
                                       for u, v in pairs))
-                   for i, pairs in fitting_pairs(group, window, s, t_set)]
+                   for i, pairs in pairs_at]
             assert got == expected
             expected_ids += [(n, members.index(g)) for g, _ in expected]
             expected_supports += [
@@ -332,6 +368,22 @@ class TestFittingPairsOnPositions:
         assert [e.id for e in inst.events] == expected_ids
         assert [tuple(members[i] for i in e.support)
                 for e in inst.events] == expected_supports
+
+    def test_window_of_several_table_blocks_matches_replaced_code(self):
+        z2 = IntegerLattice(2)
+        window = z2.ball(center=z2.canonicalize("x^3 y^-2"), radius=30)
+        assert len(window) > TABLE_BLOCK
+        s, t_set = build_t_sets(z2, 17, 1).level(1)
+        pairs = list(fitting_pairs(z2, window, s, t_set))
+        assert pairs == list(oracle_position_fitting_pairs(z2, window, s,
+                                                           t_set))
+        assert pairs[-1][0] > TABLE_BLOCK  # a fitting row in a later block
+
+    def test_empty_test_set_fits_everywhere(self):
+        z2 = IntegerLattice(2)
+        window = z2.ball(radius=3)
+        assert list(fitting_pairs(z2, window, (1, 0), ())) == [
+            (i, ()) for i in range(len(window))]
 
     @settings(max_examples=60, deadline=None)
     @given(fitting_windows, st.sampled_from([0.0, 0.5, 0.9]),

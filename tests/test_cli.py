@@ -598,6 +598,27 @@ def test_margin_above_the_height_limit_exits_3_at_once(tmp_path):
 
 
 
+@pytest.mark.parametrize("weights, message", [
+    # One signature just under the margin limit, 140 times: the verdict
+    # would write 140 copies of a 150,000-digit margin, about 42 MB.
+    (["1e-150000"] * 140, "the margins of the events through event (134,)"),
+    # 40 signatures just under it: each margin would be built and rendered.
+    ([f"{k}e-150000" for k in range(1, 41)], "the distinct margins through event (33,)"),
+], ids=["verdict-bytes", "distinct-margins"])
+def test_margins_above_a_summed_height_limit_exit_3_at_once(
+        tmp_path, weights, message):
+    variables = [{"id": f"v{k}", "alphabet": 2} for k in range(len(weights))]
+    events = [{"id": [k], "support": [f"v{k}"], "probability": "0",
+               "weight": w} for k, w in enumerate(weights)]
+    (tmp_path / "inst.json").write_text(json.dumps(
+        {"variables": variables, "events": events}))
+    proc = run_capped(["lll", "verify", "--instance", "inst.json",
+                       "--out", "verdict.json"], cwd=tmp_path, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: resource: {message}")
+    assert not (tmp_path / "verdict.json").exists()
+
+
 def test_huge_decimal_exponent_exits_3_at_once(tmp_path):
     # Fraction("1e-100000000") builds 10**100000000 first: this ran past a
     # 30-second timeout.  Its height is far above the limit, and so would be

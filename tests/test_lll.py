@@ -146,10 +146,72 @@ def near_cancelling(draw):
     return (-a if b > 0 else a), b
 
 
+def oracle_sign(q: Quad) -> int:
+    """The replaced ``Quad.sign``: at mixed signs it always compares the
+    squares (p s)**2 and 2 (r q)**2."""
+    p, r = q.a.numerator, q.b.numerator
+    if p == 0 and r == 0:
+        return 0
+    if p >= 0 and r >= 0:
+        return 1
+    if p <= 0 and r <= 0:
+        return -1
+    diff = (p * q.b.denominator) ** 2 - 2 * (r * q.a.denominator) ** 2
+    if p > 0:  # r < 0
+        return 1 if diff > 0 else (-1 if diff < 0 else 0)
+    return -1 if diff > 0 else (1 if diff < 0 else 0)
+
+
+def sqrt2_convergent(k: int) -> tuple:
+    """(p, q), the k-th convergent of sqrt(2): p**2 - 2 q**2 = (-1)**(k+1)."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+@st.composite
+def convergent_quads(draw):
+    """+-(p - q sqrt(2)) / d for a convergent p/q of sqrt(2), whose two
+    parts come as close to cancelling as integers of their size allow;
+    sometimes one part is nudged by one or given its own denominator."""
+    p, q = sqrt2_convergent(draw(st.integers(0, 3000)))
+    p += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    sign = draw(st.sampled_from([1, -1]))
+    d = draw(st.integers(1, 2 ** 64))
+    e = draw(st.sampled_from([d, d, draw(st.integers(1, 2 ** 64))]))
+    return Quad(Fraction(sign * p, d), Fraction(-sign * q, e))
+
+
+@st.composite
+def bit_length_band(draw):
+    """Mixed signs with |p| s and |r| q within a few bits of each other,
+    around the bands where bit lengths alone decide."""
+    y = draw(st.integers(1, 2 ** 300))
+    bits = max(1, y.bit_length() + draw(st.integers(-2, 3)))
+    x = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return Quad(Fraction(sign * x), Fraction(-sign * y))
+
+
 class TestQuadSign:
     @given(huge_fractions, huge_fractions)
     def test_matches_fraction_reference(self, a, b):
         assert Quad(a, b).sign() == reference_sign(a, b)
+
+    @given(st.one_of(convergent_quads(), bit_length_band(),
+                     st.builds(Quad, huge_fractions, huge_fractions)))
+    def test_matches_replaced_sign(self, q):
+        assert q.sign() == oracle_sign(q)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 1000])
+    def test_sqrt2_convergents(self, k):
+        p, q = sqrt2_convergent(k)
+        norm = p * p - 2 * q * q
+        assert norm == (-1) ** (k + 1)
+        # p - q sqrt(2) = norm / (p + q sqrt(2)) has the sign of the norm.
+        assert Quad(Fraction(p), Fraction(-q)).sign() == norm
+        assert Quad(Fraction(-p), Fraction(q)).sign() == -norm
 
     @given(near_cancelling())
     def test_matches_fraction_reference_near_zero(self, ab):
@@ -179,6 +241,19 @@ class TestInstance:
 
 
 class TestVerifyCondition:
+    def test_equal_values_in_distinct_objects_share_a_class(self):
+        # Classes are found by identity first, then by value: two equal
+        # weights in distinct objects still give one signature, so the
+        # private events below share one margin object.
+        events = [BadEvent(id=(k,), support=(k,),
+                           probability=Quad(Fraction(1, 8)),
+                           weight=Quad(Fraction(1, 2))) for k in range(3)]
+        assert events[0].weight is not events[1].weight
+        verdict = verify_condition(make_instance(events))
+        margins = [verdict.margins[e.id] for e in events]
+        assert margins[0] is margins[1] is margins[2]
+        assert margins[0] == Quad(Fraction(3, 8))
+
     def test_single_event_empty_product(self):
         e = BadEvent(id=("e",), support=(0,),
                      probability=Quad.of(Fraction(1, 4)),
