@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import Quad
 from .groups import Ball, GroupModel, InputError, ResourceLimitError
@@ -186,18 +186,16 @@ def fitting_pairs(group: GroupModel, window: Ball, s,
                 yield i, tuple(zip(row[0::2], row[1::2]))
 
 
-def build_2coloring_instance(group: GroupModel, window: Ball, tsets: TSets,
-                             n_max: int) -> LLLInstance:
+def build_2coloring_instance(group: GroupModel, window: Ball,
+                             tsets: TSets) -> LLLInstance:
     """Binary variables on the window positions; one event per fitting (n, g).
 
     The event for (n, g), with id (n, position of g), is violated when the
     restriction to g T_n equals the restriction to g s_n T_n under
     t -> s_n t; probability 2^(-C n), weight 2^(-C n / 2).
     """
-    if n_max > tsets.levels:
-        raise InputError("n_max exceeds available T-set levels")
     events: list[BadEvent] = []
-    for n in range(1, n_max + 1):
+    for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         probability = two_coloring_probability(tsets.c, n)
         weight = two_coloring_weight(tsets.c, n)
@@ -223,8 +221,8 @@ class DistinctNeighborhoodReport:
         return not self.violations
 
 
-def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
-                                 n_max: int) -> DistinctNeighborhoodReport:
+def verify_distinct_neighborhood(x: WindowConfig,
+                                 tsets: TSets) -> DistinctNeighborhoodReport:
     """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g).
 
     The comparison runs on the window's colour tuple; the report names
@@ -233,7 +231,7 @@ def verify_distinct_neighborhood(x: WindowConfig, tsets: TSets,
     members, colors = x.window.members, x.colors
     violations = []
     checked = 0
-    for n in range(1, min(n_max, tsets.levels) + 1):
+    for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         for i, pairs in fitting_pairs(x.group, x.window, s, t_set):
             checked += 1
@@ -293,13 +291,13 @@ def is_vertex_square(coloring: Sequence[int], path: tuple) -> bool:
     return all(coloring[path[i]] == coloring[path[i + n]] for i in range(n))
 
 
-def find_vertex_square(coloring: Sequence[int], w: Ball,
-                       max_half_length: int) -> Optional[tuple]:
-    """First enumerated odd path that is a vertex square, or None.
+def find_vertex_square(coloring: Sequence[int],
+                       paths: Iterable[tuple]) -> Optional[tuple]:
+    """First of ``paths`` that is a vertex square, or None.
 
-    ``coloring[i]`` is the color of position i of ``w``; paths are positions.
+    ``coloring[i]`` is the color of position i; paths are positions.
     """
-    for path in enumerate_odd_paths(w, max_half_length):
+    for path in paths:
         if is_vertex_square(coloring, path):
             return path
     return None

@@ -23,6 +23,7 @@ the window, a test made on the window's graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -44,14 +45,19 @@ class Slope:
     @classmethod
     def parse(cls, text: str) -> "Slope":
         text = text.strip()
+        decimal = "/" not in text and not text.lstrip("+-").isdigit()
         try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            # Decimal reads the exponent that Fraction would expand first.
+            # Below 10^-10 (scale < -10) the convergent is 0, and from 10 up
+            # (scale > 0) the slope lies outside [0, 1].
+            number = Decimal(text if decimal else 1)
+            scale = number.adjusted() if number else -11  # 0 for NaN, inf
+            value = (Fraction(0) if scale < -10 else Fraction(10) if scale > 0
+                     else Fraction(text))
+        except (ArithmeticError, ValueError):
             raise InputError(f"malformed slope {text!r}") from None
-        if "/" in text or text.lstrip("+-").isdigit():
-            return cls(value)
         # Decimal input: replace by a continued-fraction convergent.
-        return cls(value.limit_denominator(2 ** 31))
+        return cls(value.limit_denominator(2 ** 31) if decimal else value)
 
 
 def greedy_rnet(points, adjacency, r: int) -> list:
@@ -82,7 +88,7 @@ class ForestLevel:
 class CoveringForest:
     group: GroupModel
     window: Ball
-    levels: list[ForestLevel]          # index 0 .. n_max
+    levels: list[ForestLevel]          # index 0 .. depth
 
     @property
     def depth(self) -> int:

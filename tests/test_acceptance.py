@@ -72,7 +72,7 @@ def test_criterion_3_verifier_and_sampler():
     z2 = IntegerLattice(2)
     tsets = build_t_sets(z2, c=17, i_max=2)
     window = z2.ball(radius=20)
-    inst = build_2coloring_instance(z2, window, tsets, n_max=2)
+    inst = build_2coloring_instance(z2, window, tsets)
     verdict = verify_condition(inst)
     margins_ok = verdict.holds and all(
         m.sign() >= 0 for m in verdict.margins.values()
@@ -80,7 +80,7 @@ def test_criterion_3_verifier_and_sampler():
     run = resample(inst, seed=0, cap=10 ** 4)
     colors = tuple(run.assignment[i] for i in range(len(window)))
     x = WindowConfig(group=z2, window=window, colors=colors, alphabet_size=2)
-    rep = verify_distinct_neighborhood(x, tsets, n_max=2)
+    rep = verify_distinct_neighborhood(x, tsets)
     ok = margins_ok and rep.checked >= 100 and not rep.violations
     report(3, "2-coloring condition + resample + distinct neighborhoods",
            ok, time.time() - start, 60)
@@ -92,7 +92,8 @@ def test_criterion_4_squarefree():
     w = f2.ball(radius=3)
     inst = build_squarefree_instance(w, 2 ** 21, 3, 2)
     run = resample(inst, seed=0)
-    no_square = find_vertex_square(run.assignment, w, 3) is None
+    no_square = find_vertex_square(run.assignment,
+                                   enumerate_odd_paths(w, 3)) is None
     bounds_ok = True
     paths = list(enumerate_odd_paths(w, 3))
     for path, row in zip(paths, path_dependency_counts(w, 3)):

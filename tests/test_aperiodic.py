@@ -138,10 +138,10 @@ def oracle_fitting_pairs(group, positions, inside, s, t_set):
             yield g, tuple(pairs)
 
 
-def oracle_distinct_check(x, tsets, n_max):
+def oracle_distinct_check(x, tsets):
     """(checked, violations) of x by the element-keyed oracle pairs."""
     checked, violations = 0, []
-    for n in range(1, min(n_max, tsets.levels) + 1):
+    for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         for g, pairs in oracle_fitting_pairs(x.group, x.window.members,
                                              x, s, t_set):
@@ -267,18 +267,18 @@ class TestTwoColoringInstance:
                     expected.add((n, i))
         assert 0 < len(expected) < 2 * len(members)
         inst = build_2coloring_instance(group, group.ball(radius=radius),
-                                        tsets, n_max=2)
+                                        tsets)
         ids = [e.id for e in inst.events]
         assert len(ids) == len(expected)
         assert set(ids) == expected
         report = verify_distinct_neighborhood(
-            constant_window(group, radius), tsets, n_max=2)
+            constant_window(group, radius), tsets)
         assert report.checked == len(expected)
 
     def test_probability_and_weight(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
-        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets, n_max=1)
+        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets)
         assert inst.events
         for e in inst.events:
             assert e.probability == Quad.of(Fraction(1, 2 ** 17))
@@ -287,7 +287,7 @@ class TestTwoColoringInstance:
     def test_probability_audit(self):
         z = IntegerLattice(1)
         tsets = build_t_sets(z, c=3, i_max=2)
-        inst = build_2coloring_instance(z, z.ball(radius=12), tsets, n_max=2)
+        inst = build_2coloring_instance(z, z.ball(radius=12), tsets)
         levels = {e.id[0] for e in inst.events}
         assert levels == {1, 2}
         for e in inst.events:
@@ -298,7 +298,7 @@ class TestTwoColoringInstance:
         z = IntegerLattice(1)
         c = 3
         tsets = build_t_sets(z, c=c, i_max=2)
-        inst = build_2coloring_instance(z, z.ball(radius=12), tsets, n_max=2)
+        inst = build_2coloring_instance(z, z.ball(radius=12), tsets)
         supports = [set(e.support) for e in inst.events]
         for i, e in enumerate(inst.events):
             for m in (1, 2):
@@ -314,7 +314,7 @@ class TestTwoColoringInstance:
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=3, i_max=1)
         x = constant_window(z2, 6)
-        report = verify_distinct_neighborhood(x, tsets, n_max=1)
+        report = verify_distinct_neighborhood(x, tsets)
         assert report.checked > 0
         assert len(report.violations) == report.checked
 
@@ -322,7 +322,7 @@ class TestTwoColoringInstance:
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
         x = constant_window(z2, 0)
-        report = verify_distinct_neighborhood(x, tsets, n_max=1)
+        report = verify_distinct_neighborhood(x, tsets)
         assert report.checked == 0
         assert report.ok
 
@@ -330,14 +330,14 @@ class TestTwoColoringInstance:
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
         window = z2.ball(radius=8)
-        inst = build_2coloring_instance(z2, window, tsets, n_max=1)
+        inst = build_2coloring_instance(z2, window, tsets)
         assert inst.events
         assert verify_condition(inst).holds
         run = resample(inst, seed=0)
         x = WindowConfig(group=z2, window=window,
                          colors=tuple(run.assignment),
                          alphabet_size=2)
-        assert verify_distinct_neighborhood(x, tsets, 1).ok
+        assert verify_distinct_neighborhood(x, tsets).ok
 
 
 class TestFittingPairsOnPositions:
@@ -363,7 +363,7 @@ class TestFittingPairsOnPositions:
             expected_supports += [
                 tuple(dict.fromkeys(h for pair in pairs for h in pair))
                 for _, pairs in expected]
-        inst = build_2coloring_instance(group, window, tsets, levels)
+        inst = build_2coloring_instance(group, window, tsets)
         assert inst.alphabet == (2,) * len(members)
         assert [e.id for e in inst.events] == expected_ids
         assert [tuple(members[i] for i in e.support)
@@ -397,16 +397,16 @@ class TestFittingPairsOnPositions:
         colors = tuple(int(rng.random() < ones) for _ in window.members)
         x = WindowConfig(group=group, window=window, colors=colors,
                          alphabet_size=2)
-        report = verify_distinct_neighborhood(x, tsets, levels)
+        report = verify_distinct_neighborhood(x, tsets)
         assert (report.checked, report.violations) == oracle_distinct_check(
-            x, tsets, levels)
+            x, tsets)
 
     def test_predicate_matches_oracle_check(self):
         # An event is violated exactly when the oracle check flags it.
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=2, i_max=2)
         window = z2.ball(radius=5)
-        inst = build_2coloring_instance(z2, window, tsets, n_max=2)
+        inst = build_2coloring_instance(z2, window, tsets)
         rng = random.Random(3)
         for _ in range(20):
             assignment = [rng.randrange(2) for _ in inst.alphabet]
@@ -415,7 +415,7 @@ class TestFittingPairsOnPositions:
                              alphabet_size=2)
             flagged = [(n, window.members[i]) for n, i in
                        (e.id for e in inst.events if e.violated(assignment))]
-            assert flagged == oracle_distinct_check(x, tsets, 2)[1]
+            assert flagged == oracle_distinct_check(x, tsets)[1]
 
 
 class TestOddPaths:
@@ -492,19 +492,22 @@ class TestOddPaths:
 class TestVertexSquares:
     def test_monochromatic_edge(self):
         w = graph_window([(1, 2)])
-        square = find_vertex_square(on_positions(w, {1: 0, 2: 0}), w, 1)
+        square = find_vertex_square(on_positions(w, {1: 0, 2: 0}),
+                                    enumerate_odd_paths(w, 1))
         assert on_members(w, square) == (1, 2)
 
     def test_proper_coloring_of_even_cycle(self):
         w = graph_window([(1, 2), (2, 3), (3, 4), (4, 1)])
         coloring = {1: 0, 2: 1, 3: 0, 4: 1}
-        assert find_vertex_square(on_positions(w, coloring), w, 1) is None
+        assert find_vertex_square(on_positions(w, coloring),
+                                  enumerate_odd_paths(w, 1)) is None
 
     def test_abab_path(self):
         w = graph_window([(1, 2), (2, 3), (3, 4)])
         coloring = {1: 0, 2: 1, 3: 0, 4: 1}
         witness = on_members(
-            w, find_vertex_square(on_positions(w, coloring), w, 2))
+            w, find_vertex_square(on_positions(w, coloring),
+                                  enumerate_odd_paths(w, 2)))
         assert witness == (1, 2, 3, 4)
         assert is_vertex_square(coloring, witness)
 
@@ -517,7 +520,8 @@ class TestVertexSquares:
         coloring[(1, 0)] = coloring[(-1, 0)]
         coloring[(2, 0)] = coloring[(0, 0)]
         planted = ((-1, 0), (0, 0), (1, 0), (2, 0))
-        square = find_vertex_square(on_positions(w, coloring), w, 3)
+        square = find_vertex_square(on_positions(w, coloring),
+                                    enumerate_odd_paths(w, 3))
         members = on_members(w, square)
         assert members in (planted, planted[::-1])
         assert is_vertex_square(coloring, members)
@@ -553,7 +557,8 @@ class TestSquarefreeInstance:
         w = z.ball(radius=6)
         inst = build_squarefree_instance(w, 64, 2, 1)
         run = resample(inst, seed=0)
-        assert find_vertex_square(run.assignment, w, 2) is None
+        assert find_vertex_square(run.assignment,
+                                  enumerate_odd_paths(w, 2)) is None
 
     def test_path_dependency_bound(self):
         s = 2

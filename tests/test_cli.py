@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import groupshift
-from groupshift import cli, serialize
+from groupshift import aperiodic, cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.density import build_forest
 from groupshift.groups import GroupModel, IntegerLattice, parse_group_spec
@@ -98,7 +98,7 @@ class TestSerialization:
     def test_instance_round_trip_preserves_margins(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
-        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets, n_max=1)
+        inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets)
         data = json.loads(serialize.dumps(serialize.instance_to_json(inst)))
         back = serialize.instance_from_json(data)
         original = verify_condition(inst)
@@ -636,6 +636,19 @@ def test_huge_decimal_exponent_exits_3_at_once(tmp_path):
     assert not (tmp_path / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("alpha, code", [("1e-100000000", 0),
+                                         ("1e100000000", 2)])
+def test_huge_slope_exponent_is_read_at_once(tmp_path, alpha, code):
+    # Fraction(alpha) builds 10**100000000 first: 1e-10000000 ran past a
+    # 30-second timeout.  The first slope's convergent is 0, and the second
+    # lies outside [0, 1].
+    proc = run_capped(["density", "fill", "--group", "z", "--radius", "2",
+                       "--levels", "1", "--alpha", alpha, "--out", "f.json"],
+                      cwd=tmp_path, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verdict_over_non_finite_ids_round_trips(tmp_path, capsys):
     # json.loads reads NaN and +-Infinity, and the verdict echoes each id.
     ids = [[float("nan")], [float("inf"), 1], [-float("inf")]]
@@ -785,6 +798,79 @@ def test_density_verify_searches_its_window_once(tmp_path, monkeypatch,
                 "--levels", "2", "--alpha", "2/5"]) == 0
     assert searches == [{"radius": 8}]
     assert capsys.readouterr().out.startswith("clusters ")
+
+
+# The stderr summary of each ``color`` run, taken while the commands still
+# re-derived their events after resampling: the check they print is the
+# resampler's closing scan over the one event family they build.
+COLOR_SUMMARIES = [
+    (["two", "--group", "z^2", "--radius", "22", "--c", "17", "--levels",
+      "2", "--seed", "5"],
+     "events 1193 resamples 0 checked 1193 violations 0\n"),
+    (["two", "--group", "z^2", "--radius", "22", "--c", "2", "--levels",
+      "2", "--seed", "5"],
+     "events 1765 resamples 523 checked 1765 violations 0\n"),
+    (["two", "--group", "heisenberg", "--radius", "6", "--c", "2",
+      "--levels", "2", "--seed", "1"],
+     "events 409 resamples 382 checked 409 violations 0\n"),
+    (["two", "--group", "free:2", "--radius", "5", "--c", "2", "--levels",
+      "2", "--seed", "1"],
+     "events 133 resamples 36 checked 133 violations 0\n"),
+    (["two", "--group", "z2*z3", "--radius", "8", "--c", "2", "--levels",
+      "2", "--seed", "1"],
+     "events 100 resamples 29 checked 100 violations 0\n"),
+    (["squarefree", "--group", "free:2", "--radius", "6", "--alphabet",
+      "16", "--maxlen", "3", "--seed", "0"],
+     "warning: alphabet below the certified bound\n"
+     "events 18772 resamples 168 square none\n"),
+]
+
+
+@pytest.mark.parametrize("argv, summary", COLOR_SUMMARIES)
+def test_color_summaries_are_unchanged(tmp_path, monkeypatch, capsys, argv,
+                                       summary):
+    monkeypatch.chdir(tmp_path)
+    assert run(["color", *argv, "--out", "out.json"]) == 0
+    assert capsys.readouterr().err == summary
+
+
+def test_color_two_derives_each_level_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    levels = []
+    fitting_pairs = aperiodic.fitting_pairs
+    monkeypatch.setattr(aperiodic, "fitting_pairs", lambda group, w, s, t: (
+        levels.append(s) or fitting_pairs(group, w, s, t)))
+    assert run(["color", "two", "--group", "z^2", "--radius", "8",
+                "--c", "2", "--levels", "2", "--seed", "0",
+                "--out", "cfg.json"]) == 0
+    z2 = IntegerLattice(2)
+    assert levels == [s for s, _ in build_t_sets(z2, 2, 2).entries]
+    capsys.readouterr()
+
+
+def test_color_squarefree_enumerates_its_paths_once(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    searches = []
+    enumerate_odd_paths = aperiodic.enumerate_odd_paths
+    monkeypatch.setattr(aperiodic, "enumerate_odd_paths", lambda *args, **kw: (
+        searches.append(args[1]) or enumerate_odd_paths(*args, **kw)))
+    assert run(["color", "squarefree", "--group", "free:2", "--radius", "2",
+                "--alphabet", "16", "--maxlen", "2", "--seed", "3"]) == 0
+    assert searches == [2]
+    capsys.readouterr()
+
+
+def test_color_squarefree_paths_are_bounded_by_cap_alone(tmp_path,
+                                                         monkeypatch, capsys):
+    # free:2, R = 2 has 52 odd paths of length <= 3, far above a default
+    # budget of 5: only --cap may bound the one enumeration.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(aperiodic.enumerate_odd_paths, "__defaults__", (5,))
+    assert run(["color", "squarefree", "--group", "free:2", "--radius", "2",
+                "--alphabet", "16", "--maxlen", "2", "--seed", "3",
+                "--cap", "1000000"]) == 0
+    assert "square none" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -137,6 +137,37 @@ class TestSlope:
         with pytest.raises(InputError):
             Slope.parse("3/2")
 
+    @given(st.sampled_from(["", "-", "+"]),
+           st.sampled_from(["0", "1", "9", "0.5", "233", "0.0003", "2.3283064",
+                            "2.3283064365", "4.6566128", "1.2e", "nan", "inf"]),
+           st.integers(-14, 3))
+    def test_decimal_is_the_convergent_of_its_fraction(self, sign, digits, x):
+        # 2.3283064365e-10 lies next to 2^-32, half the least nonzero
+        # convergent 2^-31: the scale shortcut must agree on both sides.
+        text = f"{sign}{digits}e{x}"
+        try:
+            expected = Fraction(text).limit_denominator(2 ** 31)
+        except ValueError:
+            with pytest.raises(InputError, match="malformed"):
+                Slope.parse(text)
+            return
+        if 0 <= expected <= 1:
+            assert Slope.parse(text).value == expected
+        else:
+            with pytest.raises(InputError, match=r"\[0,1\]"):
+                Slope.parse(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-100000000", 0), ("-1e-100000000", 0), ("0e100000000", 0),
+        ("0e-100000000", 0), ("1e100000000", None), ("-1e100000000", None)])
+    def test_decimal_exponent_is_read_before_the_digits(self, text, value):
+        # Fraction(text) builds 10**100000000 first.
+        if value is None:
+            with pytest.raises(InputError, match=r"\[0,1\]"):
+                Slope.parse(text)
+        else:
+            assert Slope.parse(text).value == value
+
 
 class TestGreedyRnet:
     def test_path_graph(self):

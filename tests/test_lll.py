@@ -712,7 +712,7 @@ class TestResampleOracle:
     def test_matches_full_scan_on_bench_instance(self):
         group = parse_group_spec("z^2")
         inst = build_2coloring_instance(group, group.ball(radius=27),
-                                        build_t_sets(group, 2, 2), 2)
+                                        build_t_sets(group, 2, 2))
         for seed in (1, 2, 3):
             expected = outcome(full_scan_resample, inst, seed)
             assert expected[0] == "done" and len(expected[1]) > 900
