@@ -37,17 +37,19 @@ EXIT_RESOURCE = 3
 
 
 def _write_artifacts(args, outputs: dict, seed=None, caps=None):
-    """Write output files plus one manifest per primary artifact; a path
-    that cannot be written is an input error (exit 2)."""
+    """Write each artifact of ``outputs`` (path -> text, or a JSON value)
+    plus one manifest for the first, with the digest of each as written;
+    a path that cannot be written is an input error (exit 2)."""
     from . import serialize
-    paths = [Path(path) for path in outputs]
+    digests = {}
     try:
-        for path, text in zip(paths, outputs.values()):
-            path.write_text(text)
-        if paths:
+        for path, artifact in outputs.items():
+            digests[str(Path(path))] = serialize.write_artifact(path,
+                                                                artifact)
+        if digests:
             serialize.write_manifest(
-                paths[0], argv=list(args._argv),
-                seed=seed, caps=caps or {}, outputs=paths,
+                next(iter(digests)), argv=list(args._argv),
+                seed=seed, caps=caps or {}, outputs=digests,
                 duration=time.time() - args._started,
             )
     except OSError as exc:
@@ -55,12 +57,15 @@ def _write_artifacts(args, outputs: dict, seed=None, caps=None):
                          f"{exc.strerror}") from None
 
 
-def _emit(args, text: str, caps=None) -> None:
-    """Write ``text`` to --out with a manifest, else to stdout."""
+def _emit(args, artifact, caps=None) -> None:
+    """Write ``artifact`` (text, or a JSON value) to --out with a manifest,
+    else to stdout."""
     if args.out:
-        _write_artifacts(args, {args.out: text}, caps=caps)
+        _write_artifacts(args, {args.out: artifact}, caps=caps)
     else:
-        sys.stdout.write(text)
+        from . import serialize
+        sys.stdout.write(artifact if isinstance(artifact, str)
+                         else serialize.dumps(artifact))
 
 
 def _load(path: str, from_json):
@@ -94,7 +99,6 @@ def _parse_radii(spec: str) -> range | list[int]:
 # --- subcommand handlers ------------------------------------------------
 
 def cmd_group_ball(args) -> int:
-    from . import serialize
     group = parse_group_spec(args.group)
     center = group.canonicalize(args.center)
     ball = group.ball(center=center, radius=args.radius, cap=args.cap)
@@ -105,7 +109,7 @@ def cmd_group_ball(args) -> int:
         "size": len(ball),
         "members": [group.element_word(g) for g in ball.members],
     }
-    _emit(args, serialize.dumps(payload), caps={"ball": args.cap})
+    _emit(args, payload, caps={"ball": args.cap})
     print(f"ball size {len(ball)}", file=sys.stderr)
     return EXIT_OK
 
@@ -134,7 +138,7 @@ def cmd_lll_verify(args) -> int:
     from . import lll, serialize
     inst = _load(args.instance, serialize.instance_from_json)
     verdict = lll.verify_condition(inst)
-    _emit(args, serialize.dumps(serialize.verdict_to_json(inst, verdict)))
+    _emit(args, serialize.verdict_to_json(inst, verdict))
     print(f"condition {'holds' if verdict.holds else 'fails'}",
           file=sys.stderr)
     return EXIT_OK if verdict.holds else EXIT_VERIFICATION
@@ -151,16 +155,13 @@ def cmd_color_two(args) -> int:
     # (n, g); ``verify distinct`` re-derives the pairs from the window file.
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     config = WindowConfig(group, window, tuple(run.assignment), 2)
-    outputs = {args.out: serialize.dumps(serialize.window_to_json(config))}
+    outputs = {args.out: serialize.window_to_json(config)}
     if args.instance_out:
-        outputs[args.instance_out] = serialize.dumps(
-            serialize.instance_to_json(inst)
-        )
+        outputs[args.instance_out] = serialize.instance_to_json(inst)
     if args.trace_out:
-        outputs[args.trace_out] = serialize.dumps(
-            {"seed": run.seed, "resamples": run.resamples,
-             "trace": [list(i) for i in run.trace]}
-        )
+        outputs[args.trace_out] = {"seed": run.seed,
+                                   "resamples": run.resamples,
+                                   "trace": [list(i) for i in run.trace]}
     _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(f"events {len(inst.events)} resamples {run.resamples} "
@@ -188,7 +189,7 @@ def cmd_color_squarefree(args) -> int:
         colors, (e.support for e in inst.events))
     outputs = {}
     if args.out:
-        outputs[args.out] = serialize.dumps(serialize.window_to_json(config))
+        outputs[args.out] = serialize.window_to_json(config)
     _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(
@@ -237,10 +238,10 @@ def cmd_density_build_forest(args) -> int:
     from . import serialize
     forest = _forest_on_ball(args)
     if args.format == "dot":
-        text = serialize.forest_to_dot(forest)
+        artifact = serialize.forest_to_dot(forest)
     else:
-        text = serialize.dumps(serialize.forest_to_json(forest))
-    _emit(args, text)
+        artifact = serialize.forest_to_json(forest)
+    _emit(args, artifact)
     sizes = [len(level.centers) for level in forest.levels]
     print(f"levels {sizes}", file=sys.stderr)
     return EXIT_OK
@@ -252,12 +253,12 @@ def cmd_density_fill(args) -> int:
     alpha = density.Slope.parse(args.alpha)
     config = density.fill_density(forest, alpha)
     if args.format == "csv":
-        text = serialize.window_to_csv(config)
+        artifact = serialize.window_to_csv(config)
     elif args.format == "pgm":
-        text = serialize.window_to_pgm(config)
+        artifact = serialize.window_to_pgm(config)
     else:
-        text = serialize.dumps(serialize.window_to_json(config))
-    _write_artifacts(args, {args.out: text})
+        artifact = serialize.window_to_json(config)
+    _write_artifacts(args, {args.out: artifact})
     report = density.verify_condition1(config, forest, alpha)
     print(f"clusters {len(report.clusters)} "
           f"ok {report.ok}", file=sys.stderr)
@@ -293,7 +294,7 @@ def cmd_density_measure(args) -> int:
             for d, s, o, f in report.entries
         ],
     }
-    _emit(args, serialize.dumps(payload))
+    _emit(args, payload)
     return EXIT_OK
 
 

@@ -22,6 +22,8 @@ the window, a test made on the window's graph.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -55,9 +57,31 @@ class Slope:
             value = (Fraction(0) if scale < -10 else Fraction(10) if scale > 0
                      else Fraction(text))
         except (ArithmeticError, ValueError):
-            raise InputError(f"malformed slope {text!r}") from None
+            raise _unreadable_slope(text) from None
         # Decimal input: replace by a continued-fraction convergent.
         return cls(value.limit_denominator(2 ** 31) if decimal else value)
+
+
+_DIGITS = re.compile(r"\d(?:_?\d)*")
+
+
+def _unreadable_slope(text: str) -> InputError:
+    """The error for a slope that Fraction rejects.  A slope that is well
+    formed but has a number beyond int's digit limit (4,300 digits by
+    default) is named as such: it is well formed with each number cut to
+    one digit."""
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else 0)
+    if limit and any(len(run) - run.count("_") > limit
+                     for run in _DIGITS.findall(text)):
+        try:
+            Fraction(_DIGITS.sub("1", text))
+        except ValueError:
+            pass
+        else:
+            return InputError(f"slope {text!r:.40} has a number of more "
+                              f"than {limit} digits")
+    return InputError(f"malformed slope {text!r}")
 
 
 def greedy_rnet(points, adjacency, r: int) -> list:

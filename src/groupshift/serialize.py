@@ -7,6 +7,7 @@ runs with identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -20,18 +21,63 @@ if TYPE_CHECKING:  # imported where used: window and forest files need neither
     from .lll import LLLInstance, Verdict
 
 
-def dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+#: Characters of JSON text that :func:`dump` holds before it writes them.
+FLUSH_CHARS = 1 << 14
+#: Scalars of a list that :func:`_write` joins into one piece.
+_RUN = 256
+
+
+def dump(obj, fh) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte, to the binary file ``fh``.
 
     With an indent, :mod:`json` encodes through its pure-Python generators,
     one small piece at a time.  This writer lays out the same text with one
-    append per scalar in an object and one ``join`` per list of scalars.
-    Object keys must be strings.
+    piece per scalar in an object and one ``join`` per run of scalars in a
+    list.  Object keys must be strings.
+
+    The pieces held are written out whenever a container item starts with
+    :data:`FLUSH_CHARS` characters or more held.  So no write exceeds that
+    bound by more than one item's text (one scalar with its key and indent,
+    or up to ``_RUN`` scalars of a list) and the closing brackets after it,
+    and the whole text is never built.
     """
-    out: list[str] = []
+    out = _Pieces(fh.write)
     _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    out.put("\n")
+    out.flush()
+
+
+def dumps(obj) -> str:
+    """The text that :func:`dump` writes, as a string."""
+    buffer = io.BytesIO()
+    dump(obj, buffer)
+    return buffer.getvalue().decode("ascii")
+
+
+class _Pieces:
+    """JSON text laid out but not yet written, and its length."""
+
+    __slots__ = ("pieces", "size", "write")
+
+    def __init__(self, write):
+        self.pieces: list[str] = []
+        self.size = 0
+        self.write = write
+
+    def put(self, text: str) -> None:
+        self.pieces.append(text)
+        self.size += len(text)
+
+    def next_item(self) -> None:
+        """A container item starts: write the text held if it is enough."""
+        if self.size >= FLUSH_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        self.write("".join(self.pieces).encode("ascii"))
+        self.pieces.clear()
+        self.size = 0
 
 
 _INFINITY = float("inf")
@@ -60,55 +106,66 @@ def _scalar(value) -> str:
     return _SCALARS[type(value)](value)
 
 
-def _write(value, newline: str, out: list) -> None:
-    """Append the JSON text of ``value``; ``newline`` is a line break and
+def _write(value, newline: str, out: _Pieces) -> None:
+    """Lay out the JSON text of ``value``; ``newline`` is a line break and
     the indent of the line that ``value`` starts on."""
     encode = _SCALARS.get(type(value))
     if encode is not None:
-        out.append(encode(value))
+        out.put(encode(value))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            out.put("{}")
             return
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
+            out.next_item()
             item = value[key]
             encode = _SCALARS.get(type(item))
             if encode is None:
-                out.append(separator + _string(key) + ": ")
+                out.put(separator + _string(key) + ": ")
                 _write(item, inner, out)
             else:
-                out.append(separator + _string(key) + ": " + encode(item))
+                out.put(separator + _string(key) + ": " + encode(item))
             separator = "," + inner
-        out.append(newline + "}")
+        out.put(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            out.put("[]")
             return
         inner = newline + "  "
         kinds = set(map(type, value))
         if kinds.issubset(_SCALARS):
             encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
-            out.append("[" + inner + ("," + inner).join(map(encode, value))
-                       + newline + "]")
+            separator, opening = "," + inner, "[" + inner
+            if len(value) <= _RUN:  # most lists: one piece
+                out.put(opening + separator.join(map(encode, value))
+                        + newline + "]")
+                return
+            for start in range(0, len(value), _RUN):
+                out.next_item()
+                out.put(opening + separator.join(
+                    map(encode, value[start:start + _RUN])))
+                opening = separator
+            out.put(newline + "]")
             return
         separator = "[" + inner
         for item in value:
+            out.next_item()
             encode = _SCALARS.get(type(item))
             if encode is None:
-                out.append(separator)
+                out.put(separator)
                 _write(item, inner, out)
             else:
-                out.append(separator + encode(item))
+                out.put(separator + encode(item))
             separator = "," + inner
-        out.append(newline + "]")
+        out.put(newline + "]")
     elif isinstance(value, str):  # subclasses, as json encodes them
-        out.append(_string(value))
+        out.put(_string(value))
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.put(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(_float(value))
+        out.put(_float(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
@@ -223,8 +280,9 @@ def instance_to_json(inst: LLLInstance) -> dict:
 def instance_from_json(data: dict) -> LLLInstance:
     """Decode an instance; variable v is the v-th declared variable id.
 
-    InputError for an id declared twice or a support id never declared.
-    Each distinct number is read once, and one whose height exceeds
+    InputError for a variable id declared twice, a support id never
+    declared, or an event id that is neither a list nor a string.  Each
+    distinct number is read once, and one whose height exceeds
     :data:`groupshift.lll.MARGIN_HEIGHT_LIMIT` raises ResourceLimitError:
     a margin that it enters would exceed the limit too.
     """
@@ -249,13 +307,17 @@ def instance_from_json(data: dict) -> LLLInstance:
             raise InputError(f"variable {var['id']!r} is declared twice")
     events = []
     for e in data["events"]:
+        ident = e["id"]
+        if not isinstance(ident, (list, str)):  # a string reads as its chars
+            raise InputError(f"event {len(events)} has the id {ident!r:.40}; "
+                             "an event id must be a list")
         names = e["support"]
         try:
             support = tuple(map(position.__getitem__, names))
         except KeyError as exc:
             raise InputError(f"support variable {exc} is undeclared") from None
         events.append(BadEvent(
-            id=tuple(e["id"]),
+            id=tuple(ident),
             support=support,
             probability=quad(e["probability"]),
             weight=quad(e["weight"]),
@@ -268,23 +330,31 @@ def instance_from_json(data: dict) -> LLLInstance:
 
 @unlimited_int_digits()
 def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
-    # Events of one signature share a margin object (see
-    # lll.verify_condition), so each distinct margin is rendered once.  The
-    # verdict keeps every margin alive meanwhile, so id() is a safe key and
-    # spares hashing ~6,000-bit fractions.
-    rendered: dict[int, tuple] = {}
+    # Events of one class share their probability and weight objects (see
+    # instance_from_json), and events of one signature share a margin object
+    # (see lll.verify_condition), so each distinct number is rendered once.
+    # The instance and verdict keep every number alive meanwhile, so id() is
+    # a safe key and spares hashing ~6,000-bit fractions.
+    rendered: dict[int, object] = {}
+    floats: dict[int, float] = {}
+
+    def render(q: Quad):
+        t = rendered.get(id(q))
+        if t is None:
+            t = rendered[id(q)] = quad_to_json(q)
+        return t
+
     events = []
     for e in inst.events:
         m = verdict.margins[e.id]
-        if id(m) not in rendered:
-            rendered[id(m)] = (quad_to_json(m), float(m))
-        margin, margin_float = rendered[id(m)]
+        if id(m) not in floats:
+            floats[id(m)] = float(m)
         events.append({
             "id": list(e.id),
-            "probability": quad_to_json(e.probability),
-            "weight": quad_to_json(e.weight),
-            "margin": margin,
-            "margin_float": margin_float,
+            "probability": render(e.probability),
+            "weight": render(e.weight),
+            "margin": render(m),
+            "margin_float": floats[id(m)],
             "ok": verdict.ok[e.id],
         })
     return {"holds": verdict.holds, "events": events}
@@ -348,22 +418,46 @@ def forest_to_json(forest) -> dict:
     }
 
 
-# --- run manifest -------------------------------------------------------
+# --- artifact files and the run manifest -------------------------------
 
-def sha256_file(path: Path) -> str:
-    import hashlib  # loads OpenSSL; commands that write no manifest skip it
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+class _HashingFile:
+    """A binary file that feeds each block it writes to SHA-256."""
+
+    def __init__(self, fh):
+        import hashlib  # loads OpenSSL; commands that write no file skip it
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data: bytes) -> None:
+        self.sha256.update(data)
+        self.fh.write(data)
+
+
+def write_artifact(path: Path, artifact) -> str:
+    """Write ``artifact`` to ``path`` and return the SHA-256 hex digest of
+    the bytes written: a string is text as it is (DOT, CSV, PGM), anything
+    else is JSON through :func:`dump`."""
+    with open(path, "wb") as fh:
+        sink = _HashingFile(fh)
+        if isinstance(artifact, str):
+            sink.write(artifact.encode())
+        else:
+            dump(artifact, sink)
+    return sink.sha256.hexdigest()
 
 
 def write_manifest(out_path: Path, argv: list[str], seed, caps: dict,
-                   outputs: list[Path], duration: float) -> Path:
+                   outputs: dict, duration: float) -> Path:
+    """Write ``<out_path>.manifest.json``; ``outputs`` maps each file
+    written to the digest that :func:`write_artifact` returned."""
     manifest = {
         "argv": argv,
         "seed": seed,
         "caps": caps,
-        "outputs": {str(p): sha256_file(p) for p in outputs},
+        "outputs": outputs,
         "duration_s": round(duration, 6),
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(dumps(manifest))
+    with open(path, "wb") as fh:
+        dump(manifest, fh)
     return path

@@ -41,6 +41,12 @@ def run_capped(argv, limit=1 << 30, cwd=None, timeout=120):
     )
 
 
+def sha256_file(path) -> str:
+    """SHA-256 of a file as read back from disk: the oracle for the digests
+    that the CLI takes from the bytes as it writes them."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def write_constant_config(path, radius=6, symbol=0):
     z2 = IntegerLattice(2)
     window = z2.ball(radius=radius)
@@ -134,6 +140,53 @@ class TestSerialization:
     def test_dumps_matches_json_dumps(self, value):
         assert serialize.dumps(value) == json.dumps(
             value, sort_keys=True, indent=2) + "\n"
+
+    # The flush bound and the run length at their defaults, and at their
+    # least, where each item boundary writes and each list run is short.
+    @pytest.mark.parametrize("bounds", [None, (1, 2)])
+    @given(json_documents)
+    @example([[], {}, (), [[]], {"": {}}, ((1, "a"), ())])
+    @example([[1, 2, 3, 4, 5], {"a": [True, None, 0.5, "x", -1]}])
+    @example([2 ** 4000, -2 ** 4000, [2 ** 64, 1]])
+    def test_dump_writes_the_bytes_of_dumps(self, bounds, value):
+        with pytest.MonkeyPatch.context() as patch:
+            if bounds:
+                patch.setattr(serialize, "FLUSH_CHARS", bounds[0])
+                patch.setattr(serialize, "_RUN", bounds[1])
+            file = io.BytesIO()
+            serialize.dump(value, file)
+            text = serialize.dumps(value)
+        assert file.getvalue() == text.encode()
+        assert text == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_dump_never_holds_the_whole_text(self):
+        # A verdict of 2,000 events whose margins are 2-6 KB of digits, 70
+        # distinct ones shared as lll.verify_condition shares them.
+        margins = [f"{k}{'3' * (1000 + 30 * k)}/{'7' * (1000 + 30 * k)}"
+                   for k in range(70)]
+        verdict = {"holds": True, "events": [
+            {"id": [k % 3 + 1, f"x^{k}y"], "probability": "1/8",
+             "weight": {"rational": "1/4", "sqrt2": "-1/9"},
+             "margin": margins[k % 70], "margin_float": 0.0, "ok": True}
+            for k in range(2000)]}
+
+        class Recorder:
+            def __init__(self):
+                self.sizes, self.sha256 = [], hashlib.sha256()
+
+            def write(self, data):
+                self.sizes.append(len(data))
+                self.sha256.update(data)
+
+        file = Recorder()
+        serialize.dump(verdict, file)
+        text = (json.dumps(verdict, sort_keys=True, indent=2) + "\n").encode()
+        assert file.sha256.hexdigest() == hashlib.sha256(text).hexdigest()
+        assert len(text) > 100 * serialize.FLUSH_CHARS
+        # One item beyond the bound: a margin with its key and indent, and
+        # the brackets that close its event.
+        longest = max(map(len, margins))
+        assert max(file.sizes) <= serialize.FLUSH_CHARS + longest + 64
 
     def test_pgm_shape(self):
         z2 = IntegerLattice(2)
@@ -506,6 +559,9 @@ BAD_INSTANCES = {
         "events": [FAIR_EVENT],
     },
     "undeclared-support": {"events": [{**FAIR_EVENT, "support": ["v9"]}]},
+    **{f"id-{name}": {"events": [{**FAIR_EVENT, "id": ident}]}
+       for name, ident in [("int", 5), ("null", None), ("dict", {"a": 1}),
+                           ("bool", True), ("float", 0.5)]},
     **{f"alphabet-{k}": {"variables": [{"id": "v0", "alphabet": k}],
                          "events": [FAIR_EVENT]}
        for k in ("x", -3, 0, True)},
@@ -521,6 +577,16 @@ def test_invalid_instance_exits_2(tmp_path, capsys, instance):
     err = capsys.readouterr().err
     assert "error: input" in err
     assert "Traceback" not in err
+
+
+def test_event_id_must_be_a_list(tmp_path, capsys):
+    # A string id is read as the list of its characters, as before.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"variables": ONE_VARIABLE, "events": [
+        FAIR_EVENT, {**FAIR_EVENT, "id": 5}]}))
+    assert run(["lll", "verify", "--instance", str(path)]) == 2
+    assert ("event 1 has the id 5; an event id must be a list"
+            in capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +625,15 @@ def test_verdict_ignores_variable_names_and_order(instance17, data):
         assert run(["lll", "verify", "--instance", str(path),
                     "--out", str(out)]) == 0
         assert out.read_bytes() == verdict
+
+
+def test_verdict_on_stdout_is_the_verdict_file(instance17, tmp_path, capsys):
+    inst, verdict = instance17
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    capsys.readouterr()
+    assert run(["lll", "verify", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == verdict
 
 
 def test_margin_beyond_int_digit_limit_is_rendered_exactly(tmp_path,
@@ -688,7 +763,7 @@ def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
     assert run(["lll", "verify", "--instance", "inst.json",
                 "--out", "verdict.json"]) == 0
     capsys.readouterr()
-    assert {name: serialize.sha256_file(tmp_path / name)
+    assert {name: sha256_file(tmp_path / name)
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
@@ -780,9 +855,23 @@ def test_every_artifact_matches_golden_hashes(tmp_path, monkeypatch, capsys):
     for argv, _ in GOLDEN_RUNS:
         assert run(argv) == 0
     capsys.readouterr()
-    assert [{name: serialize.sha256_file(tmp_path / name) for name in digests}
+    assert [{name: sha256_file(tmp_path / name) for name in digests}
             for _, digests in GOLDEN_RUNS] == [
                 digests for _, digests in GOLDEN_RUNS]
+
+
+def test_manifest_digests_are_the_files_on_disk(tmp_path, monkeypatch,
+                                               capsys):
+    # Each digest is taken from the bytes as they are written; the oracle
+    # reads the file back.
+    monkeypatch.chdir(tmp_path)
+    for argv, digests in GOLDEN_RUNS:
+        assert run(argv) == 0
+        manifest = json.loads(
+            Path(next(iter(digests)) + ".manifest.json").read_text())
+        assert manifest["outputs"] == {name: sha256_file(name)
+                                       for name in digests}
+    capsys.readouterr()
 
 
 def test_density_verify_searches_its_window_once(tmp_path, monkeypatch,

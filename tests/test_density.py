@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,17 @@ class TestSlope:
         else:
             with pytest.raises(InputError, match=r"\[0,1\]"):
                 Slope.parse(text)
+
+    @pytest.mark.parametrize("text", ["1/" + "9" * 5000, "1" + "0" * 5000,
+                                      "0." + "1" * 5000])
+    def test_slope_beyond_the_int_digit_limit_names_it(self, text):
+        # Well formed, in [0, 1] or not: Fraction(text) stops at int's digit
+        # limit, which used to be reported as "malformed slope".
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int has no digit limit before Python 3.10.7")
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            Slope.parse(text)
 
     @pytest.mark.parametrize("text, value", [
         ("1e-100000000", 0), ("-1e-100000000", 0), ("0e100000000", 0),

@@ -69,3 +69,32 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                              env={**os.environ, "PYTHONPATH": src}).stdout
         loaded.append(out.splitlines()[-1].split())
     assert loaded == [modules for _, modules in COMMAND_MODULES]
+
+
+# Each command, run in order in one directory, and whether it loads
+# hashlib: only the digests of written files need it (it loads OpenSSL).
+COMMAND_HASHLIB = [
+    (["color", "two", "--group", "z^2", "--radius", "4", "--c", "17",
+      "--out", "cfg.json", "--instance-out", "inst.json"], True),
+    (["lll", "verify", "--instance", "inst.json"], False),
+    (["lll", "verify", "--instance", "inst.json", "--out", "v.json"], True),
+    (["verify", "distinct", "--config", "cfg.json", "--levels", "1"], False),
+    (["group", "ball", "--group", "z^2", "--radius", "2"], False),
+]
+
+
+def test_only_a_command_that_writes_a_file_loads_hashlib(tmp_path):
+    code = ("import sys\n"
+            "from groupshift import cli\n"
+            "code = cli.dispatch(sys.argv[1:])\n"
+            "print('hashlib' in sys.modules)\n"
+            "sys.exit(code)\n")
+    src = str(Path(groupshift.__file__).resolve().parents[1])
+    loaded = []
+    for argv, _ in COMMAND_HASHLIB:
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True, check=True,
+                             cwd=tmp_path, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        loaded.append(out.splitlines()[-1] == "True")
+    assert loaded == [loads for _, loads in COMMAND_HASHLIB]
