@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,14 +37,22 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _write_artifacts(args, outputs: dict, seed=None, caps=None):
-    """Write each artifact of ``outputs`` (path -> text, or a JSON value)
-    plus one manifest for the first, with the digest of each as written;
-    a path that cannot be written is an input error (exit 2)."""
+def _write_artifacts(args, outputs: list, seed=None, caps=None):
+    """Write each artifact of ``outputs`` ((path, text or a JSON value)
+    pairs) plus one manifest for the first, with the digest of each as
+    written; a path that cannot be written, or two that name one file, is
+    an input error (exit 2)."""
     from . import serialize
+    paths = [path for path, _ in outputs]
+    named = {}
+    for path in paths + [serialize.manifest_path(p) for p in paths[:1]]:
+        real = os.path.realpath(path)
+        if real in named:
+            raise InputError(f"{named[real]} and {path} name the same file")
+        named[real] = path
     digests = {}
     try:
-        for path, artifact in outputs.items():
+        for path, artifact in outputs:
             digests[str(Path(path))] = serialize.write_artifact(path,
                                                                 artifact)
         if digests:
@@ -61,11 +70,11 @@ def _emit(args, artifact, caps=None) -> None:
     """Write ``artifact`` (text, or a JSON value) to --out with a manifest,
     else to stdout."""
     if args.out:
-        _write_artifacts(args, {args.out: artifact}, caps=caps)
+        _write_artifacts(args, [(args.out, artifact)], caps=caps)
     else:
         from . import serialize
-        sys.stdout.write(artifact if isinstance(artifact, str)
-                         else serialize.dumps(artifact))
+        sys.stdout.flush()
+        serialize.write(artifact, sys.stdout.buffer)
 
 
 def _load(path: str, from_json):
@@ -155,13 +164,13 @@ def cmd_color_two(args) -> int:
     # (n, g); ``verify distinct`` re-derives the pairs from the window file.
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     config = WindowConfig(group, window, tuple(run.assignment), 2)
-    outputs = {args.out: serialize.window_to_json(config)}
+    outputs = [(args.out, serialize.window_to_json(config))]
     if args.instance_out:
-        outputs[args.instance_out] = serialize.instance_to_json(inst)
+        outputs.append((args.instance_out, serialize.instance_to_json(inst)))
     if args.trace_out:
-        outputs[args.trace_out] = {"seed": run.seed,
-                                   "resamples": run.resamples,
-                                   "trace": [list(i) for i in run.trace]}
+        outputs.append((args.trace_out, {
+            "seed": run.seed, "resamples": run.resamples,
+            "trace": [list(i) for i in run.trace]}))
     _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(f"events {len(inst.events)} resamples {run.resamples} "
@@ -187,9 +196,9 @@ def cmd_color_squarefree(args) -> int:
     # Each event's support is its path, in enumeration order.
     witness = aperiodic.find_vertex_square(
         colors, (e.support for e in inst.events))
-    outputs = {}
+    outputs = []
     if args.out:
-        outputs[args.out] = serialize.window_to_json(config)
+        outputs.append((args.out, serialize.window_to_json(config)))
     _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
     print(
@@ -258,7 +267,7 @@ def cmd_density_fill(args) -> int:
         artifact = serialize.window_to_pgm(config)
     else:
         artifact = serialize.window_to_json(config)
-    _write_artifacts(args, {args.out: artifact})
+    _write_artifacts(args, [(args.out, artifact)])
     report = density.verify_condition1(config, forest, alpha)
     print(f"clusters {len(report.clusters)} "
           f"ok {report.ok}", file=sys.stderr)

@@ -22,8 +22,6 @@ the window, a test made on the window's graph.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -56,32 +54,16 @@ class Slope:
             scale = number.adjusted() if number else -11  # 0 for NaN, inf
             value = (Fraction(0) if scale < -10 else Fraction(10) if scale > 0
                      else Fraction(text))
-        except (ArithmeticError, ValueError):
-            raise _unreadable_slope(text) from None
+        except (ArithmeticError, ValueError) as exc:
+            # Fraction checks the syntax before int() can meet its digit
+            # limit (4,300 digits by default).
+            if (isinstance(exc, ValueError)
+                    and not str(exc).startswith("Invalid literal")):
+                raise InputError(f"slope {text!r:.40} has a number beyond "
+                                 "int's digit limit") from None
+            raise InputError(f"malformed slope {text!r}") from None
         # Decimal input: replace by a continued-fraction convergent.
         return cls(value.limit_denominator(2 ** 31) if decimal else value)
-
-
-_DIGITS = re.compile(r"\d(?:_?\d)*")
-
-
-def _unreadable_slope(text: str) -> InputError:
-    """The error for a slope that Fraction rejects.  A slope that is well
-    formed but has a number beyond int's digit limit (4,300 digits by
-    default) is named as such: it is well formed with each number cut to
-    one digit."""
-    limit = (sys.get_int_max_str_digits()
-             if hasattr(sys, "get_int_max_str_digits") else 0)
-    if limit and any(len(run) - run.count("_") > limit
-                     for run in _DIGITS.findall(text)):
-        try:
-            Fraction(_DIGITS.sub("1", text))
-        except ValueError:
-            pass
-        else:
-            return InputError(f"slope {text!r:.40} has a number of more "
-                              f"than {limit} digits")
-    return InputError(f"malformed slope {text!r}")
 
 
 def greedy_rnet(points, adjacency, r: int) -> list:

@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # imported where used: window and forest files need neither
 
 #: Characters of JSON text that :func:`dump` holds before it writes them.
 FLUSH_CHARS = 1 << 14
-#: Scalars of a list that :func:`_write` joins into one piece.
-_RUN = 256
 
 
 def dump(obj, fh) -> None:
@@ -33,14 +31,14 @@ def dump(obj, fh) -> None:
 
     With an indent, :mod:`json` encodes through its pure-Python generators,
     one small piece at a time.  This writer lays out the same text with one
-    piece per scalar in an object and one ``join`` per run of scalars in a
-    list.  Object keys must be strings.
+    piece per scalar in an object and one ``join`` per list of scalars.
+    Object keys must be strings.
 
     The pieces held are written out whenever a container item starts with
     :data:`FLUSH_CHARS` characters or more held.  So no write exceeds that
-    bound by more than one item's text (one scalar with its key and indent,
-    or up to ``_RUN`` scalars of a list) and the closing brackets after it,
-    and the whole text is never built.
+    bound by more than one item's text (a scalar with its key and indent, or
+    a list of scalars) and the closing brackets after it, and the whole text
+    is never built.
     """
     out = _Pieces(fh.write)
     _write(obj, "\n", out)
@@ -137,17 +135,8 @@ def _write(value, newline: str, out: _Pieces) -> None:
         kinds = set(map(type, value))
         if kinds.issubset(_SCALARS):
             encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
-            separator, opening = "," + inner, "[" + inner
-            if len(value) <= _RUN:  # most lists: one piece
-                out.put(opening + separator.join(map(encode, value))
-                        + newline + "]")
-                return
-            for start in range(0, len(value), _RUN):
-                out.next_item()
-                out.put(opening + separator.join(
-                    map(encode, value[start:start + _RUN])))
-                opening = separator
-            out.put(newline + "]")
+            out.put("[" + inner + ("," + inner).join(map(encode, value))
+                    + newline + "]")
             return
         separator = "[" + inner
         for item in value:
@@ -433,23 +422,32 @@ class _HashingFile:
         self.fh.write(data)
 
 
+def write(artifact, fh) -> None:
+    """Write ``artifact`` to the binary file ``fh``: a string is text as it
+    is (DOT, CSV, PGM), anything else is JSON through :func:`dump`."""
+    if isinstance(artifact, str):
+        fh.write(artifact.encode())
+    else:
+        dump(artifact, fh)
+
+
 def write_artifact(path: Path, artifact) -> str:
-    """Write ``artifact`` to ``path`` and return the SHA-256 hex digest of
-    the bytes written: a string is text as it is (DOT, CSV, PGM), anything
-    else is JSON through :func:`dump`."""
+    """:func:`write` ``artifact`` to ``path`` and return the SHA-256 hex
+    digest of the bytes written."""
     with open(path, "wb") as fh:
         sink = _HashingFile(fh)
-        if isinstance(artifact, str):
-            sink.write(artifact.encode())
-        else:
-            dump(artifact, sink)
+        write(artifact, sink)
     return sink.sha256.hexdigest()
+
+
+def manifest_path(out_path) -> Path:
+    return Path(str(out_path) + ".manifest.json")
 
 
 def write_manifest(out_path: Path, argv: list[str], seed, caps: dict,
                    outputs: dict, duration: float) -> Path:
-    """Write ``<out_path>.manifest.json``; ``outputs`` maps each file
-    written to the digest that :func:`write_artifact` returned."""
+    """Write :func:`manifest_path` of ``out_path``; ``outputs`` maps each
+    file written to the digest that :func:`write_artifact` returned."""
     manifest = {
         "argv": argv,
         "seed": seed,
@@ -457,7 +455,7 @@ def write_manifest(out_path: Path, argv: list[str], seed, caps: dict,
         "outputs": outputs,
         "duration_s": round(duration, 6),
     }
-    path = Path(str(out_path) + ".manifest.json")
+    path = manifest_path(out_path)
     with open(path, "wb") as fh:
         dump(manifest, fh)
     return path

@@ -141,18 +141,17 @@ class TestSerialization:
         assert serialize.dumps(value) == json.dumps(
             value, sort_keys=True, indent=2) + "\n"
 
-    # The flush bound and the run length at their defaults, and at their
-    # least, where each item boundary writes and each list run is short.
-    @pytest.mark.parametrize("bounds", [None, (1, 2)])
+    # The flush bound at its default, and at 1, where each item boundary
+    # writes.
+    @pytest.mark.parametrize("bound", [None, 1])
     @given(json_documents)
     @example([[], {}, (), [[]], {"": {}}, ((1, "a"), ())])
     @example([[1, 2, 3, 4, 5], {"a": [True, None, 0.5, "x", -1]}])
     @example([2 ** 4000, -2 ** 4000, [2 ** 64, 1]])
-    def test_dump_writes_the_bytes_of_dumps(self, bounds, value):
+    def test_dump_writes_the_bytes_of_dumps(self, bound, value):
         with pytest.MonkeyPatch.context() as patch:
-            if bounds:
-                patch.setattr(serialize, "FLUSH_CHARS", bounds[0])
-                patch.setattr(serialize, "_RUN", bounds[1])
+            if bound:
+                patch.setattr(serialize, "FLUSH_CHARS", bound)
             file = io.BytesIO()
             serialize.dump(value, file)
             text = serialize.dumps(value)
@@ -871,6 +870,17 @@ def test_manifest_digests_are_the_files_on_disk(tmp_path, monkeypatch,
             Path(next(iter(digests)) + ".manifest.json").read_text())
         assert manifest["outputs"] == {name: sha256_file(name)
                                        for name in digests}
+    # One file named twice would keep only the last artifact written, and a
+    # manifest over an output would replace it: both are refused unwritten.
+    Path("sub").mkdir()
+    color = ["color", "two", "--group", "z^2", "--radius", "3", "--c", "17",
+             "--levels", "1"]
+    for outs in (["--out", "a.json", "--instance-out", "a.json"],
+                 ["--out", "a.json", "--instance-out", "sub/../a.json"],
+                 ["--out", "b.json", "--trace-out", "b.json.manifest.json"]):
+        assert run(color + outs) == 2
+        assert "name the same file" in capsys.readouterr().err
+    assert not list(Path().glob("[ab].*"))
     capsys.readouterr()
 
 
@@ -1134,7 +1144,8 @@ def test_fuzzed_subcommands_keep_the_exit_code_contract(call):
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(text)
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # A JSON artifact goes to stdout's binary buffer.
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
                 contextlib.redirect_stderr(err):
             code = run([a.format(**paths) for a in argv])
     assert code in (0, 1, 2, 3)

@@ -166,7 +166,7 @@ class TestSlope:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("int has no digit limit before Python 3.10.7")
-        with pytest.raises(InputError, match=f"more than {limit} digits"):
+        with pytest.raises(InputError, match="digit limit"):
             Slope.parse(text)
 
     @pytest.mark.parametrize("text, value", [
