@@ -68,25 +68,25 @@ def _write_artifacts(args, outputs: list, seed=None, caps=None):
 
 def _emit(args, artifact, caps=None) -> None:
     """Write ``artifact`` (text, or a JSON value) to --out with a manifest,
-    else to stdout."""
+    else to ``sys.stdout`` as text, whatever file that is."""
     if args.out:
         _write_artifacts(args, [(args.out, artifact)], caps=caps)
     else:
         from . import serialize
-        sys.stdout.flush()
-        serialize.write(artifact, sys.stdout.buffer)
+        serialize.write(artifact, sys.stdout)
 
 
 def _load(path: str, from_json):
     """Decode the JSON artifact at ``path`` with ``from_json``.
 
-    A missing, unreadable or malformed file is an input error (exit 2),
-    never a traceback: exit 1 is reserved for verified violations.
+    A missing, unreadable, malformed or too deeply nested file is an input
+    error (exit 2), never a traceback: exit 1 is reserved for verified
+    violations.
     """
     try:
         return from_json(json.loads(Path(path).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from None
 
 

@@ -1,7 +1,9 @@
 """JSON / CSV / PGM / DOT serialization and the run manifest.
 
 All JSON is emitted with sorted keys and a trailing newline so repeated
-runs with identical inputs produce byte-identical artifacts.
+runs with identical inputs produce byte-identical artifacts.  Artifacts
+are written to text files piece by piece, so none is built whole; an
+artifact file is hashed from its UTF-8 bytes as they are written.
 """
 
 from __future__ import annotations
@@ -21,61 +23,25 @@ if TYPE_CHECKING:  # imported where used: window and forest files need neither
     from .lll import LLLInstance, Verdict
 
 
-#: Characters of JSON text that :func:`dump` holds before it writes them.
-FLUSH_CHARS = 1 << 14
-
-
 def dump(obj, fh) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for
-    byte, to the binary file ``fh``.
+    byte, to the text file ``fh``.
 
     With an indent, :mod:`json` encodes through its pure-Python generators,
     one small piece at a time.  This writer lays out the same text with one
-    piece per scalar in an object and one ``join`` per list of scalars.
+    ``fh.write`` per scalar in an object and one per list of scalars, so the
+    whole text is never built: the file's own buffer batches the pieces.
     Object keys must be strings.
-
-    The pieces held are written out whenever a container item starts with
-    :data:`FLUSH_CHARS` characters or more held.  So no write exceeds that
-    bound by more than one item's text (a scalar with its key and indent, or
-    a list of scalars) and the closing brackets after it, and the whole text
-    is never built.
     """
-    out = _Pieces(fh.write)
-    _write(obj, "\n", out)
-    out.put("\n")
-    out.flush()
+    _write(obj, "\n", fh.write)
+    fh.write("\n")
 
 
 def dumps(obj) -> str:
     """The text that :func:`dump` writes, as a string."""
-    buffer = io.BytesIO()
+    buffer = io.StringIO()
     dump(obj, buffer)
-    return buffer.getvalue().decode("ascii")
-
-
-class _Pieces:
-    """JSON text laid out but not yet written, and its length."""
-
-    __slots__ = ("pieces", "size", "write")
-
-    def __init__(self, write):
-        self.pieces: list[str] = []
-        self.size = 0
-        self.write = write
-
-    def put(self, text: str) -> None:
-        self.pieces.append(text)
-        self.size += len(text)
-
-    def next_item(self) -> None:
-        """A container item starts: write the text held if it is enough."""
-        if self.size >= FLUSH_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        self.write("".join(self.pieces).encode("ascii"))
-        self.pieces.clear()
-        self.size = 0
+    return buffer.getvalue()
 
 
 _INFINITY = float("inf")
@@ -104,57 +70,49 @@ def _scalar(value) -> str:
     return _SCALARS[type(value)](value)
 
 
-def _write(value, newline: str, out: _Pieces) -> None:
-    """Lay out the JSON text of ``value``; ``newline`` is a line break and
-    the indent of the line that ``value`` starts on."""
+def _write(value, newline: str, put) -> None:
+    """Pass the JSON text of ``value`` to ``put`` in pieces; ``newline`` is
+    a line break and the indent of the line that ``value`` starts on."""
     encode = _SCALARS.get(type(value))
     if encode is not None:
-        out.put(encode(value))
+        put(encode(value))
     elif isinstance(value, dict):
         if not value:
-            out.put("{}")
+            put("{}")
             return
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
-            out.next_item()
             item = value[key]
             encode = _SCALARS.get(type(item))
             if encode is None:
-                out.put(separator + _string(key) + ": ")
-                _write(item, inner, out)
+                put(separator + _string(key) + ": ")
+                _write(item, inner, put)
             else:
-                out.put(separator + _string(key) + ": " + encode(item))
+                put(separator + _string(key) + ": " + encode(item))
             separator = "," + inner
-        out.put(newline + "}")
+        put(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.put("[]")
+            put("[]")
             return
         inner = newline + "  "
         kinds = set(map(type, value))
         if kinds.issubset(_SCALARS):
             encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
-            out.put("[" + inner + ("," + inner).join(map(encode, value))
-                    + newline + "]")
+            put("[" + inner + ("," + inner).join(map(encode, value))
+                + newline + "]")
             return
         separator = "[" + inner
         for item in value:
-            out.next_item()
             encode = _SCALARS.get(type(item))
             if encode is None:
-                out.put(separator)
-                _write(item, inner, out)
+                put(separator)
+                _write(item, inner, put)
             else:
-                out.put(separator + encode(item))
+                put(separator + encode(item))
             separator = "," + inner
-        out.put(newline + "]")
-    elif isinstance(value, str):  # subclasses, as json encodes them
-        out.put(_string(value))
-    elif isinstance(value, int):
-        out.put(int.__repr__(value))
-    elif isinstance(value, float):
-        out.put(_float(value))
+        put(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
@@ -409,7 +367,7 @@ def forest_to_json(forest) -> dict:
 
 # --- artifact files and the run manifest -------------------------------
 
-class _HashingFile:
+class _HashingFile(io.RawIOBase):
     """A binary file that feeds each block it writes to SHA-256."""
 
     def __init__(self, fh):
@@ -417,26 +375,30 @@ class _HashingFile:
         self.fh = fh
         self.sha256 = hashlib.sha256()
 
-    def write(self, data: bytes) -> None:
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
         self.sha256.update(data)
-        self.fh.write(data)
+        return self.fh.write(data)
 
 
 def write(artifact, fh) -> None:
-    """Write ``artifact`` to the binary file ``fh``: a string is text as it
+    """Write ``artifact`` to the text file ``fh``: a string is text as it
     is (DOT, CSV, PGM), anything else is JSON through :func:`dump`."""
     if isinstance(artifact, str):
-        fh.write(artifact.encode())
+        fh.write(artifact)
     else:
         dump(artifact, fh)
 
 
 def write_artifact(path: Path, artifact) -> str:
-    """:func:`write` ``artifact`` to ``path`` and return the SHA-256 hex
-    digest of the bytes written."""
+    """:func:`write` ``artifact`` to ``path`` as UTF-8 and return the
+    SHA-256 hex digest of the bytes written."""
     with open(path, "wb") as fh:
         sink = _HashingFile(fh)
-        write(artifact, sink)
+        with io.TextIOWrapper(sink, encoding="utf-8", newline="\n") as text:
+            write(artifact, text)
     return sink.sha256.hexdigest()
 
 
@@ -456,6 +418,6 @@ def write_manifest(out_path: Path, argv: list[str], seed, caps: dict,
         "duration_s": round(duration, 6),
     }
     path = manifest_path(out_path)
-    with open(path, "wb") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         dump(manifest, fh)
     return path

@@ -47,6 +47,20 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+class RecordingFile(io.RawIOBase):
+    """A raw binary file that keeps the bytes written to it."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += data
+        return len(data)
+
+
 def write_constant_config(path, radius=6, symbol=0):
     z2 = IntegerLattice(2)
     window = z2.ball(radius=radius)
@@ -141,24 +155,23 @@ class TestSerialization:
         assert serialize.dumps(value) == json.dumps(
             value, sort_keys=True, indent=2) + "\n"
 
-    # The flush bound at its default, and at 1, where each item boundary
-    # writes.
-    @pytest.mark.parametrize("bound", [None, 1])
     @given(json_documents)
     @example([[], {}, (), [[]], {"": {}}, ((1, "a"), ())])
     @example([[1, 2, 3, 4, 5], {"a": [True, None, 0.5, "x", -1]}])
     @example([2 ** 4000, -2 ** 4000, [2 ** 64, 1]])
-    def test_dump_writes_the_bytes_of_dumps(self, bound, value):
-        with pytest.MonkeyPatch.context() as patch:
-            if bound:
-                patch.setattr(serialize, "FLUSH_CHARS", bound)
-            file = io.BytesIO()
-            serialize.dump(value, file)
-            text = serialize.dumps(value)
-        assert file.getvalue() == text.encode()
+    def test_dump_writes_the_bytes_of_dumps(self, value):
+        # Into a string, and through a text layer into a binary file.
+        text = serialize.dumps(value)
+        into = io.StringIO()
+        serialize.dump(value, into)
+        file = RecordingFile()
+        with io.TextIOWrapper(file, encoding="utf-8", newline="\n") as fh:
+            serialize.dump(value, fh)
+        assert into.getvalue() == text
+        assert file.data == text.encode()
         assert text == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
-    def test_dump_never_holds_the_whole_text(self):
+    def test_dump_never_holds_the_whole_text(self, tmp_path, monkeypatch):
         # A verdict of 2,000 events whose margins are 2-6 KB of digits, 70
         # distinct ones shared as lll.verify_condition shares them.
         margins = [f"{k}{'3' * (1000 + 30 * k)}/{'7' * (1000 + 30 * k)}"
@@ -168,24 +181,21 @@ class TestSerialization:
              "weight": {"rational": "1/4", "sqrt2": "-1/9"},
              "margin": margins[k % 70], "margin_float": 0.0, "ok": True}
             for k in range(2000)]}
+        sizes = []
+        write = serialize._HashingFile.write
 
-        class Recorder:
-            def __init__(self):
-                self.sizes, self.sha256 = [], hashlib.sha256()
+        def record(self, data):
+            sizes.append(len(data))
+            return write(self, data)
 
-            def write(self, data):
-                self.sizes.append(len(data))
-                self.sha256.update(data)
-
-        file = Recorder()
-        serialize.dump(verdict, file)
+        monkeypatch.setattr(serialize._HashingFile, "write", record)
+        digest = serialize.write_artifact(tmp_path / "verdict.json", verdict)
         text = (json.dumps(verdict, sort_keys=True, indent=2) + "\n").encode()
-        assert file.sha256.hexdigest() == hashlib.sha256(text).hexdigest()
-        assert len(text) > 100 * serialize.FLUSH_CHARS
-        # One item beyond the bound: a margin with its key and indent, and
-        # the brackets that close its event.
-        longest = max(map(len, margins))
-        assert max(file.sizes) <= serialize.FLUSH_CHARS + longest + 64
+        assert digest == hashlib.sha256(text).hexdigest()
+        assert len(text) > 1000 * 8192
+        # The text layer passes its 8 KiB buffer on whenever it fills, and
+        # no piece of this verdict is longer than that.
+        assert max(sizes) <= 8192
 
     def test_pgm_shape(self):
         z2 = IntegerLattice(2)
@@ -329,6 +339,16 @@ MALFORMED_INPUTS = {
                                 "--levels", "1"],
     "density-measure-missing": ["density", "measure", "--config", "{missing}",
                                 "--balls", "1..2"],
+    # json.loads recurses once per bracket: these exited 1 with a
+    # RecursionError traceback.
+    "lll-verify-deep-nesting": ["lll", "verify", "--instance", "{deep}"],
+    "verify-distinct-deep-nesting": ["verify", "distinct", "--config",
+                                     "{deep}", "--levels", "1"],
+    "density-verify-deep-nesting": ["density", "verify", "--config",
+                                    "{deep}", "--levels", "1",
+                                    "--alpha", "0"],
+    "density-measure-deep-nesting": ["density", "measure", "--config",
+                                     "{deep}", "--balls", "1"],
     "density-fill-bad-alpha": ["density", "fill", "--group", "z^2",
                                "--radius", "3", "--levels", "1",
                                "--alpha", "0.5x", "--out", "{out}"],
@@ -386,8 +406,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
              for name in ("missing", "text", "nocells", "intgroup", "config",
                           "out", "boolradius", "offwindow", "twospellings",
                           "missingcell", "halfsymbol", "boolsymbol",
-                          "halfalphabet")}
+                          "halfalphabet", "deep")}
     files["text"].write_text("not json {")
+    files["deep"].write_text("[" * 200_000 + "]" * 200_000)
     files["nocells"].write_text(json.dumps(
         {"group": "z^2", "radius": 1, "alphabet_size": 2}))
     files["intgroup"].write_text(json.dumps(
@@ -633,6 +654,36 @@ def test_verdict_on_stdout_is_the_verdict_file(instance17, tmp_path, capsys):
     capsys.readouterr()
     assert run(["lll", "verify", "--instance", str(path)]) == 0
     assert capsys.readouterr().out.encode() == verdict
+
+
+PRINTED = {
+    "group-ball": ["group", "ball", "--group", "heisenberg", "--radius", "2"],
+    "lll-verify": ["lll", "verify", "--instance", "{inst}"],
+    "build-forest-json": ["density", "build-forest", "--group", "z^2",
+                          "--radius", "4", "--levels", "2"],
+    "build-forest-dot": ["density", "build-forest", "--group", "z^2",
+                         "--radius", "4", "--levels", "2", "--format", "dot"],
+    "density-measure": ["density", "measure", "--config", "{config}",
+                        "--balls", "1..3", "--alpha", "1/2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(PRINTED.values()), ids=list(PRINTED))
+def test_stdout_artifact_is_the_out_file_on_any_stream(instance17, tmp_path,
+                                                       argv):
+    # Printed to a StringIO, as the benchmark's tracer redirects stdout; it
+    # used to raise AttributeError on the missing binary buffer.
+    (tmp_path / "inst.json").write_text(json.dumps(instance17[0]))
+    write_constant_config(tmp_path / "config.json")
+    argv = [a.format(inst=tmp_path / "inst.json",
+                     config=tmp_path / "config.json") for a in argv]
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--out", str(out)]) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run(argv) == 0
+    assert printed.getvalue().encode() == out.read_bytes()
 
 
 def test_margin_beyond_int_digit_limit_is_rendered_exactly(tmp_path,
@@ -1144,8 +1195,7 @@ def test_fuzzed_subcommands_keep_the_exit_code_contract(call):
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(text)
         err = io.StringIO()
-        # A JSON artifact goes to stdout's binary buffer.
-        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+        with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = run([a.format(**paths) for a in argv])
     assert code in (0, 1, 2, 3)
