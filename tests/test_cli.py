@@ -155,17 +155,22 @@ class TestSerialization:
         assert serialize.dumps(value) == json.dumps(
             value, sort_keys=True, indent=2) + "\n"
 
+    # The text layer's chunk at its default, and at 1, where every piece
+    # passes straight on to the binary file.
+    @pytest.mark.parametrize("chunk", [None, 1])
     @given(json_documents)
     @example([[], {}, (), [[]], {"": {}}, ((1, "a"), ())])
     @example([[1, 2, 3, 4, 5], {"a": [True, None, 0.5, "x", -1]}])
     @example([2 ** 4000, -2 ** 4000, [2 ** 64, 1]])
-    def test_dump_writes_the_bytes_of_dumps(self, value):
+    def test_dump_writes_the_bytes_of_dumps(self, chunk, value):
         # Into a string, and through a text layer into a binary file.
         text = serialize.dumps(value)
         into = io.StringIO()
         serialize.dump(value, into)
         file = RecordingFile()
         with io.TextIOWrapper(file, encoding="utf-8", newline="\n") as fh:
+            if chunk:
+                fh._CHUNK_SIZE = chunk
             serialize.dump(value, fh)
         assert into.getvalue() == text
         assert file.data == text.encode()
