@@ -195,18 +195,19 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     t -> s_n t; probability 2^(-C n), weight 2^(-C n / 2).
     """
     events: list[BadEvent] = []
+    sides = slice(0, None, 2), slice(1, None, 2)  # disjoint g T_n, g s_n T_n
     for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         probability = two_coloring_probability(tsets.c, n)
         weight = two_coloring_weight(tsets.c, n)
         for i, pairs in fitting_pairs(group, window, s, t_set):
-            first, second = zip(*pairs)
+            support = tuple(chain.from_iterable(pairs))
             events.append(BadEvent(
                 id=(n, i),
-                support=tuple(dict.fromkeys(chain.from_iterable(pairs))),
+                support=support,
                 probability=probability,
                 weight=weight,
-                violated=equal_on(first, second),
+                violated=equal_on(support, *sides),
             ))
     return LLLInstance(alphabet=(2,) * len(window), events=events)
 
@@ -318,6 +319,7 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     halves = range(min(max_half_length, len(w) // 2) + 1)
     probability = [Quad(Fraction(1, alphabet_size ** n)) for n in halves]
     weight = [Quad(Fraction(1, base ** n)) for n in halves]
+    split = [(slice(None, n), slice(n, None)) for n in halves]
     events = []
     # The events form no reference cycles, but their ~10^5 objects set off
     # full collections that scan the whole heap and free nothing.
@@ -332,7 +334,7 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
                 support=path,
                 probability=probability[n],
                 weight=weight[n],
-                violated=equal_on(path[:n], path[n:]),
+                violated=equal_on(path, *split[n]),
             ))
     finally:
         if collecting:

@@ -187,25 +187,22 @@ def cmd_color_squarefree(args) -> int:
         print("warning: alphabet below the certified bound",
               file=sys.stderr)
     inst = aperiodic.build_squarefree_instance(
-        window, args.alphabet, args.maxlen, len(group.labels),
-        budget=args.cap,
-    )
+        window, args.alphabet, args.maxlen, len(group.labels), budget=args.cap)
     run = lll.resample(inst, seed=args.seed, cap=args.cap)
     colors = tuple(run.assignment)
-    config = WindowConfig(group, window, colors, args.alphabet)
     # Each event's support is its path, in enumeration order.
     witness = aperiodic.find_vertex_square(
         colors, (e.support for e in inst.events))
+    summary = (f"events {len(inst.events)} resamples {run.resamples} "
+               f"square {'found' if witness else 'none'}")
+    del inst, run  # freed before the first digest loads OpenSSL
+    config = WindowConfig(group, window, colors, args.alphabet)
     outputs = []
     if args.out:
         outputs.append((args.out, serialize.window_to_json(config)))
     _write_artifacts(args, outputs, seed=args.seed,
                      caps={"resample": args.cap})
-    print(
-        f"events {len(inst.events)} resamples {run.resamples} "
-        f"square {'found' if witness else 'none'}",
-        file=sys.stderr,
-    )
+    print(summary, file=sys.stderr)
     return EXIT_OK if witness is None else EXIT_VERIFICATION
 
 

@@ -268,7 +268,6 @@ def instance_from_json(data: dict) -> LLLInstance:
             support=support,
             probability=quad(e["probability"]),
             weight=quad(e["weight"]),
-            violated=None,
         ))
     return LLLInstance(
         alphabet=tuple(var["alphabet"] for var in data["variables"]),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,10 @@ class TestFittingPairsOnPositions:
         assert [e.id for e in inst.events] == expected_ids
         assert [tuple(members[i] for i in e.support)
                 for e in inst.events] == expected_supports
+        # g T_n and g s_n T_n are disjoint: 2 C n positions, none repeated,
+        # so the builder needs no deduplication.
+        for e in inst.events:
+            assert len(e.support) == len(set(e.support)) == 2 * c * e.id[0]
 
     def test_window_of_several_table_blocks_matches_replaced_code(self):
         z2 = IntegerLattice(2)
@@ -559,6 +564,19 @@ class TestSquarefreeInstance:
         run = resample(inst, seed=0)
         assert find_vertex_square(run.assignment,
                                   enumerate_odd_paths(w, 2)) is None
+
+    def test_instance_holds_each_path_once(self):
+        # The paths_nonabelian window: 18,772 events took 13.8 MB when each
+        # predicate held its two half-paths besides the path itself.
+        w = FreeGroup(2).ball(radius=6)
+        tracemalloc.start()
+        try:
+            inst = build_squarefree_instance(w, 16, 3, 2)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(inst.events) == 18772
+        assert size <= 11 * 10 ** 6
 
     def test_path_dependency_bound(self):
         s = 2

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +26,7 @@ from groupshift.lll import (
     aperiodic_constant_scan,
     audit_event_probability,
     check_aperiodic_constant,
+    equal_on,
     events_by_variable,
     geometric_derivative_partial,
     neighbour_counts,
@@ -497,6 +500,60 @@ class TestAgainstReplacedCode:
         verdict = verify_condition(inst)
         assert verdict.margins == margins
         assert verdict.holds == holds
+
+
+def oracle_equal_on(first: tuple, second: tuple):
+    """The replaced predicate: one itemgetter per side, on copied positions."""
+    return lambda a, first=itemgetter(*first), second=itemgetter(*second): (
+        first(a) == second(a))
+
+
+@st.composite
+def paired_supports(draw):
+    """A support of 2k positions below 10, with the slices of a square-free
+    path (its halves) or of a 2-coloring event (even and odd places)."""
+    k = draw(st.integers(1, 5))
+    support = tuple(draw(st.lists(st.integers(0, 9), min_size=2 * k,
+                                  max_size=2 * k)))
+    first, second = draw(st.sampled_from([
+        (slice(None, k), slice(k, None)),
+        (slice(0, None, 2), slice(1, None, 2))]))
+    return support, first, second
+
+
+class TestEqualOn:
+    @given(paired_supports(), st.integers(2, 4), st.data())
+    def test_matches_two_itemgetter_predicate(self, case, alphabet, data):
+        support, first, second = case
+        predicate = equal_on(support, first, second)
+        oracle = oracle_equal_on(support[first], support[second])
+        for _ in range(8):
+            a = data.draw(st.lists(st.integers(0, alphabet - 1), min_size=10,
+                                   max_size=10))
+            assert predicate(a) == oracle(a)
+
+    @pytest.mark.parametrize("support", [(), (3,)])
+    def test_support_below_two_positions_rejected(self, support):
+        with pytest.raises(InputError, match="at least 2 positions"):
+            equal_on(support, slice(None, 1), slice(1, None))
+
+
+class TestBadEvent:
+    event = BadEvent(id=("e",), support=(0, 1), probability=Quad.of(0),
+                     weight=Quad.of(Fraction(1, 2)))
+
+    def test_slotted(self):
+        assert not hasattr(self.event, "__dict__")
+
+    def test_replace_swaps_the_predicate(self):
+        # bench/tracer.py counts predicate calls through this replace.
+        def predicate(a):
+            return True
+        copy = dataclasses.replace(self.event, violated=predicate)
+        assert copy.violated is predicate
+        assert (copy.id, copy.support, copy.weight) == (
+            self.event.id, self.event.support, self.event.weight)
+        assert self.event.violated is None
 
 
 class TestNeighbourCounts:
