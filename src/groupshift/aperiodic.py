@@ -16,21 +16,14 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .exact import Quad
 from .groups import Ball, GroupModel, InputError, ResourceLimitError
-from .lll import (
-    BadEvent,
-    LLLInstance,
-    equal_on,
-    neighbour_counts,
-    two_coloring_probability,
-    two_coloring_weight,
-)
 from .patterns import WindowConfig
+
+if TYPE_CHECKING:  # imported by the builders: the checks load no resampler
+    from .lll import LLLInstance
 
 
 @dataclass(frozen=True)
@@ -141,21 +134,26 @@ def _walk_columns(adjacency, sizes, radius, words, block) -> list:
 
 def fitting_pairs(group: GroupModel, window: Ball, s,
                   t_set) -> Iterator[tuple]:
-    """The fitting positions of one level, with their translated pairs.
+    """The fitting positions of one level, with their translated rows.
 
-    For each position i of the window, in order, yields ``(i, pairs)``
-    with ``pairs`` the tuple of the positions of (g t, g s t) over t in
-    ``t_set``, g = ``window.members[i]``, provided every product lies in
-    the window; positions where g T or g s T leaves the window are
-    skipped.  This is the single definition of a fitting (n, g) shared by
-    the instance builder and the distinct-neighborhood verifier.
+    For each position i of the window, in order, yields ``(i, row)``
+    with ``row`` the flat tuple of the positions of g t_1, g s t_1,
+    g t_2, g s t_2, ... over t_k in ``t_set``, g = ``window.members[i]``,
+    provided every product lies in the window; positions where g T or
+    g s T leaves the window are skipped.  So ``row[0::2]`` is g T and
+    ``row[1::2]`` is g s T, pair by pair.  This is the single definition
+    of a fitting (n, g) shared by the instance builder and the
+    distinct-neighborhood verifier.
 
     Right translation by h is a walk along a geodesic word of h on the
     ball's adjacency (see :func:`_walk_columns`), valid for the rows
     within radius - |h| of the center.  Rows beyond that reach take the
     product and its lookup, since a walk from there may leave the ball
-    and come back in.  The tables are built one block of
-    :data:`TABLE_BLOCK` rows at a time.
+    and come back in.  Such a row first tries the translate that ruled
+    out the last row that did not fit, which near the sphere often rules
+    it out too; a hit is kept for its place in the row, so no product is
+    taken twice.  The tables are built one block of :data:`TABLE_BLOCK`
+    rows at a time.
     """
     mul, index, members = group.mul, window.index, window.members
     radius, sizes = window.radius, window.sizes
@@ -166,48 +164,66 @@ def fitting_pairs(group: GroupModel, window: Ball, s,
     reach = [sizes[radius - len(w)] if len(w) <= radius else 0
              for w in words]
     full = min(reach, default=0)  # the rows that every column covers
+    miss = None  # the column that ruled out the last row that did not fit
     # The index's own position ints: the events that keep them add none.
     positions = list(index.values())
     for lo in range(0, len(positions), TABLE_BLOCK):
         block = positions[lo:lo + TABLE_BLOCK]
         columns = _walk_columns(window.adjacency, sizes, radius, words, block)
         covered = max(0, full - lo)
-        for i, first, second in zip(block[:covered], zip(*columns[0::2]),
-                                    zip(*columns[1::2])):
-            yield i, tuple(zip(first, second))
+        yield from zip(block[:covered], zip(*columns))
         for j, i in enumerate(block[covered:], covered):
             g, row = members[i], []
-            for column, h, stop in zip(columns, hs, reach):
-                p = column[j] if i < stop else index.get(mul(g, h))
+            if miss is not None:
+                probe = (columns[miss][j] if i < reach[miss]
+                         else index.get(mul(g, hs[miss])))
+                if probe is None:
+                    continue
+            for k, (column, h, stop) in enumerate(zip(columns, hs, reach)):
+                if i < stop:
+                    p = column[j]
+                elif k == miss:
+                    p = probe
+                else:
+                    p = index.get(mul(g, h))
                 if p is None:
+                    miss = k
                     break
                 row.append(p)
             else:
-                yield i, tuple(zip(row[0::2], row[1::2]))
+                yield i, tuple(row)
 
 
 def build_2coloring_instance(group: GroupModel, window: Ball,
                              tsets: TSets) -> LLLInstance:
     """Binary variables on the window positions; one event per fitting (n, g).
 
-    The event for (n, g), with id (n, position of g), is violated when the
-    restriction to g T_n equals the restriction to g s_n T_n under
-    t -> s_n t; probability 2^(-C n), weight 2^(-C n / 2).
+    The event for (n, g), with id (n, position of g), has the flat row of
+    :func:`fitting_pairs` as its support.  It is violated when the
+    restriction to g T_n, the row's even places, equals the restriction
+    to g s_n T_n, its odd places, under t -> s_n t; probability 2^(-C n),
+    weight 2^(-C n / 2).
     """
+    from .lll import (
+        BadEvent,
+        LLLInstance,
+        equal_on,
+        two_coloring_probability,
+        two_coloring_weight,
+    )
     events: list[BadEvent] = []
     sides = slice(0, None, 2), slice(1, None, 2)  # disjoint g T_n, g s_n T_n
     for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         probability = two_coloring_probability(tsets.c, n)
         weight = two_coloring_weight(tsets.c, n)
-        for i, pairs in fitting_pairs(group, window, s, t_set):
-            support = tuple(chain.from_iterable(pairs))
+        for i, row in fitting_pairs(group, window, s, t_set):
             events.append(BadEvent(
                 id=(n, i),
-                support=support,
+                support=row,
                 probability=probability,
                 weight=weight,
-                violated=equal_on(support, *sides),
+                violated=equal_on(row, *sides),
             ))
     return LLLInstance(alphabet=(2,) * len(window), events=events)
 
@@ -226,17 +242,21 @@ def verify_distinct_neighborhood(x: WindowConfig,
                                  tsets: TSets) -> DistinctNeighborhoodReport:
     """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g).
 
-    The comparison runs on the window's colour tuple; the report names
-    each violation by its level and element.
+    The comparison runs on the window's colour tuple: the colours of a
+    flat row of :func:`fitting_pairs` at its even places (g T_n) against
+    those at its odd places (g s_n T_n).  A row has 2 C n >= 2 places, so
+    its getter returns a tuple.  The report names each violation by its
+    level and element.
     """
     members, colors = x.window.members, x.colors
     violations = []
     checked = 0
     for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
-        for i, pairs in fitting_pairs(x.group, x.window, s, t_set):
+        for i, row in fitting_pairs(x.group, x.window, s, t_set):
             checked += 1
-            if all(colors[u] == colors[v] for u, v in pairs):
+            c = itemgetter(*row)(colors)
+            if c[0::2] == c[1::2]:
                 violations.append((n, members[i]))
     return DistinctNeighborhoodReport(violations=violations, checked=checked)
 
@@ -313,6 +333,8 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     vertices, so it is its own support and has at most |w| of them.
     Events of one half-length n share one probability and one weight.
     """
+    from .exact import Quad
+    from .lll import BadEvent, LLLInstance, equal_on
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
     base = 8 * generator_count * generator_count
@@ -350,6 +372,7 @@ def path_dependency_counts(w: Ball, max_half_length: int,
     number of length-(2j-1) paths sharing at least one vertex with path k
     (excluding the path itself at its own level).
     """
+    from .lll import neighbour_counts
     paths = list(enumerate_odd_paths(w, max_half_length, budget))
     return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))
 

@@ -6,9 +6,12 @@ Exit codes: 0 success, 1 verification failure (violations found),
 
 Each handler imports the modules its subcommand runs, so a launch loads
 only those: every command is a fresh process, and for a short one
-start-up is most of its time.  Handlers call through the module
-(``density.build_forest``), so a function rebound on its module, as the
-benchmark's tracer does, is the one that runs.
+start-up is most of its time.  ``aperiodic`` and ``serialize`` import
+``lll`` and ``exact`` only inside the functions that build or read
+events, so ``verify distinct`` and ``witness`` load no resampler.
+Handlers call through the module (``density.build_forest``), so a
+function rebound on its module, as the benchmark's tracer does, is the
+one that runs.
 """
 
 from __future__ import annotations

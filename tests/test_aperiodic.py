@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +168,12 @@ def oracle_position_fitting_pairs(group, window, s, t_set):
             pairs.append((u, v))
         else:
             yield i, tuple(pairs)
+
+
+def flattened(fitting):
+    """The oracles' ``(key, pairs)`` items with each pairs tuple flattened
+    to the row (g t_1, g s t_1, g t_2, ...) that ``fitting_pairs`` yields."""
+    return [(key, tuple(chain.from_iterable(pairs))) for key, pairs in fitting]
 
 
 fitting_windows = st.tuples(
@@ -353,13 +360,12 @@ class TestFittingPairsOnPositions:
             s, t_set = tsets.level(n)
             expected = list(oracle_fitting_pairs(group, members, window, s,
                                                  t_set))
-            pairs_at = list(fitting_pairs(group, window, s, t_set))
-            assert pairs_at == list(
+            rows_at = list(fitting_pairs(group, window, s, t_set))
+            assert rows_at == flattened(
                 oracle_position_fitting_pairs(group, window, s, t_set))
-            got = [(members[i], tuple((members[u], members[v])
-                                      for u, v in pairs))
-                   for i, pairs in pairs_at]
-            assert got == expected
+            got = [(members[i], tuple(members[p] for p in row))
+                   for i, row in rows_at]
+            assert got == flattened(expected)
             expected_ids += [(n, members.index(g)) for g, _ in expected]
             expected_supports += [
                 tuple(dict.fromkeys(h for pair in pairs for h in pair))
@@ -379,10 +385,10 @@ class TestFittingPairsOnPositions:
         window = z2.ball(center=z2.canonicalize("x^3 y^-2"), radius=30)
         assert len(window) > TABLE_BLOCK
         s, t_set = build_t_sets(z2, 17, 1).level(1)
-        pairs = list(fitting_pairs(z2, window, s, t_set))
-        assert pairs == list(oracle_position_fitting_pairs(z2, window, s,
-                                                           t_set))
-        assert pairs[-1][0] > TABLE_BLOCK  # a fitting row in a later block
+        rows = list(fitting_pairs(z2, window, s, t_set))
+        assert rows == flattened(oracle_position_fitting_pairs(z2, window, s,
+                                                               t_set))
+        assert rows[-1][0] > TABLE_BLOCK  # a fitting row in a later block
 
     def test_empty_test_set_fits_everywhere(self):
         z2 = IntegerLattice(2)

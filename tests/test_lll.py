@@ -555,6 +555,15 @@ class TestBadEvent:
             self.event.id, self.event.support, self.event.weight)
         assert self.event.violated is None
 
+    def test_replace_swaps_the_events_of_an_instance(self):
+        # bench/tracer.py hands the resampler such a copy.
+        inst = LLLInstance(alphabet=(2, 2), events=[self.event])
+        events = [dataclasses.replace(self.event, violated=lambda a: False)]
+        copy = dataclasses.replace(inst, events=events)
+        assert copy.events is events
+        assert copy.alphabet == inst.alphabet
+        assert inst.events == [self.event]
+
 
 class TestNeighbourCounts:
     @given(st.lists(

@@ -50,6 +50,14 @@ COMMAND_MODULES = [
     (["density", "measure", "--config", "fill.json", "--balls", "1..3",
       "--out", "measure.json"],
      ["cli", "density", "groups", "patterns", "serialize"]),
+    (["color", "two", "--group", "z^2", "--radius", "4", "--c", "17",
+      "--out", "cfg.json"],
+     ["aperiodic", "cli", "exact", "groups", "lll", "patterns", "serialize"]),
+    # The independent re-check and the witness resample nothing.
+    (["verify", "distinct", "--config", "cfg.json", "--levels", "1"],
+     ["aperiodic", "cli", "groups", "patterns", "serialize"]),
+    (["witness", "--group", "heisenberg", "--word", "z^4"],
+     ["aperiodic", "cli", "groups", "patterns", "serialize"]),
 ]
 
 
