@@ -14,24 +14,24 @@ them back to elements.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .groups import Ball, GroupModel, InputError, ResourceLimitError
+from .groups import (Ball, FrozenRecord, GroupModel, InputError, Record,
+                     ResourceLimitError)
 from .patterns import WindowConfig
 
 if TYPE_CHECKING:  # imported by the builders: the checks load no resampler
     from .lll import LLLInstance
 
 
-@dataclass(frozen=True)
-class TSets:
+class TSets(FrozenRecord):
     """Test sets for the 2-coloring family: one (s_i, T_i) per level."""
 
-    c: int
-    entries: tuple  # tuple of (s_i, T_i tuple), index i starting at 1
+    __slots__ = _fields = ("c", "entries")
+
+    def __init__(self, c: int, entries: tuple):
+        self._set(c, entries)  # entries: (s_i, T_i tuple) for i = 1, 2, ...
 
     def level(self, i: int) -> tuple:
         if not 1 <= i <= len(self.entries):
@@ -228,10 +228,12 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     return LLLInstance(alphabet=(2,) * len(window), events=events)
 
 
-@dataclass
-class DistinctNeighborhoodReport:
-    violations: list  # (n, g) pairs with equal restrictions
-    checked: int
+class DistinctNeighborhoodReport(Record):
+    __slots__ = _fields = ("violations", "checked")
+
+    def __init__(self, violations: list, checked: int):
+        self.violations = violations  # (n, g) pairs with equal restrictions
+        self.checked = checked
 
     @property
     def ok(self) -> bool:
@@ -333,6 +335,8 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     vertices, so it is its own support and has at most |w| of them.
     Events of one half-length n share one probability and one weight.
     """
+    from fractions import Fraction
+
     from .exact import Quad
     from .lll import BadEvent, LLLInstance, equal_on
     if alphabet_size < 2:
@@ -377,19 +381,20 @@ def path_dependency_counts(w: Ball, max_half_length: int,
     return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))
 
 
-@dataclass(frozen=True)
-class WitnessPath:
+class WitnessPath(FrozenRecord):
     """Conjugation walk certifying aperiodicity for one group element.
 
     trivial is True iff the input word equals the identity.  Otherwise
-    ``vertices`` is the walk v_0 .. v_{2n-1} built from the minimal
-    conjugate word w (g = u w u^-1), asserted to be a simple path.
+    ``word`` and ``conjugator`` are the letters of the minimal conjugate
+    word w and of u (g = u w u^-1), and ``vertices`` is the walk
+    v_0 .. v_{2n-1} built from w, asserted to be a simple path.
     """
 
-    trivial: bool
-    word: tuple = ()          # letters of w
-    conjugator: tuple = ()    # letters of u
-    vertices: tuple = ()
+    __slots__ = _fields = ("trivial", "word", "conjugator", "vertices")
+
+    def __init__(self, trivial: bool, word: tuple = (),
+                 conjugator: tuple = (), vertices: tuple = ()):
+        self._set(trivial, word, conjugator, vertices)
 
 
 def witness_path(group: GroupModel, word: str) -> WitnessPath:

@@ -8,7 +8,13 @@ Each handler imports the modules its subcommand runs, so a launch loads
 only those: every command is a fresh process, and for a short one
 start-up is most of its time.  ``aperiodic`` and ``serialize`` import
 ``lll`` and ``exact`` only inside the functions that build or read
-events, so ``verify distinct`` and ``witness`` load no resampler.
+events, so ``verify distinct`` and ``witness`` load no resampler.  The
+records are plain classes, so only the launches that import ``lll``
+(``color``, ``lll``) load ``dataclasses``, for ``BadEvent`` and
+``LLLInstance``, which ``dataclasses.replace`` copies in the benchmark's
+tracer.  ``fractions`` is loaded by ``density``, ``color`` and ``lll``
+alone: ``group``, ``witness`` and ``verify distinct`` need no exact
+numbers.
 Handlers call through the module (``density.build_forest``), so a
 function rebound on its module, as the benchmark's tracer does, is the
 one that runs.
@@ -258,8 +264,8 @@ def cmd_density_build_forest(args) -> int:
 
 def cmd_density_fill(args) -> int:
     from . import density, serialize
-    forest = _forest_on_ball(args)
     alpha = density.Slope.parse(args.alpha)
+    forest = _forest_on_ball(args)
     config = density.fill_density(forest, alpha)
     if args.format == "csv":
         artifact = serialize.window_to_csv(config)
@@ -276,9 +282,9 @@ def cmd_density_fill(args) -> int:
 
 def cmd_density_verify(args) -> int:
     from . import density, serialize
+    alpha = density.Slope.parse(args.alpha)
     config = _load(args.config, serialize.window_from_json)
     forest = density.build_forest(config.group, config.window, args.levels)
-    alpha = density.Slope.parse(args.alpha)
     report = density.verify_condition1(config, forest, alpha)
     failures = [c for c in report.clusters if not c.ok]
     bad_aggregates = [a for a in report.aggregates if not a.ok]
@@ -290,10 +296,10 @@ def cmd_density_verify(args) -> int:
 
 def cmd_density_measure(args) -> int:
     from . import density, serialize
-    config = _load(args.config, serialize.window_from_json)
     radii = _parse_radii(args.balls)
-    sets, descs = density.ball_sequence(config, radii)
     alpha = density.Slope.parse(args.alpha) if args.alpha else None
+    config = _load(args.config, serialize.window_from_json)
+    sets, descs = density.ball_sequence(config, radii)
     report = density.measure_density(config, sets, alpha=alpha,
                                      descriptors=descs)
     payload = {

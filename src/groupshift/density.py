@@ -22,25 +22,24 @@ the window, a test made on the window's graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .groups import Ball, GroupModel, InputError, bfs
+from .groups import Ball, FrozenRecord, GroupModel, InputError, Record, bfs
 from .patterns import WindowConfig, density_of, interior_and_boundary
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(FrozenRecord):
     """An exact rational slope in [0,1]."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if not 0 <= self.value <= 1:
+    def __init__(self, value: Fraction):
+        if not 0 <= value <= 1:
             raise InputError("slope must lie in [0,1]")
+        self._set(value)
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
@@ -83,18 +82,27 @@ def greedy_rnet(points, adjacency, r: int) -> list:
     return chosen
 
 
-@dataclass
-class ForestLevel:
-    centers: Sequence[int]    # A_n as window positions, in scan order
-    edges: Sequence           # quotient-graph adjacency: center -> centers
-    parent: Optional[dict]    # A_{n-1} position -> center (None at level 0)
+class ForestLevel(Record):
+    """Level n of a forest: ``centers``, A_n as window positions in scan
+    order; ``edges``, the quotient-graph adjacency center -> centers; and
+    ``parent``, A_{n-1} position -> center (None at level 0)."""
+
+    __slots__ = _fields = ("centers", "edges", "parent")
+
+    def __init__(self, centers: Sequence[int], edges: Sequence,
+                 parent: Optional[dict]):
+        self.centers, self.edges, self.parent = centers, edges, parent
 
 
-@dataclass
-class CoveringForest:
-    group: GroupModel
-    window: Ball
-    levels: list[ForestLevel]          # index 0 .. depth
+class CoveringForest(Record):
+    """The levels 0 .. depth of a covering forest on ``window``.  No
+    ``__slots__``: the cached properties live in the instance dict."""
+
+    _fields = ("group", "window", "levels")
+
+    def __init__(self, group: GroupModel, window: Ball,
+                 levels: list[ForestLevel]):
+        self.group, self.window, self.levels = group, window, levels
 
     @property
     def depth(self) -> int:
@@ -228,37 +236,40 @@ def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
     return WindowConfig(f.group, f.window, tuple(colors), 2)
 
 
-@dataclass
-class ClusterCheck:
-    level: int
-    center: object
-    size: int
-    floor_share: int
-    ones: int
+class ClusterCheck(Record):
+    __slots__ = _fields = ("level", "center", "size", "floor_share", "ones")
+
+    def __init__(self, level: int, center: object, size: int,
+                 floor_share: int, ones: int):
+        self.level, self.center, self.size = level, center, size
+        self.floor_share, self.ones = floor_share, ones
 
     @property
     def ok(self) -> bool:
         return self.floor_share <= self.ones <= self.floor_share + 1
 
 
-@dataclass
-class AggregateCheck:
-    level: int
-    union_size: int
-    center_count: int
-    dens: Fraction
-    bound: Fraction  # |V| / |U|
-    alpha: Fraction
+class AggregateCheck(Record):
+    __slots__ = _fields = ("level", "union_size", "center_count", "dens",
+                           "bound", "alpha")
+
+    def __init__(self, level: int, union_size: int, center_count: int,
+                 dens: Fraction, bound: Fraction, alpha: Fraction):
+        self.level, self.union_size = level, union_size
+        self.center_count, self.dens = center_count, dens
+        self.bound, self.alpha = bound, alpha  # bound = |V| / |U|
 
     @property
     def ok(self) -> bool:
         return abs(self.dens - self.alpha) <= self.bound
 
 
-@dataclass
-class Condition1Report:
-    clusters: list[ClusterCheck]
-    aggregates: list[AggregateCheck]
+class Condition1Report(Record):
+    __slots__ = _fields = ("clusters", "aggregates")
+
+    def __init__(self, clusters: list[ClusterCheck],
+                 aggregates: list[AggregateCheck]):
+        self.clusters, self.aggregates = clusters, aggregates
 
     @property
     def ok(self) -> bool:
@@ -296,13 +307,16 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)
 
 
-@dataclass
-class ForbiddenCheck:
-    allowed: bool
-    hypothesis_holds: bool
-    boundary_size: int
-    support_size: int
-    deviation: Optional[Fraction]
+class ForbiddenCheck(Record):
+    __slots__ = _fields = ("allowed", "hypothesis_holds", "boundary_size",
+                           "support_size", "deviation")
+
+    def __init__(self, allowed: bool, hypothesis_holds: bool,
+                 boundary_size: int, support_size: int,
+                 deviation: Optional[Fraction]):
+        self.allowed, self.hypothesis_holds = allowed, hypothesis_holds
+        self.boundary_size, self.support_size = boundary_size, support_size
+        self.deviation = deviation
 
 
 def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
@@ -332,10 +346,12 @@ def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
     )
 
 
-@dataclass
-class DensityReport:
-    entries: list  # (descriptor, size, ones, dens)
-    alpha: Optional[Fraction] = None
+class DensityReport(Record):
+    __slots__ = _fields = ("entries", "alpha")
+
+    def __init__(self, entries: list, alpha: Optional[Fraction] = None):
+        self.entries = entries  # (descriptor, size, ones, dens)
+        self.alpha = alpha
 
 
 def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,

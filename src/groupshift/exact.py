@@ -12,19 +12,24 @@ its height.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .groups import ResourceLimitError
+from .groups import FrozenRecord, ResourceLimitError
 
 
-@dataclass(frozen=True)
-class Quad:
-    """A number a + b*sqrt(2) with exact rational coefficients."""
+class Quad(FrozenRecord):
+    """A number a + b*sqrt(2) with exact rational coefficients.
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    Not a tuple: tuple's ``__gt__`` and ``__ge__`` would compare
+    lexicographically where the reflected ``__lt__`` and ``__le__``
+    below compare values.
+    """
+
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        self._set(a, b)
 
     @classmethod
     def of(cls, value) -> "Quad":

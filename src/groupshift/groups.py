@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -90,8 +89,51 @@ def bfs(start, neighbors: Callable, radius: int | None = None,
                     queue.append(h)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Record:
+    """Base of the package's records: fields named by ``_fields``.
+
+    A plain class, not a dataclass: ``dataclasses`` costs a launch its
+    import and code generation for every class.  Equality is by type and
+    field values, and mutable records are unhashable, as a dataclass
+    makes them.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FrozenRecord(Record):
+    """A hashable record whose fields are set once, by ``_set``;
+    assigning one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields ``__slots__`` names, in order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Ball(FrozenRecord):
     """A word-metric ball: the window every construction runs on.
 
     Vertex i is ``members[i]``; members are in deterministic BFS order and
@@ -104,14 +146,17 @@ class Ball:
     in the ball, so ``adjacency[i][k]`` is the position of members[i]
     times the k-th of :meth:`GroupModel.step_elements`; right translations
     are walked on that (see :func:`groupshift.aperiodic.fitting_pairs`).
+    Equality, hash and repr leave out ``index`` and ``adjacency``, which
+    the members determine.
     """
 
-    center: tuple
-    radius: int
-    members: tuple
-    sizes: tuple
-    index: dict = field(compare=False, repr=False)
-    adjacency: tuple = field(compare=False, repr=False)
+    __slots__ = ("center", "radius", "members", "sizes", "index",
+                 "adjacency")
+    _fields = __slots__[:4]
+
+    def __init__(self, center: tuple, radius: int, members: tuple,
+                 sizes: tuple, index: dict, adjacency: tuple):
+        self._set(center, radius, members, sizes, index, adjacency)
 
     def __contains__(self, g) -> bool:
         return g in self.index

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .exact import Quad, half_power_of_two, sqrt2_power
-from .groups import InputError, ResourceLimitError
+from .groups import InputError, Record, ResourceLimitError
 
 
 #: Largest bound, in bits, on the height (see :meth:`Quad.height`) of a
@@ -109,10 +109,12 @@ class LLLInstance:
             ids.add(e.id)
 
 
-@dataclass
-class Verdict:
-    margins: dict  # event id -> Quad (rhs - mu)
-    ok: dict  # event id -> whether its margin is >= 0
+class Verdict(Record):
+    __slots__ = _fields = ("margins", "ok")
+
+    def __init__(self, margins: dict, ok: dict):
+        self.margins = margins  # event id -> Quad (rhs - mu)
+        self.ok = ok  # event id -> whether its margin is >= 0
 
     @property
     def holds(self) -> bool:
@@ -295,11 +297,13 @@ def verify_condition(inst: LLLInstance) -> Verdict:
                    ok=dict(zip(ids, map(ok_by_key.get, keys))))
 
 
-@dataclass
-class ResampleRun:
-    assignment: list  # entry v is the value of variable v
-    trace: list  # event ids in resample order
-    seed: int
+class ResampleRun(Record):
+    __slots__ = _fields = ("assignment", "trace", "seed")
+
+    def __init__(self, assignment: list, trace: list, seed: int):
+        self.assignment = assignment  # entry v is the value of variable v
+        self.trace = trace  # event ids in resample order
+        self.seed = seed
 
     @property
     def resamples(self) -> int:

@@ -9,22 +9,26 @@ search skips any position whose translated support leaves the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .groups import Ball, GroupModel, InputError
+from .groups import Ball, FrozenRecord, GroupModel, InputError, Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class EmptySupportError(InputError):
     """Density of a pattern with empty support is undefined."""
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(FrozenRecord):
     """A finite support-to-symbol map, support in canonical element order."""
 
-    support: tuple
-    symbols: tuple
+    __slots__ = _fields = ("support", "symbols")
+
+    def __init__(self, support: tuple, symbols: tuple):
+        self._set(support, symbols)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.support) != len(set(self.support)):
@@ -41,15 +45,17 @@ def make_pattern(group: GroupModel, cells: dict) -> Pattern:
     return Pattern(support=support, symbols=tuple(cells[g] for g in support))
 
 
-@dataclass
-class WindowConfig:
+class WindowConfig(Record):
     """A coloring of one window: ``colors[i]`` is the symbol on
     ``window.members[i]``."""
 
-    group: GroupModel
-    window: Ball
-    colors: tuple
-    alphabet_size: int
+    __slots__ = _fields = ("group", "window", "colors", "alphabet_size")
+
+    def __init__(self, group: GroupModel, window: Ball, colors: tuple,
+                 alphabet_size: int):
+        self.group, self.window = group, window
+        self.colors, self.alphabet_size = colors, alphabet_size
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.colors) != len(self.window):
@@ -75,6 +81,7 @@ def density_of(symbols) -> Fraction:
     EmptySupportError when ``symbols`` is empty, since the density of an
     empty set is undefined.
     """
+    from fractions import Fraction
     symbols = list(symbols)
     if not symbols:
         raise EmptySupportError("density over an empty set is undefined")

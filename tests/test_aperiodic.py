@@ -226,6 +226,12 @@ def on_positions(w, coloring):
 
 
 class TestTSets:
+    def test_fields_are_read_only(self):
+        tsets = build_t_sets(IntegerLattice(1), c=2, i_max=1)
+        with pytest.raises(AttributeError):
+            tsets.c = 3
+        assert tsets == build_t_sets(IntegerLattice(1), c=2, i_max=1)
+
     def test_greedy_trace_on_z(self):
         z = IntegerLattice(1)
         tsets = build_t_sets(z, c=2, i_max=1)

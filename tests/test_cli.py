@@ -1042,6 +1042,25 @@ def test_forest_levels_are_checked_before_the_window_search(monkeypatch,
     assert "need at least one level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fill", "--group", "z^2", "--radius", "1000", "--levels", "2",
+      "--alpha", "bogus", "--out", "x.json"], "malformed slope"),
+    (["verify", "--config", "missing.json", "--levels", "2",
+      "--alpha", "bogus"], "malformed slope"),
+    (["measure", "--config", "missing.json", "--balls", "1..3",
+      "--alpha", "bogus"], "malformed slope"),
+    (["measure", "--config", "missing.json", "--balls", "1..x"],
+     "malformed radius list"),
+])
+def test_density_options_are_parsed_before_the_window(tmp_path, monkeypatch,
+                                                       capsys, argv, message):
+    # B(1, 1000) in z^2 exceeds the ball cap: its search took about 5 s
+    # to exit 3 before the slope was read.  No window file is read either.
+    monkeypatch.chdir(tmp_path)
+    assert run(["density", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 # SHA-256 of ``--help`` at COLUMNS=80 for every parser level: the parser
 # must not depend on the modules that the handlers import when they run.
 HELP_SHA256 = {

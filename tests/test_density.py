@@ -126,6 +126,12 @@ def all_ones_window(group, radius):
 
 
 class TestSlope:
+    def test_value_is_read_only(self):
+        s = Slope(value=Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            s.value = Fraction(2)
+        assert s == Slope.parse("1/2") and hash(s) == hash(Slope.parse("1/2"))
+
     def test_exact_rational(self):
         s = Slope.parse("377/610")
         assert s.value == Fraction(377, 610)

@@ -88,6 +88,24 @@ class TestCanonicalize:
 
 
 class TestBalls:
+    def test_equality_ignores_index_and_adjacency(self):
+        ball = IntegerLattice(2).ball(radius=2)
+        fields = dict(center=ball.center, radius=ball.radius,
+                      members=ball.members, sizes=ball.sizes)
+        other = type(ball)(**fields, index={}, adjacency=())
+        assert other == ball and hash(other) == hash(ball)
+        assert type(ball)(**{**fields, "radius": 3}, index=ball.index,
+                          adjacency=ball.adjacency) != ball
+        assert "index" not in repr(other) and "adjacency" not in repr(other)
+
+    @pytest.mark.parametrize("name", ["center", "members", "index"])
+    def test_fields_are_read_only(self, name):
+        ball = IntegerLattice(1).ball(radius=1)
+        with pytest.raises(AttributeError):
+            setattr(ball, name, getattr(ball, name))
+        with pytest.raises(AttributeError):
+            delattr(ball, name)
+
     def test_lattice_ball_radius1(self):
         assert len(IntegerLattice(2).ball(radius=1)) == 5
 

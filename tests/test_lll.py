@@ -43,6 +43,26 @@ fractions = st.fractions(
 
 
 class TestQuad:
+    def test_equal_quads_hash_equal(self):
+        x = Quad(Fraction(1, 2), Fraction(3))
+        y = Quad.of(Fraction(2, 4)) + Quad(Fraction(0), Fraction(6, 2))
+        assert x == y and hash(x) == hash(y)
+        assert x != Quad(Fraction(1, 2)) and x != (x.a, x.b)
+
+    def test_greater_compares_values_through_reflection(self):
+        one, zero = Quad.of(1), Quad.of(0)
+        assert one > zero and one >= zero and one >= Quad.of(1)
+        assert not zero > one and not zero >= one
+        # 1 - sqrt(2) < 0 < 2 - sqrt(2): no lexicographic (a, b) order.
+        root = Quad(Fraction(0), Fraction(1))
+        assert root > Quad.of(1) and not Quad.of(1) >= root
+
+    def test_fields_are_read_only(self):
+        q = Quad.of(1)
+        with pytest.raises(AttributeError):
+            q.a = Fraction(2)
+        assert q == Quad.of(1)
+
     def test_sqrt2_squares_to_two(self):
         assert Quad(Fraction(0), Fraction(1)) ** 2 == Quad.of(2)
 

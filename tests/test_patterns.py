@@ -39,6 +39,12 @@ def naive_occurrences(x, p):
 
 
 class TestPatternDensity:
+    def test_pattern_fields_are_read_only(self):
+        p = Pattern(support=((0,), (1,)), symbols=(1, 0))
+        with pytest.raises(AttributeError):
+            p.symbols = (0, 0)
+        assert p == Pattern(((0,), (1,)), (1, 0)) and len(p) == 2
+
     def test_direct_count(self):
         z = IntegerLattice(1)
         cells = {(i,): s for i, s in enumerate((1, 0, 1, 0, 0))}

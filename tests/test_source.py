@@ -34,6 +34,23 @@ def test_package_root_loads_no_submodule():
     assert out.splitlines() == ["0.1.0", "[]"]
 
 
+def after_dispatch(tmp_path, commands, expression) -> list:
+    """Run each command in order, each in a fresh interpreter in
+    ``tmp_path``; the value of ``expression`` printed after its dispatch."""
+    code = ("import sys\n"
+            "from groupshift import cli\n"
+            "code = cli.dispatch(sys.argv[1:])\n"
+            f"print({expression})\n"
+            "sys.exit(code)\n")
+    src = str(Path(groupshift.__file__).resolve().parents[1])
+    return [subprocess.run([sys.executable, "-c", code, *argv],
+                           capture_output=True, text=True, check=True,
+                           cwd=tmp_path, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src}
+                           ).stdout.splitlines()[-1]
+            for argv in commands]
+
+
 # Each command and the groupshift modules it loads, run in order in one
 # directory (the density verify and measure steps read the fill).  Every
 # module a launch imports adds to its start-up, so a command loads only
@@ -62,21 +79,12 @@ COMMAND_MODULES = [
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    code = ("import sys\n"
-            "from groupshift import cli\n"
-            "code = cli.dispatch(sys.argv[1:])\n"
-            "print(*sorted(m.split('.')[1] for m in sys.modules\n"
-            "              if m.startswith('groupshift.')))\n"
-            "sys.exit(code)\n")
-    src = str(Path(groupshift.__file__).resolve().parents[1])
-    loaded = []
-    for argv, _ in COMMAND_MODULES:
-        out = subprocess.run([sys.executable, "-c", code, *argv],
-                             capture_output=True, text=True, check=True,
-                             cwd=tmp_path, timeout=60,
-                             env={**os.environ, "PYTHONPATH": src}).stdout
-        loaded.append(out.splitlines()[-1].split())
-    assert loaded == [modules for _, modules in COMMAND_MODULES]
+    loaded = after_dispatch(
+        tmp_path, [argv for argv, _ in COMMAND_MODULES],
+        "*sorted(m.split('.')[1] for m in sys.modules"
+        " if m.startswith('groupshift.'))")
+    assert [line.split() for line in loaded] == [
+        modules for _, modules in COMMAND_MODULES]
 
 
 # Each command, run in order in one directory, and whether it loads
@@ -92,17 +100,37 @@ COMMAND_HASHLIB = [
 
 
 def test_only_a_command_that_writes_a_file_loads_hashlib(tmp_path):
-    code = ("import sys\n"
-            "from groupshift import cli\n"
-            "code = cli.dispatch(sys.argv[1:])\n"
-            "print('hashlib' in sys.modules)\n"
-            "sys.exit(code)\n")
-    src = str(Path(groupshift.__file__).resolve().parents[1])
-    loaded = []
-    for argv, _ in COMMAND_HASHLIB:
-        out = subprocess.run([sys.executable, "-c", code, *argv],
-                             capture_output=True, text=True, check=True,
-                             cwd=tmp_path, timeout=60,
-                             env={**os.environ, "PYTHONPATH": src}).stdout
-        loaded.append(out.splitlines()[-1] == "True")
-    assert loaded == [loads for _, loads in COMMAND_HASHLIB]
+    loaded = after_dispatch(tmp_path, [argv for argv, _ in COMMAND_HASHLIB],
+                            "'hashlib' in sys.modules")
+    assert loaded == [str(loads) for _, loads in COMMAND_HASHLIB]
+
+
+# Each command, run in order in one directory, and whether it loads
+# dataclasses and fractions.  Only the launches that import lll load
+# dataclasses (its events are copied with dataclasses.replace); the
+# others use plain record classes.  Exact densities and slopes need
+# fractions; the group, witness and distinct-neighborhood checks do not.
+COMMAND_STDLIB = [
+    (["lll", "alphabet-bound", "--s", "2"], True, True),
+    (["group", "canon", "--group", "z^2", "--word", "x"], False, False),
+    (["group", "ball", "--group", "z^2", "--radius", "2"], False, False),
+    (["density", "fill", "--group", "z^2", "--radius", "4", "--levels", "1",
+      "--alpha", "1/2", "--out", "fill.json"], False, True),
+    (["density", "verify", "--config", "fill.json", "--levels", "1",
+      "--alpha", "1/2"], False, True),
+    (["density", "measure", "--config", "fill.json", "--balls", "1..3",
+      "--alpha", "1/2"], False, True),
+    (["color", "two", "--group", "z^2", "--radius", "4", "--c", "17",
+      "--out", "cfg.json", "--instance-out", "inst.json"], True, True),
+    (["lll", "verify", "--instance", "inst.json"], True, True),
+    (["verify", "distinct", "--config", "cfg.json", "--levels", "1"],
+     False, False),
+    (["witness", "--group", "heisenberg", "--word", "z^4"], False, False),
+]
+
+
+def test_only_a_command_that_imports_lll_loads_dataclasses(tmp_path):
+    loaded = after_dispatch(
+        tmp_path, [argv for argv, _, _ in COMMAND_STDLIB],
+        "'dataclasses' in sys.modules, 'fractions' in sys.modules")
+    assert loaded == [f"{dc} {fr}" for _, dc, fr in COMMAND_STDLIB]
