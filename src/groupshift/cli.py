@@ -239,12 +239,17 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+def _check_levels(args) -> None:
+    """Refuse --levels below 1 before any window is built or read."""
+    if args.levels < 1:
+        raise InputError("need at least one level")
+
+
 def _forest_on_ball(args) -> density.CoveringForest:
     """The forest on B(1, --radius), its level count checked first."""
     from . import density
     group = parse_group_spec(args.group)
-    if args.levels < 1:
-        raise InputError("need at least one level")
+    _check_levels(args)
     window = group.ball(radius=args.radius)
     return density.build_forest(group, window, args.levels)
 
@@ -283,6 +288,7 @@ def cmd_density_fill(args) -> int:
 def cmd_density_verify(args) -> int:
     from . import density, serialize
     alpha = density.Slope.parse(args.alpha)
+    _check_levels(args)
     config = _load(args.config, serialize.window_from_json)
     forest = density.build_forest(config.group, config.window, args.levels)
     report = density.verify_condition1(config, forest, alpha)

@@ -136,10 +136,37 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as Fraction writes it: "n/d", or "n" if d is 1."""
+    from .exact import lowest_terms
+    n, _, d = lowest_terms(n, 0, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def quad_to_json(q: Quad):
     if q.is_rational:
-        return str(q.a)
-    return {"rational": str(q.a), "sqrt2": str(q.b)}
+        return _ratio_text(q.p, q.q)
+    return {"rational": _ratio_text(q.p, q.q), "sqrt2": _ratio_text(q.r, q.q)}
+
+
+def _quad_renderer():
+    """:func:`quad_to_json`, rendering each Quad object once.
+
+    Events of one class share their probability and weight objects (see
+    instance_from_json and the builders), and events of one signature share
+    a margin object (see lll.verify_condition).  The caller keeps every
+    object alive while it renders, so id() is a safe key and spares hashing
+    ~6,000-bit numbers.
+    """
+    rendered: dict[int, object] = {}
+
+    def render(q: Quad):
+        t = rendered.get(id(q))
+        if t is None:
+            t = rendered[id(q)] = quad_to_json(q)
+        return t
+
+    return render
 
 
 # --- window configurations ---------------------------------------------
@@ -209,6 +236,7 @@ def window_to_pgm(x: WindowConfig) -> str:
 @unlimited_int_digits()
 def instance_to_json(inst: LLLInstance) -> dict:
     names = [f"v{v}" for v in range(len(inst.alphabet))]
+    render = _quad_renderer()
     return {
         "variables": [{"id": name, "alphabet": k}
                       for name, k in zip(names, inst.alphabet)],
@@ -216,8 +244,8 @@ def instance_to_json(inst: LLLInstance) -> dict:
             {
                 "id": list(e.id),
                 "support": [names[v] for v in e.support],
-                "probability": quad_to_json(e.probability),
-                "weight": quad_to_json(e.weight),
+                "probability": render(e.probability),
+                "weight": render(e.weight),
             }
             for e in inst.events
         ],
@@ -276,19 +304,8 @@ def instance_from_json(data: dict) -> LLLInstance:
 
 @unlimited_int_digits()
 def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
-    # Events of one class share their probability and weight objects (see
-    # instance_from_json), and events of one signature share a margin object
-    # (see lll.verify_condition), so each distinct number is rendered once.
-    # The instance and verdict keep every number alive meanwhile, so id() is
-    # a safe key and spares hashing ~6,000-bit fractions.
-    rendered: dict[int, object] = {}
-    floats: dict[int, float] = {}
-
-    def render(q: Quad):
-        t = rendered.get(id(q))
-        if t is None:
-            t = rendered[id(q)] = quad_to_json(q)
-        return t
+    render = _quad_renderer()
+    floats: dict[int, float] = {}  # id of a margin -> float(margin)
 
     events = []
     for e in inst.events:

@@ -822,6 +822,48 @@ def test_pipeline_artifacts_match_golden_hashes(tmp_path, monkeypatch,
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
+def _gcd_event(k, support, weight):
+    return {"id": ["e", k], "support": support, "probability": "2/9",
+            "weight": weight}
+
+
+# Every builder's number is dyadic; this hand-written instance has
+# denominators 3 and 21, so its margins are reduced by gcd, not by shifts.
+# Its margins are zero (e5, e6), rational (e4), a pure multiple of sqrt(2)
+# (e0, e3) or mixed in sign (e1) and not (e2).
+GCD_WEIGHT = {"rational": "1/3", "sqrt2": "1/7"}
+GCD_INSTANCE = {
+    "variables": [{"id": f"v{v}", "alphabet": 3 if v == 4 else 2}
+                  for v in range(7)],
+    "events": [
+        _gcd_event(0, ["v0", "v1"], "1/3"),
+        _gcd_event(1, ["v1", "v2"], GCD_WEIGHT),
+        _gcd_event(2, ["v2", "v3"], "1/3"),
+        _gcd_event(3, ["v3"], GCD_WEIGHT),
+        _gcd_event(4, ["v4"], "1/3"),
+        _gcd_event(5, ["v5", "v6"], "1/3"),
+        _gcd_event(6, ["v6"], "1/3"),
+    ],
+}
+GCD_VERDICT_SHA256 = (
+    "cb4fa2a9d1ae438f3b2244f6b1b980f7a3fdd8a1acf2965980c51afd74b9b514")
+
+
+def test_non_dyadic_verdict_matches_golden_hash(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("gcd.json").write_text(json.dumps(GCD_INSTANCE))
+    assert run(["lll", "verify", "--instance", "gcd.json",
+                "--out", "verdict.json"]) == 1
+    assert "condition fails" in capsys.readouterr().err
+    verdict = json.loads(Path("verdict.json").read_text())
+    assert [e["ok"] for e in verdict["events"]] == [
+        False, True, False, True, True, True, True]
+    assert verdict["events"][1]["margin"] == {"rational": "-2/27",
+                                              "sqrt2": "4/63"}
+    assert sha256_file("verdict.json") == GCD_VERDICT_SHA256
+
+
 # One small run of every other artifact-writing subcommand, in order (the
 # measure step reads the fill), and the SHA-256 of each file it writes.
 GOLDEN_RUNS = [
@@ -1059,6 +1101,17 @@ def test_density_options_are_parsed_before_the_window(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert run(["density", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_density_verify_checks_levels_before_the_window(tmp_path,
+                                                        monkeypatch, capsys):
+    # Like density fill: the level count is refused before the window file
+    # is read, so a missing file is not what the message names.
+    monkeypatch.chdir(tmp_path)
+    assert run(["density", "verify", "--config", "missing.json",
+                "--levels", "0", "--alpha", "1/2"]) == 2
+    err = capsys.readouterr().err
+    assert "need at least one level" in err and "missing.json" not in err
 
 
 # SHA-256 of ``--help`` at COLUMNS=80 for every parser level: the parser

@@ -36,6 +36,7 @@ from groupshift.lll import (
     two_coloring_weight,
     verify_condition,
 )
+from groupshift.serialize import quad_to_json
 
 fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
@@ -135,6 +136,112 @@ class TestQuad:
         approx = float(a) + float(b) * 2 ** 0.5
         if abs(approx) > 1e-9:
             assert q.sign() == (1 if approx > 0 else -1)
+
+
+class FractionPairQuad:
+    """The replaced ``Quad``: a + b*sqrt(2) as a pair of Fractions, each in
+    lowest terms, with its height, sign and JSON text; the oracle for the
+    integer form."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __eq__(self, other):
+        return (self.a, self.b) == (other.a, other.b)
+
+    def height(self) -> int:
+        q = math.lcm(self.a.denominator, self.b.denominator)
+        p = self.a.numerator * (q // self.a.denominator)
+        r = self.b.numerator * (q // self.b.denominator)
+        return max(abs(p), abs(r), q).bit_length()
+
+    def __add__(self, other):
+        return FractionPairQuad(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return FractionPairQuad(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        return FractionPairQuad(self.a * other.a + 2 * self.b * other.b,
+                                self.a * other.b + self.b * other.a)
+
+    def __pow__(self, n: int):
+        result = FractionPairQuad(Fraction(1))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def sign(self) -> int:
+        return reference_sign(self.a, self.b)
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * 2 ** 0.5
+
+    def to_json(self):
+        if self.b == 0:
+            return str(self.a)
+        return {"rational": str(self.a), "sqrt2": str(self.b)}
+
+
+#: Denominators that are powers of two (a shift reduces them) and that are
+#: not (a gcd does), with numerators of either sign and zero.
+mixed_denominators = st.one_of(st.integers(0, 80).map(lambda k: 2 ** k),
+                               st.integers(1, 10 ** 12))
+mixed_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90), mixed_denominators),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+class TestQuadAgainstFractionPairs:
+    def check(self, x: Quad, oracle: FractionPairQuad):
+        assert (x.a, x.b) == (oracle.a, oracle.b)
+        # The constructor's lcm form is canonical without any reduction.
+        canonical = Quad(oracle.a, oracle.b)
+        assert (x.p, x.r, x.q) == (canonical.p, canonical.r, canonical.q)
+        assert x == canonical and hash(x) == hash(canonical)
+        assert x.q > 0 and math.gcd(x.p, x.r, x.q) == 1
+        assert x.height() == oracle.height()
+        assert x.sign() == oracle.sign()
+        assert x.is_rational == (oracle.b == 0)
+        assert quad_to_json(x) == oracle.to_json()
+        assert float(x) == float(oracle)
+
+    @given(mixed_fractions, mixed_fractions, mixed_fractions,
+           mixed_fractions)
+    def test_arithmetic_matches(self, a, b, c, d):
+        x, y = Quad(a, b), Quad(c, d)
+        ox, oy = FractionPairQuad(a, b), FractionPairQuad(c, d)
+        self.check(x, ox)
+        self.check(x + y, ox + oy)
+        self.check(x - y, ox - oy)
+        self.check(x * y, ox * oy)
+        self.check(x * x, ox * ox)
+        self.check(x - x, ox - ox)
+        assert (x == y) == (ox == oy)
+        assert (x < y) == ((ox - oy).sign() < 0)
+        # Equal values built along different paths are equal and hash equal.
+        back = (x + y) - y
+        assert back == x and hash(back) == hash(x)
+        if ox == oy:
+            assert hash(x) == hash(y)
+
+    @given(mixed_fractions, mixed_fractions, st.integers(0, 12))
+    def test_power_matches(self, a, b, n):
+        self.check(Quad(a, b) ** n, FractionPairQuad(a, b) ** n)
+
+    @given(st.integers(0, 200), st.integers(0, 200))
+    def test_half_powers_match(self, k, m):
+        x = half_power_of_two(k) * sqrt2_power(m)
+        oracle = FractionPairQuad(Fraction(1))
+        for _ in range(m):
+            oracle = oracle * FractionPairQuad(0, 1)
+        for _ in range(k):  # 2**(-1/2) = sqrt(2) / 2
+            oracle = oracle * FractionPairQuad(0, Fraction(1, 2))
+        self.check(x, oracle)
 
 
 def reference_sign(a: Fraction, b: Fraction) -> int:
