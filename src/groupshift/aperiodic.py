@@ -86,17 +86,6 @@ def build_t_sets(group: GroupModel, c: int, i_max: int,
     return TSets(c=c, entries=tuple(entries))
 
 
-def check_t_sets(group: GroupModel, tsets: TSets) -> None:
-    """Re-verify both defining invariants by direct set arithmetic."""
-    for i in range(1, tsets.levels + 1):
-        s, t = tsets.level(i)
-        if len(t) != tsets.c * i:
-            raise InputError(f"|T_{i}| != C*{i}")
-        shifted = {group.mul(s, x) for x in t}
-        if shifted & set(t):
-            raise InputError(f"T_{i} meets s_{i} T_{i}")
-
-
 #: Window positions whose right-translation columns :func:`fitting_pairs`
 #: holds at a time, so that its tables take (prefixes) x TABLE_BLOCK
 #: entries whatever the radius.
@@ -366,19 +355,6 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
         if collecting:
             gc.enable()
     return LLLInstance(alphabet=(alphabet_size,) * len(w), events=events)
-
-
-def path_dependency_counts(w: Ball, max_half_length: int,
-                           budget: int = 10 ** 6) -> list[dict]:
-    """For each odd path, count odd paths of each half-length sharing a vertex.
-
-    Returns a list aligned with enumeration order; entry k maps j to the
-    number of length-(2j-1) paths sharing at least one vertex with path k
-    (excluding the path itself at its own level).
-    """
-    from .lll import neighbour_counts
-    paths = list(enumerate_odd_paths(w, max_half_length, budget))
-    return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))
 
 
 class WitnessPath(FrozenRecord):

@@ -114,6 +114,14 @@ def _parse_radii(spec: str) -> range | list[int]:
     return radii
 
 
+def cap(text: str) -> int:
+    """A ``--cap`` value: a count of steps or elements, so never below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap {value} is negative")
+    return value
+
+
 # --- subcommand handlers ------------------------------------------------
 
 def cmd_group_ball(args) -> int:
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_group_flag(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default="")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=cap, default=10 ** 6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_group_ball)
     p = gsub.add_parser("canon")
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=17)
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=cap, default=10 ** 6)
     p.add_argument("--out", required=True)
     p.add_argument("--instance-out")
     p.add_argument("--trace-out")
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=int, required=True,
                    help="half-length L; paths up to length 2L-1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=cap, default=10 ** 6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_color_squarefree)
 

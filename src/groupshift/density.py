@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .groups import Ball, FrozenRecord, GroupModel, InputError, Record, bfs
-from .patterns import WindowConfig, density_of, interior_and_boundary
+from .patterns import WindowConfig, density_of
 
 
 class Slope(FrozenRecord):
@@ -305,45 +305,6 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
                 bound=Fraction(len(interior), len(union)), alpha=a,
             ))
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)
-
-
-class ForbiddenCheck(Record):
-    __slots__ = _fields = ("allowed", "hypothesis_holds", "boundary_size",
-                           "support_size", "deviation")
-
-    def __init__(self, allowed: bool, hypothesis_holds: bool,
-                 boundary_size: int, support_size: int,
-                 deviation: Optional[Fraction]):
-        self.allowed, self.hypothesis_holds = allowed, hypothesis_holds
-        self.boundary_size, self.support_size = boundary_size, support_size
-        self.deviation = deviation
-
-
-def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
-                    ball_cap: int = 10 ** 6) -> ForbiddenCheck:
-    """Evaluate the defining rule of the density subshift on one support.
-
-    With K = B(1, 5^n): if 2n |bd_K F| < |F| then the density over F must
-    be within 1/n of alpha; otherwise the pattern is vacuously allowed.
-    """
-    F = list(F)
-    if any(g not in x for g in F):
-        raise InputError("support escapes the window")
-    if n < 1:
-        raise InputError("n must be positive")
-    k_ball = x.group.ball(radius=5 ** n, cap=ball_cap)
-    _, boundary = interior_and_boundary(x.group, F, k_ball.members)
-    hypothesis = 2 * n * len(boundary) < len(F)
-    if not hypothesis:
-        return ForbiddenCheck(True, False, len(boundary), len(F), None)
-    deviation = abs(density_of(x[g] for g in F) - alpha.value)
-    return ForbiddenCheck(
-        allowed=deviation <= Fraction(1, n),
-        hypothesis_holds=True,
-        boundary_size=len(boundary),
-        support_size=len(F),
-        deviation=deviation,
-    )
 
 
 class DensityReport(Record):

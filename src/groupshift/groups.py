@@ -295,9 +295,6 @@ class GroupModel:
         """Deterministic total order: (word length, canonical form)."""
         return (self.length(g), g)
 
-    def sorted_elements(self, elements) -> list:
-        return sorted(elements, key=self.canonical_key)
-
     def __repr__(self) -> str:
         return f"<GroupModel {self.spec}>"
 

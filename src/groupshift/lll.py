@@ -22,7 +22,6 @@ Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,27 +355,6 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
         if e.violated(assignment):
             raise AssertionError(f"event {e.id} violated after resampling")
     return ResampleRun(assignment=assignment, trace=trace, seed=seed)
-
-
-def audit_event_probability(inst: LLLInstance, event: BadEvent,
-                            budget_bits: int = 24) -> Optional[Fraction]:
-    """Exhaustively recount an event's probability when small enough.
-
-    Returns None when the support state space exceeds 2**budget_bits.
-    """
-    sizes = [inst.alphabet[v] for v in event.support]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > 2 ** budget_bits:
-            return None
-    assignment = [0] * len(inst.alphabet)
-    bad = 0
-    for values in itertools.product(*map(range, sizes)):
-        for v, a in zip(event.support, values):
-            assignment[v] = a
-        bad += event.violated(assignment)
-    return Fraction(bad, total)
 
 
 def check_aperiodic_constant(c: int) -> bool:

@@ -1,17 +1,16 @@
-"""Patterns and window colorings.
+"""Window colorings and the one ones-count.
 
 A window coloring is one colour tuple on the positions of a
 :class:`~groupshift.groups.Ball`; ``x[g]`` and ``g in x`` read it by group
-element.  Patterns are anchored at the identity: supports are absolute
-element sets and occurrence positions are left translates.  Occurrence
-search skips any position whose translated support leaves the window.
+element.  :func:`density_of` is the exact fraction of ones behind every
+density in the package.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .groups import Ball, FrozenRecord, GroupModel, InputError, Record
+from .groups import Ball, GroupModel, InputError, Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -19,30 +18,6 @@ if TYPE_CHECKING:
 
 class EmptySupportError(InputError):
     """Density of a pattern with empty support is undefined."""
-
-
-class Pattern(FrozenRecord):
-    """A finite support-to-symbol map, support in canonical element order."""
-
-    __slots__ = _fields = ("support", "symbols")
-
-    def __init__(self, support: tuple, symbols: tuple):
-        self._set(support, symbols)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.support) != len(set(self.support)):
-            raise InputError("pattern support contains duplicates")
-        if len(self.support) != len(self.symbols):
-            raise InputError("support and symbols must align")
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-
-def make_pattern(group: GroupModel, cells: dict) -> Pattern:
-    support = tuple(group.sorted_elements(cells))
-    return Pattern(support=support, symbols=tuple(cells[g] for g in support))
 
 
 class WindowConfig(Record):
@@ -86,32 +61,3 @@ def density_of(symbols) -> Fraction:
     if not symbols:
         raise EmptySupportError("density over an empty set is undefined")
     return Fraction(symbols.count(1), len(symbols))
-
-
-def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:
-    """Split F into K-interior and K-boundary: Int = {g : gK subset of F}."""
-    F = frozenset(F)
-    K = list(K)
-    interior = frozenset(
-        g for g in F if all(group.mul(g, k) in F for k in K)
-    )
-    return interior, F - interior
-
-
-def pattern_occurrences(x: WindowConfig, p: Pattern) -> list:
-    """Positions g inside the window where the translated pattern matches.
-
-    Positions whose translated support exits the window are skipped.
-    """
-    group = x.group
-    out = []
-    for g in x.window.members:
-        ok = True
-        for h, a in zip(p.support, p.symbols):
-            gh = group.mul(g, h)
-            if gh not in x or x[gh] != a:
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return out

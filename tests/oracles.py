@@ -1,0 +1,158 @@
+"""Reference implementations that the tests compare against.
+
+No command runs these; they are kept here, beside the tests that call
+them, so that the package holds only what a command runs.  ROADMAP
+items would give four of them a command: ``check_t_sets`` in item 4
+(the group certificate), ``path_dependency_counts`` in item 6 (the
+window's square-free alphabet scan), ``forbidden_check`` in item 7
+(certified density along balls), and ``audit_event_probability`` in
+item 2, as the oracle for re-derived event probabilities.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Optional
+
+from groupshift.aperiodic import TSets, enumerate_odd_paths
+from groupshift.density import Slope
+from groupshift.groups import Ball, FrozenRecord, GroupModel, InputError, Record
+from groupshift.lll import BadEvent, LLLInstance, neighbour_counts
+from groupshift.patterns import WindowConfig, density_of
+
+
+class Pattern(FrozenRecord):
+    """A finite support-to-symbol map, support in canonical element order."""
+
+    __slots__ = _fields = ("support", "symbols")
+
+    def __init__(self, support: tuple, symbols: tuple):
+        self._set(support, symbols)
+        self.__post_init__()
+
+    def __post_init__(self):
+        if len(self.support) != len(set(self.support)):
+            raise InputError("pattern support contains duplicates")
+        if len(self.support) != len(self.symbols):
+            raise InputError("support and symbols must align")
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+
+def make_pattern(group: GroupModel, cells: dict) -> Pattern:
+    support = tuple(sorted(cells, key=group.canonical_key))
+    return Pattern(support=support, symbols=tuple(cells[g] for g in support))
+
+
+def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:
+    """Split F into K-interior and K-boundary: Int = {g : gK subset of F}."""
+    F = frozenset(F)
+    K = list(K)
+    interior = frozenset(
+        g for g in F if all(group.mul(g, k) in F for k in K)
+    )
+    return interior, F - interior
+
+
+def pattern_occurrences(x: WindowConfig, p: Pattern) -> list:
+    """Positions g inside the window where the translated pattern matches.
+
+    Positions whose translated support exits the window are skipped.
+    """
+    group = x.group
+    out = []
+    for g in x.window.members:
+        ok = True
+        for h, a in zip(p.support, p.symbols):
+            gh = group.mul(g, h)
+            if gh not in x or x[gh] != a:
+                ok = False
+                break
+        if ok:
+            out.append(g)
+    return out
+
+
+class ForbiddenCheck(Record):
+    __slots__ = _fields = ("allowed", "hypothesis_holds", "boundary_size",
+                           "support_size", "deviation")
+
+    def __init__(self, allowed: bool, hypothesis_holds: bool,
+                 boundary_size: int, support_size: int,
+                 deviation: Optional[Fraction]):
+        self.allowed, self.hypothesis_holds = allowed, hypothesis_holds
+        self.boundary_size, self.support_size = boundary_size, support_size
+        self.deviation = deviation
+
+
+def forbidden_check(x: WindowConfig, F, alpha: Slope, n: int,
+                    ball_cap: int = 10 ** 6) -> ForbiddenCheck:
+    """Evaluate the defining rule of the density subshift on one support.
+
+    With K = B(1, 5^n): if 2n |bd_K F| < |F| then the density over F must
+    be within 1/n of alpha; otherwise the pattern is vacuously allowed.
+    """
+    F = list(F)
+    if any(g not in x for g in F):
+        raise InputError("support escapes the window")
+    if n < 1:
+        raise InputError("n must be positive")
+    k_ball = x.group.ball(radius=5 ** n, cap=ball_cap)
+    _, boundary = interior_and_boundary(x.group, F, k_ball.members)
+    hypothesis = 2 * n * len(boundary) < len(F)
+    if not hypothesis:
+        return ForbiddenCheck(True, False, len(boundary), len(F), None)
+    deviation = abs(density_of(x[g] for g in F) - alpha.value)
+    return ForbiddenCheck(
+        allowed=deviation <= Fraction(1, n),
+        hypothesis_holds=True,
+        boundary_size=len(boundary),
+        support_size=len(F),
+        deviation=deviation,
+    )
+
+
+def audit_event_probability(inst: LLLInstance, event: BadEvent,
+                            budget_bits: int = 24) -> Optional[Fraction]:
+    """Exhaustively recount an event's probability when small enough.
+
+    Returns None when the support state space exceeds 2**budget_bits.
+    """
+    sizes = [inst.alphabet[v] for v in event.support]
+    total = 1
+    for s in sizes:
+        total *= s
+        if total > 2 ** budget_bits:
+            return None
+    assignment = [0] * len(inst.alphabet)
+    bad = 0
+    for values in itertools.product(*map(range, sizes)):
+        for v, a in zip(event.support, values):
+            assignment[v] = a
+        bad += event.violated(assignment)
+    return Fraction(bad, total)
+
+
+def check_t_sets(group: GroupModel, tsets: TSets) -> None:
+    """Re-verify both defining invariants by direct set arithmetic."""
+    for i in range(1, tsets.levels + 1):
+        s, t = tsets.level(i)
+        if len(t) != tsets.c * i:
+            raise InputError(f"|T_{i}| != C*{i}")
+        shifted = {group.mul(s, x) for x in t}
+        if shifted & set(t):
+            raise InputError(f"T_{i} meets s_{i} T_{i}")
+
+
+def path_dependency_counts(w: Ball, max_half_length: int,
+                           budget: int = 10 ** 6) -> list[dict]:
+    """For each odd path, count odd paths of each half-length sharing a vertex.
+
+    Returns a list aligned with enumeration order; entry k maps j to the
+    number of length-(2j-1) paths sharing at least one vertex with path k
+    (excluding the path itself at its own level).
+    """
+    paths = list(enumerate_odd_paths(w, max_half_length, budget))
+    return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))

@@ -17,7 +17,6 @@ from groupshift.aperiodic import (
     build_t_sets,
     enumerate_odd_paths,
     find_vertex_square,
-    path_dependency_counts,
     verify_distinct_neighborhood,
     witness_path,
 )
@@ -38,11 +37,8 @@ from groupshift.lll import (
     squarefree_alphabet_bound,
     verify_condition,
 )
-from groupshift.patterns import (
-    WindowConfig,
-    make_pattern,
-    pattern_occurrences,
-)
+from groupshift.patterns import WindowConfig
+from oracles import make_pattern, path_dependency_counts, pattern_occurrences
 
 
 def report(num: int, label: str, ok: bool, elapsed: float, limit: float):

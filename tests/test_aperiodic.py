@@ -21,17 +21,17 @@ from groupshift.aperiodic import (
     build_2coloring_instance,
     build_squarefree_instance,
     build_t_sets,
-    check_t_sets,
     enumerate_odd_paths,
     find_vertex_square,
     fitting_pairs,
     is_vertex_square,
-    path_dependency_counts,
     verify_distinct_neighborhood,
     witness_path,
 )
-from groupshift.lll import audit_event_probability, resample, verify_condition
+from groupshift.lll import resample, verify_condition
 from groupshift.patterns import WindowConfig
+from oracles import (audit_event_probability, check_t_sets,
+                     path_dependency_counts)
 
 
 def constant_window(group, radius, symbol=0):

@@ -258,6 +258,22 @@ class TestExitCodes:
         assert run(["group", "ball", "--group", "z^2",
                     "--radius", "1000000000", "--cap", "10"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["group", "ball", "--group", "z^2", "--radius", "3"],
+        ["color", "squarefree", "--group", "z^2", "--radius", "2",
+         "--alphabet", "4", "--maxlen", "1", "--out", "sf.json"],
+        ["color", "two", "--group", "z^2", "--radius", "4", "--c", "17",
+         "--out", "cfg.json"],
+    ], ids=["group-ball", "color-squarefree", "color-two"])
+    def test_negative_cap_is_a_usage_error(self, tmp_path, monkeypatch,
+                                           capsys, argv):
+        # Refused while parsing, before any work: nothing is written.
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--cap", "-1"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --cap: cap -1 is negative\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_memory_exits_3(self):
         # The geodesic x^1000000000 needs ~8 GB; the child limits its own
         # address space to 2 GB, so building it raises MemoryError.

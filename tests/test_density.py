@@ -19,12 +19,12 @@ from groupshift.density import (
     build_forest,
     convex_enumeration,
     fill_density,
-    forbidden_check,
     greedy_rnet,
     measure_density,
     sturmian,
     verify_condition1,
 )
+from oracles import forbidden_check
 
 
 def path_adjacency(n):

@@ -24,7 +24,6 @@ from groupshift.lll import (
     NonterminatingInstanceError,
     ResampleRun,
     aperiodic_constant_scan,
-    audit_event_probability,
     check_aperiodic_constant,
     equal_on,
     events_by_variable,
@@ -37,6 +36,7 @@ from groupshift.lll import (
     verify_condition,
 )
 from groupshift.serialize import quad_to_json
+from oracles import audit_event_probability
 
 fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from groupshift.groups import IntegerLattice
-from groupshift.patterns import (
-    EmptySupportError,
+from groupshift.patterns import EmptySupportError, WindowConfig, density_of
+from oracles import (
     Pattern,
-    WindowConfig,
-    density_of,
     interior_and_boundary,
     make_pattern,
     pattern_occurrences,

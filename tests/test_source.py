@@ -134,3 +134,48 @@ def test_only_a_command_that_imports_lll_loads_dataclasses(tmp_path):
         tmp_path, [argv for argv, _, _ in COMMAND_STDLIB],
         "'dataclasses' in sys.modules, 'fractions' in sys.modules")
     assert loaded == [f"{dc} {fr}" for _, dc, fr in COMMAND_STDLIB]
+
+
+
+def names_used(node) -> set:
+    """Every name ``node`` mentions: names, attributes, import aliases
+    and string constants (the bench tracer wraps functions by name)."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.update((sub.name, sub.asname))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            used.add(sub.value)
+    return used
+
+
+def test_package_holds_only_what_a_command_runs():
+    # Each module-level function and class is named somewhere in the
+    # package or the bench outside its own definition.  What only tests
+    # reach belongs in tests/oracles.py, which no package module imports.
+    package = Path(groupshift.__file__).parent
+    bench = package.parents[1] / "bench"
+    assert bench.is_dir()
+    modules = sorted(package.glob("*.py"))
+    defined, used = [], set()
+    for path in modules + sorted(bench.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            name = getattr(stmt, "name", None)
+            used |= names_used(stmt) - {name}
+            if path.parent == package and name is not None:
+                defined.append((path.stem, name))
+    assert defined
+    assert [f"{m}.{n}" for m, n in defined if n not in used] == []
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "oracles" in {getattr(node, "module", None),
+                          *(a.name.split(".")[0] for a in node.names)}
+    ]
+    assert imports == []
