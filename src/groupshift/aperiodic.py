@@ -300,7 +300,10 @@ def enumerate_odd_paths(w: Ball, max_half_length: int,
 def is_vertex_square(coloring: Sequence[int], path: tuple) -> bool:
     """True when the colors along ``path`` repeat under the half shift."""
     n = len(path) // 2
-    return all(coloring[path[i]] == coloring[path[i + n]] for i in range(n))
+    if not n:  # itemgetter needs a position, and returns a[v] for one
+        return True
+    c = itemgetter(*path)(coloring)
+    return c[:n] == c[n:2 * n]
 
 
 def find_vertex_square(coloring: Sequence[int],

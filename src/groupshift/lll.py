@@ -10,10 +10,11 @@ The variables of an instance are the positions 0..n-1: ``alphabet[v]``
 is the number of values of variable v, a support lists positions, and an
 assignment is a list whose entry v is the value of variable v.  The
 verifier and the resampler read the dependency graph off one index,
-:func:`events_by_variable`.  The resampler keeps the violated events in
-a min-heap and rechecks only the culprit's neighbours; it still
-resamples the least-id violated event, so its trace is that of a full
-rescan.
+:func:`events_by_variable`.  The resampler evaluates an event only when
+it could be the next culprit: a scan front walks the id-sorted events
+once, and the culprit's neighbours below the front wait in a min-heap
+that is drained before the front moves.  It still resamples the least-id
+violated event, so its trace is that of a full rescan.
 
 All comparisons are exact: probabilities and weights are elements of
 Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
@@ -313,31 +314,44 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
     """Moser-Tardos resampling, deterministic given the seed.
 
     Samples every variable uniformly, then repeatedly resamples the
-    support of the least-id violated event until none is violated.  Every
-    predicate is evaluated once on the first assignment; after that only
-    the events sharing a variable with the culprit are rechecked, since no
-    other event can change status (Moser and Tardos, JACM 2010); the
-    variable -> events index that finds them is built only once the first
-    scan has found a violated event.  The violated positions of the
-    id-sorted event list sit in a min-heap whose entries are confirmed by
-    a ``bad`` flag, so the heap top, once stale entries are dropped, is
-    the least-id violated event: the culprit, the random draws and the
-    trace are those of a rescan from the least id.  A final scan of every
-    event certifies the result independently of this bookkeeping.
+    support of the least-id violated event until none is violated.  A
+    predicate is evaluated only when its event could be that culprit.
+    A scan front ``p`` walks the id-sorted events once: every event below
+    ``p`` was satisfied when last evaluated, unless it waits in the
+    ``pending`` min-heap.  A resample changes only the culprit's support,
+    so only the events sharing a variable with it can change status
+    (Moser and Tardos, JACM 2010); those below ``p`` are pushed once each,
+    and those at or above ``p`` wait for the front.  The heap is drained
+    before the front moves, so a violated event popped from it, or met by
+    the front with the heap empty, is the least-id violated event: the
+    culprit, the random draws and the trace are those of a rescan from
+    the least id.  The variable -> events index is built only once a
+    first violated event is found.  A final scan of every event certifies
+    the result independently of this bookkeeping.
     """
     rng = random.Random(seed)
     assignment = [rng.randrange(k) for k in inst.alphabet]
     events = sorted(inst.events, key=lambda e: e.id)
-    bad = [e.violated(assignment) for e in events]
-    heap = [i for i, b in enumerate(bad) if b]  # ascending, so a heap
-    sharing = events_by_variable((e.support for e in events),
-                                 len(inst.alphabet)) if heap else []
+    sharing: Optional[list[list[int]]] = None
+    pending: list[int] = []  # min-heap of positions below p to re-evaluate
+    queued = bytearray(len(events))  # queued[j]: j is in pending
     trace: list = []
-    while heap:
-        i = heap[0]
-        if not bad[i]:
-            heapq.heappop(heap)
-            continue
+    p = 0
+    while True:
+        if pending:
+            i = heapq.heappop(pending)
+            queued[i] = 0
+            if not events[i].violated(assignment):
+                continue
+        else:
+            while p < len(events) and not events[p].violated(assignment):
+                p += 1
+            if p == len(events):
+                break
+            i = p  # p stays: the culprit is evaluated again by the front
+            if sharing is None:
+                sharing = events_by_variable((e.support for e in events),
+                                             len(inst.alphabet))
         if len(trace) >= cap:
             raise NonterminatingInstanceError(
                 f"resample cap {cap} exceeded", trace
@@ -346,11 +360,12 @@ def resample(inst: LLLInstance, seed: int, cap: int = 10 ** 6) -> ResampleRun:
         trace.append(culprit.id)
         for v in culprit.support:
             assignment[v] = rng.randrange(inst.alphabet[v])
-        for j in {j for v in culprit.support for j in sharing[v]}:
-            violated = events[j].violated(assignment)
-            if violated and not bad[j]:
-                heapq.heappush(heap, j)
-            bad[j] = violated
+            for j in sharing[v]:
+                if j >= p:
+                    break
+                if not queued[j]:
+                    queued[j] = 1
+                    heapq.heappush(pending, j)
     for e in events:  # post-hoc certification, independent of search order
         if e.violated(assignment):
             raise AssertionError(f"event {e.id} violated after resampling")
