@@ -13,7 +13,6 @@ them back to elements.
 
 from __future__ import annotations
 
-import gc
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -200,21 +199,17 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
         two_coloring_probability,
         two_coloring_weight,
     )
-    events: list[BadEvent] = []
     sides = slice(0, None, 2), slice(1, None, 2)  # disjoint g T_n, g s_n T_n
-    for n in range(1, tsets.levels + 1):
-        s, t_set = tsets.level(n)
-        probability = two_coloring_probability(tsets.c, n)
-        weight = two_coloring_weight(tsets.c, n)
-        for i, row in fitting_pairs(group, window, s, t_set):
-            events.append(BadEvent(
-                id=(n, i),
-                support=row,
-                probability=probability,
-                weight=weight,
-                violated=equal_on(row, *sides),
-            ))
-    return LLLInstance(alphabet=(2,) * len(window), events=events)
+
+    def events() -> Iterator[BadEvent]:
+        for n in range(1, tsets.levels + 1):
+            s, t_set = tsets.level(n)
+            probability = two_coloring_probability(tsets.c, n)
+            weight = two_coloring_weight(tsets.c, n)
+            for i, row in fitting_pairs(group, window, s, t_set):
+                yield BadEvent((n, i), row, probability, weight,
+                               equal_on(row, *sides))
+    return LLLInstance.trusted((2,) * len(window), events())
 
 
 class DistinctNeighborhoodReport(Record):
@@ -338,26 +333,14 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     probability = [Quad(Fraction(1, alphabet_size ** n)) for n in halves]
     weight = [Quad(Fraction(1, base ** n)) for n in halves]
     split = [(slice(None, n), slice(n, None)) for n in halves]
-    events = []
-    # The events form no reference cycles, but their ~10^5 objects set off
-    # full collections that scan the whole heap and free nothing.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+
+    def events() -> Iterator[BadEvent]:
         for k, path in enumerate(
                 enumerate_odd_paths(w, max_half_length, budget)):
             n = len(path) // 2
-            events.append(BadEvent(
-                id=(n, k),
-                support=path,
-                probability=probability[n],
-                weight=weight[n],
-                violated=equal_on(path, *split[n]),
-            ))
-    finally:
-        if collecting:
-            gc.enable()
-    return LLLInstance(alphabet=(alphabet_size,) * len(w), events=events)
+            yield BadEvent((n, k), path, probability[n], weight[n],
+                           equal_on(path, *split[n]))
+    return LLLInstance.trusted((alphabet_size,) * len(w), events())
 
 
 class WitnessPath(FrozenRecord):

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,10 +29,11 @@ from groupshift.aperiodic import (
     verify_distinct_neighborhood,
     witness_path,
 )
-from groupshift.lll import resample, verify_condition
+from groupshift.lll import LLLInstance, resample, verify_condition
 from groupshift.patterns import WindowConfig
 from oracles import (audit_event_probability, check_t_sets,
                      path_dependency_counts)
+from test_groups import ALL_GROUPS
 
 
 def constant_window(group, radius, symbol=0):
@@ -590,6 +592,71 @@ class TestSquarefreeInstance:
         assert len(inst.events) == 18772
         assert size <= 11 * 10 ** 6
 
+    @staticmethod
+    def build_watching_collections(w):
+        """Build the instance, return it with the collector state and the
+        young-generation size right after, and the number of objects each
+        collection during the call was to walk."""
+        walked = []
+
+        def watch(phase, info):
+            if phase == "start":
+                walked.append(sum(len(gc.get_objects(generation=g))
+                                  for g in range(info["generation"] + 1)))
+        gc.callbacks.append(watch)
+        try:
+            inst = build_squarefree_instance(w, 16, 3, 2)
+            state = gc.isenabled(), gc.get_freeze_count()
+            gc.disable()  # so that nothing collects before the count
+            young = len(gc.get_objects(generation=0))
+        finally:
+            gc.callbacks.remove(watch)
+        return inst, state, young, walked
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_build_leaves_no_deferred_collection(self, collecting):
+        # The paths_nonabelian window, ~10^5 new objects.  Pausing the
+        # collector alone defers their scan: the next collection, inside
+        # the build when it was on, walked all of them; when it was off,
+        # they stayed in the young generation for the caller's first one.
+        w = FreeGroup(2).ball(radius=6)
+        gc.collect()
+        frozen = gc.get_freeze_count()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            inst, state, young, walked = self.build_watching_collections(w)
+        finally:
+            gc.enable()
+        assert len(inst.events) == 18772
+        assert state == (collecting, frozen)
+        assert young < 1000
+        assert max(walked, default=0) < 10 ** 4
+
+    def test_build_keeps_the_callers_frozen_objects(self):
+        # gc.unfreeze would release them, so the build does not freeze.
+        w = FreeGroup(2).ball(radius=2)
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            inst, state, _, _ = self.build_watching_collections(w)
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        assert inst.events
+        assert state == (True, frozen)
+
+    def test_budget_overrun_restores_the_collector(self):
+        w = FreeGroup(2).ball(radius=3)
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            try:
+                with pytest.raises(ResourceLimitError):
+                    build_squarefree_instance(w, 16, 3, 2, budget=10)
+                assert gc.isenabled() is collecting
+                assert gc.get_freeze_count() == 0
+            finally:
+                gc.enable()
+
     def test_path_dependency_bound(self):
         s = 2
         w = FreeGroup(s).ball(radius=2)
@@ -599,6 +666,20 @@ class TestSquarefreeInstance:
             n = len(path) // 2
             for j, actual in row.items():
                 assert actual <= 4 * n * j * (2 * s) ** (2 * j)
+
+
+class TestBuildersPassTheInstanceChecks:
+    # The builders construct through LLLInstance.trusted, which skips the
+    # alphabet, position and id checks; their instances must pass them.
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_rebuilt_through_the_checked_constructor(self, group):
+        window = group.ball(radius=4)
+        tsets = build_t_sets(group, c=2, i_max=2)
+        for inst in (build_2coloring_instance(group, window, tsets),
+                     build_squarefree_instance(window, 16, 2, 2)):
+            assert inst.events
+            rebuilt = LLLInstance(alphabet=inst.alphabet, events=inst.events)
+            assert rebuilt == inst
 
 
 class TestWitnessPath:
