@@ -209,7 +209,7 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
             for i, row in fitting_pairs(group, window, s, t_set):
                 yield BadEvent((n, i), row, probability, weight,
                                equal_on(row, *sides))
-    return LLLInstance.trusted((2,) * len(window), events())
+    return LLLInstance((2,) * len(window), events())
 
 
 class DistinctNeighborhoodReport(Record):
@@ -340,7 +340,7 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
             n = len(path) // 2
             yield BadEvent((n, k), path, probability[n], weight[n],
                            equal_on(path, *split[n]))
-    return LLLInstance.trusted((alphabet_size,) * len(w), events())
+    return LLLInstance((alphabet_size,) * len(w), events())
 
 
 class WitnessPath(FrozenRecord):

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .groups import Ball, FrozenRecord, GroupModel, InputError, Record, bfs
-from .patterns import WindowConfig, density_of
+from .patterns import EmptySupportError, WindowConfig, count_ones
 
 
 class Slope(FrozenRecord):
@@ -289,20 +289,21 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
     aggregates = []
     for n in range(1, f.depth + 1):
         interior = f.interior_centers(n)
-        union: list = []
+        union_size = union_ones = 0  # the level's clusters are disjoint
         for g in interior:
             cl = f.cluster(n, g)
-            ones = int(density_of(colors[h] for h in cl) * len(cl))
+            ones = count_ones(colors[h] for h in cl)
             cluster_checks.append(ClusterCheck(
                 level=n, center=members[g], size=len(cl),
                 floor_share=(a * len(cl)).__floor__(), ones=ones,
             ))
-            union.extend(cl)
-        if union:
+            union_size += len(cl)
+            union_ones += ones
+        if union_size:
             aggregates.append(AggregateCheck(
-                level=n, union_size=len(union), center_count=len(interior),
-                dens=density_of(colors[h] for h in union),
-                bound=Fraction(len(interior), len(union)), alpha=a,
+                level=n, union_size=union_size, center_count=len(interior),
+                dens=Fraction(union_ones, union_size),
+                bound=Fraction(len(interior), union_size), alpha=a,
             ))
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)
 
@@ -321,11 +322,13 @@ def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
     entries = []
     for i, subset in enumerate(sets):
         subset = list(subset)
+        if not subset:
+            raise EmptySupportError(f"set {i} is empty: no density")
         if any(g not in x for g in subset):
             raise InputError(f"set {i} escapes the window")
-        dens = density_of(x[g] for g in subset)
+        ones = count_ones(x[g] for g in subset)
         desc = descriptors[i] if descriptors else f"set-{i}"
-        entries.append((desc, len(subset), int(dens * len(subset)), dens))
+        entries.append((desc, len(subset), ones, Fraction(ones, len(subset))))
     return DensityReport(
         entries=entries, alpha=None if alpha is None else alpha.value
     )

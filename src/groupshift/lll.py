@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .exact import Quad, half_power_of_two, sqrt2_power
 from .groups import InputError, Record, ResourceLimitError
@@ -92,32 +92,28 @@ def equal_on(support: tuple, first: slice,
 class LLLInstance:
     """Variables 0..n-1 with their alphabet sizes, and the bad events.
 
-    ``LLLInstance(...)`` checks every alphabet size, every support
-    position and that no id repeats: the instance reader, the tests and
-    ``dataclasses.replace`` go through it.  The builders in
-    :mod:`groupshift.aperiodic` go through :meth:`trusted` instead, which
-    skips those checks: their alphabets are constant, their ids are
-    distinct by construction and every position comes from the window,
-    so the per-position loop could not fail and cost 0.23 s of a 1.73 s
-    build of the 24-level z^2 instance (3.9 million positions).
+    The constructor checks nothing: the instance reader,
+    :func:`groupshift.serialize.instance_from_json`, rejects a bad
+    alphabet size or a repeated id as it reads them, and the builders in
+    :mod:`groupshift.aperiodic` take every position from their window.
+
+    A builder passes its events as an iterator, drained here with the
+    cyclic collector paused: the events form no reference cycles, but
+    their ~10^5 objects set off collections that scan them and free
+    nothing.  A list is kept as it is, so ``dataclasses.replace`` keeps
+    the events it is given.
     """
 
     alphabet: tuple  # alphabet[v] is the number of values of variable v
     events: list[BadEvent] = field(default_factory=list)
 
-    @classmethod
-    def trusted(cls, alphabet: tuple,
-                events: Iterable[BadEvent]) -> LLLInstance:
-        """The instance of a builder's events, unchecked, with the cyclic
-        collector paused while they are made.
-
-        The events form no reference cycles, but their ~10^5 objects set
-        off collections that scan them and free nothing.
-        """
+    def __post_init__(self):
+        if isinstance(self.events, list):
+            return
         collecting = gc.isenabled()
         gc.disable()
         try:
-            events = list(events)
+            self.events = list(self.events)
         finally:
             # Re-enabling alone defers the work: the next collection would
             # walk every new object, 10-17 ms on 18,772 events.  Freezing and
@@ -129,25 +125,6 @@ class LLLInstance:
                 gc.unfreeze()
             if collecting:
                 gc.enable()
-        inst = cls.__new__(cls)
-        inst.alphabet, inst.events = alphabet, events
-        return inst
-
-    def __post_init__(self):
-        n = len(self.alphabet)
-        for v, k in enumerate(self.alphabet):
-            if type(k) is not int or k < 1:  # bools are rejected too
-                raise InputError(f"variable {v} has alphabet size {k!r}, "
-                                 "not an int >= 1")
-        ids = set()
-        for e in self.events:
-            for v in e.support:
-                if type(v) is not int or not 0 <= v < n:
-                    raise InputError(
-                        f"event {e.id} has support {v!r} outside 0..{n - 1}")
-            if e.id in ids:
-                raise InputError(f"event id {e.id} is repeated")
-            ids.add(e.id)
 
 
 class Verdict(Record):

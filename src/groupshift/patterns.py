@@ -2,18 +2,13 @@
 
 A window coloring is one colour tuple on the positions of a
 :class:`~groupshift.groups.Ball`; ``x[g]`` and ``g in x`` read it by group
-element.  :func:`density_of` is the exact fraction of ones behind every
-density in the package.
+element.  :func:`count_ones` is the count behind every density in the
+package.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .groups import Ball, GroupModel, InputError, Record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class EmptySupportError(InputError):
@@ -49,15 +44,7 @@ class WindowConfig(Record):
         return g in self.window.index
 
 
-def density_of(symbols) -> Fraction:
-    """Exact fraction of ``symbols`` equal to 1.
-
-    The one ones-count behind every density in the package.  Raises
-    EmptySupportError when ``symbols`` is empty, since the density of an
-    empty set is undefined.
-    """
-    from fractions import Fraction
-    symbols = list(symbols)
-    if not symbols:
-        raise EmptySupportError("density over an empty set is undefined")
-    return Fraction(symbols.count(1), len(symbols))
+def count_ones(symbols) -> int:
+    """The number of ``symbols`` equal to 1: the one ones-count behind
+    every density in the package."""
+    return list(symbols).count(1)

@@ -253,11 +253,14 @@ def instance_to_json(inst: LLLInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> LLLInstance:
-    """Decode an instance; variable v is the v-th declared variable id.
+    """Decode and validate an instance; variable v is the v-th declared
+    variable id, so every support position lies in 0..n-1.
 
-    InputError for a variable id declared twice, a support id never
-    declared, or an event id that is neither a list nor a string.  Each
-    distinct number is read once, and one whose height exceeds
+    The one place an instance is checked, each item as it is read:
+    InputError for a variable id declared twice, an alphabet size that is
+    not an int >= 1, a support id never declared, an event id that is
+    neither a list nor a string, or one that repeats.  Each distinct
+    number is read once, and one whose height exceeds
     :data:`groupshift.lll.MARGIN_HEIGHT_LIMIT` raises ResourceLimitError:
     a margin that it enters would exceed the limit too.
     """
@@ -277,29 +280,38 @@ def instance_from_json(data: dict) -> LLLInstance:
         return q
 
     position: dict = {}
+    alphabet = []
     for v, var in enumerate(data["variables"]):
         if position.setdefault(var["id"], v) != v:
             raise InputError(f"variable {var['id']!r} is declared twice")
+        k = var["alphabet"]
+        if type(k) is not int or k < 1:  # bools are rejected too
+            raise InputError(f"variable {v} has alphabet size {k!r}, "
+                             "not an int >= 1")
+        alphabet.append(k)
     events = []
+    ids = set()
     for e in data["events"]:
         ident = e["id"]
         if not isinstance(ident, (list, str)):  # a string reads as its chars
             raise InputError(f"event {len(events)} has the id {ident!r:.40}; "
                              "an event id must be a list")
+        ident = tuple(ident)
+        if ident in ids:
+            raise InputError(f"event id {ident} is repeated")
+        ids.add(ident)
         names = e["support"]
         try:
             support = tuple(map(position.__getitem__, names))
         except KeyError as exc:
             raise InputError(f"support variable {exc} is undeclared") from None
         events.append(BadEvent(
-            id=tuple(ident),
+            id=ident,
             support=support,
             probability=quad(e["probability"]),
             weight=quad(e["weight"]),
         ))
-    return LLLInstance(
-        alphabet=tuple(var["alphabet"] for var in data["variables"]),
-        events=events)
+    return LLLInstance(tuple(alphabet), events)
 
 
 @unlimited_int_digits()

@@ -19,7 +19,7 @@ from groupshift.aperiodic import TSets, enumerate_odd_paths
 from groupshift.density import Slope
 from groupshift.groups import Ball, FrozenRecord, GroupModel, InputError, Record
 from groupshift.lll import BadEvent, LLLInstance, neighbour_counts
-from groupshift.patterns import WindowConfig, density_of
+from groupshift.patterns import EmptySupportError, WindowConfig, count_ones
 
 
 class Pattern(FrozenRecord):
@@ -44,6 +44,15 @@ class Pattern(FrozenRecord):
 def make_pattern(group: GroupModel, cells: dict) -> Pattern:
     support = tuple(sorted(cells, key=group.canonical_key))
     return Pattern(support=support, symbols=tuple(cells[g] for g in support))
+
+
+def density_of(symbols) -> Fraction:
+    """Exact fraction of ``symbols`` equal to 1; EmptySupportError when
+    ``symbols`` is empty, since the density of an empty set is undefined."""
+    symbols = list(symbols)
+    if not symbols:
+        raise EmptySupportError("density over an empty set is undefined")
+    return Fraction(count_ones(symbols), len(symbols))
 
 
 def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:
@@ -133,6 +142,31 @@ def audit_event_probability(inst: LLLInstance, event: BadEvent,
             assignment[v] = a
         bad += event.violated(assignment)
     return Fraction(bad, total)
+
+
+def check_instance(inst: LLLInstance) -> None:
+    """The alphabet, position and id checks on a whole instance.
+
+    Every alphabet size is an int >= 1, every support position an int in
+    0..n-1 and no event id repeats.  The instance reader checks alphabets
+    and ids as it reads them and cannot make a bad position, and the
+    builders take their positions from the window; the tests run this on
+    both.
+    """
+    n = len(inst.alphabet)
+    for v, k in enumerate(inst.alphabet):
+        if type(k) is not int or k < 1:  # bools are rejected too
+            raise InputError(f"variable {v} has alphabet size {k!r}, "
+                             "not an int >= 1")
+    ids = set()
+    for e in inst.events:
+        for v in e.support:
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(
+                    f"event {e.id} has support {v!r} outside 0..{n - 1}")
+        if e.id in ids:
+            raise InputError(f"event id {e.id} is repeated")
+        ids.add(e.id)
 
 
 def check_t_sets(group: GroupModel, tsets: TSets) -> None:

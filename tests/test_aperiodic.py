@@ -29,9 +29,9 @@ from groupshift.aperiodic import (
     verify_distinct_neighborhood,
     witness_path,
 )
-from groupshift.lll import LLLInstance, resample, verify_condition
+from groupshift.lll import resample, verify_condition
 from groupshift.patterns import WindowConfig
-from oracles import (audit_event_probability, check_t_sets,
+from oracles import (audit_event_probability, check_instance, check_t_sets,
                      path_dependency_counts)
 from test_groups import ALL_GROUPS
 
@@ -669,17 +669,16 @@ class TestSquarefreeInstance:
 
 
 class TestBuildersPassTheInstanceChecks:
-    # The builders construct through LLLInstance.trusted, which skips the
-    # alphabet, position and id checks; their instances must pass them.
+    # LLLInstance checks nothing, and only the instance reader checks what
+    # it reads; a builder's instance must pass the whole-instance checks.
     @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
-    def test_rebuilt_through_the_checked_constructor(self, group):
+    def test_builders_pass_check_instance(self, group):
         window = group.ball(radius=4)
         tsets = build_t_sets(group, c=2, i_max=2)
         for inst in (build_2coloring_instance(group, window, tsets),
                      build_squarefree_instance(window, 16, 2, 2)):
             assert inst.events
-            rebuilt = LLLInstance(alphabet=inst.alphabet, events=inst.events)
-            assert rebuilt == inst
+            check_instance(inst)
 
 
 class TestWitnessPath:

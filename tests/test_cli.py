@@ -16,9 +16,11 @@ import groupshift
 from groupshift import aperiodic, cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.density import build_forest
-from groupshift.groups import GroupModel, IntegerLattice, parse_group_spec
+from groupshift.groups import (GroupModel, InputError, IntegerLattice,
+                               parse_group_spec)
 from groupshift.lll import verify_condition
 from groupshift.patterns import WindowConfig
+from oracles import check_instance
 
 
 def run(argv):
@@ -609,14 +611,22 @@ BAD_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("instance", list(BAD_INSTANCES.values()),
-                         ids=list(BAD_INSTANCES))
-def test_invalid_instance_exits_2(tmp_path, capsys, instance):
+# What the reader says of some of them.
+BAD_INSTANCE_MESSAGES = {
+    "alphabet-0": "variable 0 has alphabet size 0, not an int >= 1",
+    "repeated-id": "event id (1, 0) is repeated",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INSTANCES), ids=list(BAD_INSTANCES))
+def test_invalid_instance_exits_2(tmp_path, capsys, name):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps({"variables": ONE_VARIABLE, **instance}))
+    path.write_text(json.dumps({"variables": ONE_VARIABLE,
+                                **BAD_INSTANCES[name]}))
     assert run(["lll", "verify", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error: input" in err
+    assert BAD_INSTANCE_MESSAGES.get(name, "") in err
     assert "Traceback" not in err
 
 
@@ -628,6 +638,35 @@ def test_event_id_must_be_a_list(tmp_path, capsys):
     assert run(["lll", "verify", "--instance", str(path)]) == 2
     assert ("event 1 has the id 5; an event id must be a list"
             in capsys.readouterr().err)
+
+
+NAMES = st.sampled_from(["v0", "v1", "v2", 0])  # "v2" and 0 often undeclared
+JSON_LEAF = st.sampled_from([0, 1, "a", "ab", None, True, 0.5])
+# Mostly valid values, so that many instances are read whole.
+ALPHABETS = st.sampled_from([1, 2, 3] * 4 + [0, -1, True, None, 2.0, "2"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(variables=st.lists(st.fixed_dictionaries({
+           "id": NAMES, "alphabet": ALPHABETS}), max_size=3),
+       events=st.lists(st.fixed_dictionaries({
+           "id": st.lists(JSON_LEAF | st.lists(JSON_LEAF, max_size=1),
+                          max_size=2) | JSON_LEAF | st.text("ab", max_size=2),
+           "support": st.lists(NAMES, max_size=3),
+           "probability": st.just("1/4"), "weight": st.just("1/2")}),
+           max_size=4))
+def test_read_instances_pass_the_instance_checks(variables, events):
+    # LLLInstance checks nothing: whatever the reader returns must pass the
+    # whole-instance checks, and whatever it refuses must raise an error
+    # that cli._load turns into exit 2.
+    try:
+        inst = serialize.instance_from_json(
+            {"variables": variables, "events": events})
+    except (InputError, KeyError, TypeError):
+        return
+    check_instance(inst)
+    assert len(inst.alphabet) == len(variables)
+    assert len(inst.events) == len(events)
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,7 @@ from groupshift.lll import (
     verify_condition,
 )
 from groupshift.serialize import quad_to_json
-from oracles import audit_event_probability
+from oracles import audit_event_probability, check_instance
 
 fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
@@ -375,7 +375,7 @@ class TestInstance:
                      probability=Quad.of(Fraction(1, 4)),
                      weight=Quad.of(Fraction(1, 2)))
         with pytest.raises(InputError, match="outside 0..2"):
-            LLLInstance(alphabet=(2, 2, 2), events=[e])
+            check_instance(LLLInstance(alphabet=(2, 2, 2), events=[e]))
 
 
 class TestVerifyCondition:

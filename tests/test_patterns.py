@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from groupshift.groups import IntegerLattice
-from groupshift.patterns import EmptySupportError, WindowConfig, density_of
+from groupshift.patterns import EmptySupportError, WindowConfig
 from oracles import (
     Pattern,
+    density_of,
     interior_and_boundary,
     make_pattern,
     pattern_occurrences,
