@@ -298,6 +298,9 @@ def cmd_density_verify(args) -> int:
     alpha = density.Slope.parse(args.alpha)
     _check_levels(args)
     config = _load(args.config, serialize.window_from_json)
+    if config.alphabet_size != 2:  # condition (1) counts 1's among 0/1
+        raise InputError("density verify requires a binary alphabet, not "
+                         f"alphabet size {config.alphabet_size}")
     forest = density.build_forest(config.group, config.window, args.levels)
     report = density.verify_condition1(config, forest, alpha)
     failures = [c for c in report.clusters if not c.ok]

@@ -4,10 +4,12 @@ The construction reads one graph, the Cayley graph induced on the window
 ball, and runs on the ball's positions: centers, parents and quotient
 edges are ints, ordered by the canonical keys of their members, and the
 members map them back to elements only where a fill or forest is
-written.  It repeatedly takes a greedy maximal 2-separating (hence
-2-covering) subset, gives each point its nearest center (least on a tie)
-within distance 2 as parent, and connects centers whose clusters are
-adjacent.
+written.  Each level scans the previous level's centers once.  A point
+that no earlier search has reached becomes a center, so the centers form
+a maximal 2-separating (hence 2-covering) subset.  That one radius-2
+search also offers the center as parent to every point it reaches, and
+each point keeps its nearest center (least on a tie).  Centers whose
+clusters are adjacent are then connected.
 The parent maps are the forest's only record of its hierarchy: a
 cluster (the leaves below a center) and the quotient edges of each
 level are read off them.  A Sturmian word laid along a convex
@@ -63,23 +65,6 @@ class Slope(FrozenRecord):
             raise InputError(f"malformed slope {text!r}") from None
         # Decimal input: replace by a continued-fraction convergent.
         return cls(value.limit_denominator(2 ** 31) if decimal else value)
-
-
-def greedy_rnet(points, adjacency, r: int) -> list:
-    """Greedy maximal r-separating subset; maximality makes it r-covering.
-
-    Scans ``points`` in the given order; a point is admitted when its
-    distance in the graph ``adjacency`` (anything that maps a vertex to
-    its neighbors) to every earlier choice exceeds r.
-    """
-    chosen: list = []
-    blocked: set = set()
-    for p in points:
-        if p in blocked:
-            continue
-        chosen.append(p)
-        blocked.update(g for g, _ in bfs(p, adjacency.__getitem__, r))
-    return chosen
 
 
 class ForestLevel(Record):
@@ -169,18 +154,20 @@ def build_forest(group: GroupModel, window: Ball,
 
     for n in range(1, levels + 1):
         prev = forest.levels[-1]
-        centers = greedy_rnet(prev.centers, prev.edges, 2)
-        # parent: the least (distance, canonical_key) center within 2
-        near: dict = {}  # g -> (distance, center)
-        for c in sorted(centers, key=canonical):
+        # parent: the least (distance, canonical_key) center within 2;
+        # every center reaches itself at distance 0.
+        centers: list = []
+        near: dict = {}  # g -> (distance, canonical_key, center)
+        for c in prev.centers:
             if c in near:  # an earlier center lies within distance 2
-                raise AssertionError("2-separation violated")
+                continue
+            centers.append(c)
+            key = canonical(c)
             for g, d in bfs(c, prev.edges.__getitem__, 2):
-                if g not in near or d < near[g][0]:
-                    near[g] = (d, c)
-        if len(near) != len(prev.centers):
-            raise AssertionError("2-covering violated")
-        parent = {g: near[g][1] for g in prev.centers}
+                offer = (d, key, c)
+                if g not in near or offer < near[g]:
+                    near[g] = offer
+        parent = {g: near[g][2] for g in prev.centers}
 
         # A level-n cluster is the union of its children's clusters, so two
         # touch iff children of theirs do.  By induction from level 0 (the
@@ -214,15 +201,11 @@ def convex_enumeration(f: CoveringForest, component) -> list:
 
 
 def sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
-    """Mechanical word bits floor((k+1)a) - floor(ka), exact arithmetic."""
-    alpha = Fraction(alpha)
-    bits = []
-    prev = (start * alpha).__floor__()
-    for k in range(start, start + count):
-        cur = ((k + 1) * alpha).__floor__()
-        bits.append(cur - prev)
-        prev = cur
-    return bits
+    """Mechanical word bits floor((k+1)a) - floor(ka), as integer floors
+    of a = p/q."""
+    p, q = alpha.numerator, alpha.denominator
+    return [(k + 1) * p // q - k * p // q
+            for k in range(start, start + count)]
 
 
 def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
@@ -284,6 +267,7 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
     if x.window != f.window:
         raise InputError("configuration window does not match forest window")
     a = alpha.value
+    p, q = a.numerator, a.denominator
     members, colors = f.window.members, x.colors
     cluster_checks = []
     aggregates = []
@@ -295,7 +279,7 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
             ones = count_ones(colors[h] for h in cl)
             cluster_checks.append(ClusterCheck(
                 level=n, center=members[g], size=len(cl),
-                floor_share=(a * len(cl)).__floor__(), ones=ones,
+                floor_share=p * len(cl) // q, ones=ones,
             ))
             union_size += len(cl)
             union_ones += ones

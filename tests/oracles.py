@@ -17,7 +17,8 @@ from typing import Optional
 
 from groupshift.aperiodic import TSets, enumerate_odd_paths
 from groupshift.density import Slope
-from groupshift.groups import Ball, FrozenRecord, GroupModel, InputError, Record
+from groupshift.groups import (Ball, FrozenRecord, GroupModel, InputError,
+                               Record, bfs)
 from groupshift.lll import BadEvent, LLLInstance, neighbour_counts
 from groupshift.patterns import EmptySupportError, WindowConfig, count_ones
 
@@ -190,3 +191,32 @@ def path_dependency_counts(w: Ball, max_half_length: int,
     """
     paths = list(enumerate_odd_paths(w, max_half_length, budget))
     return neighbour_counts(paths, [len(p) // 2 for p in paths], len(w))
+
+
+def greedy_rnet(points, adjacency, r: int) -> list:
+    """Greedy maximal r-separating subset; maximality makes it r-covering.
+
+    Scans ``points`` in the given order; a point is admitted when its
+    distance in the graph ``adjacency`` (anything that maps a vertex to
+    its neighbors) to every earlier choice exceeds r.
+    """
+    chosen: list = []
+    blocked: set = set()
+    for p in points:
+        if p in blocked:
+            continue
+        chosen.append(p)
+        blocked.update(g for g, _ in bfs(p, adjacency.__getitem__, r))
+    return chosen
+
+
+def oracle_sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
+    """Mechanical word bits floor((k+1)a) - floor(ka), exact arithmetic."""
+    alpha = Fraction(alpha)
+    bits = []
+    prev = (start * alpha).__floor__()
+    for k in range(start, start + count):
+        cur = ((k + 1) * alpha).__floor__()
+        bits.append(cur - prev)
+        prev = cur
+    return bits

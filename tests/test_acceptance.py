@@ -23,7 +23,6 @@ from groupshift.aperiodic import (
 from groupshift.density import (
     build_forest,
     fill_density,
-    greedy_rnet,
     sturmian,
     verify_condition1,
     Slope,
@@ -38,7 +37,8 @@ from groupshift.lll import (
     verify_condition,
 )
 from groupshift.patterns import WindowConfig
-from oracles import make_pattern, path_dependency_counts, pattern_occurrences
+from oracles import (greedy_rnet, make_pattern, path_dependency_counts,
+                     pattern_occurrences)
 
 
 def report(num: int, label: str, ok: bool, elapsed: float, limit: float):

@@ -416,6 +416,11 @@ MALFORMED_INPUTS = {
     "density-verify-fractional-alphabet": ["density", "verify", "--config",
                                            "{halfalphabet}", "--levels", "1",
                                            "--alpha", "0"],
+    # Condition (1) counts 1's in a {0,1} window: this exited 1, the code
+    # of a verified violation.
+    "density-verify-alphabet-16": ["density", "verify", "--config",
+                                   "{alphabet16}", "--levels", "1",
+                                   "--alpha", "1/2"],
 }
 
 
@@ -429,7 +434,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
              for name in ("missing", "text", "nocells", "intgroup", "config",
                           "out", "boolradius", "offwindow", "twospellings",
                           "missingcell", "halfsymbol", "boolsymbol",
-                          "halfalphabet", "deep")}
+                          "halfalphabet", "alphabet16", "deep")}
     files["text"].write_text("not json {")
     files["deep"].write_text("[" * 200_000 + "]" * 200_000)
     files["nocells"].write_text(json.dumps(
@@ -445,7 +450,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
                          ("missingcell", {"cells": cells[:-1]}),
                          ("halfsymbol", {"cells": [["", 0.5]] + cells[1:]}),
                          ("boolsymbol", {"cells": [["", True]] + cells[1:]}),
-                         ("halfalphabet", {"alphabet_size": 2.5})):
+                         ("halfalphabet", {"alphabet_size": 2.5}),
+                         ("alphabet16", {"alphabet_size": 16})):
         files[name].write_text(json.dumps({**BASE_WINDOW, **change}))
     argv = [a.format(**files) for a in argv]
     if case in CAPPED:
@@ -456,6 +462,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
     assert code == 2
     assert "error: input" in err
     assert "Traceback" not in err
+    if case == "density-verify-alphabet-16":
+        assert "alphabet size 16" in err
 
 
 class TestPipelines:
@@ -942,6 +950,19 @@ GOLDEN_RUNS = [
       "--levels", "3", "--format", "dot", "--out", "forest3.dot"],
      {"forest3.dot":
       "549721ea235f14412f75103bc2c77e0234efcf51194091d70c18b14ed8f2858e"}),
+    # Three-level forests on the non-abelian models, and fills over them.
+    (["density", "fill", "--group", "free:2", "--radius", "6", "--levels",
+      "3", "--alpha", "2/5", "--out", "fill-free.json"],
+     {"fill-free.json":
+      "088b1ffcdbbf909dac30f1e63edd2ab8df8e5668941e87bc18a7a729a05d308d"}),
+    (["density", "fill", "--group", "heisenberg", "--radius", "6",
+      "--levels", "3", "--alpha", "1/3", "--out", "fill-heis.json"],
+     {"fill-heis.json":
+      "c6f8a8883deba19f7d4259aa881ea3b7878ecab761f26e8b3a6d9efa02388936"}),
+    (["density", "build-forest", "--group", "free:2", "--radius", "5",
+      "--levels", "3", "--out", "forest-free.json"],
+     {"forest-free.json":
+      "916abe08e1623c808d7b840499415188f877dc0dc9aac60433e256d4213386a7"}),
     (["color", "squarefree", "--group", "free:2", "--radius", "2",
       "--alphabet", "16", "--maxlen", "2", "--seed", "3",
       "--out", "square.json"],

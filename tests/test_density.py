@@ -10,6 +10,7 @@ from groupshift.groups import (
     FreeProductZ2Z3,
     InputError,
     IntegerLattice,
+    bfs,
 )
 from groupshift import density
 from groupshift.patterns import EmptySupportError, WindowConfig
@@ -19,12 +20,11 @@ from groupshift.density import (
     build_forest,
     convex_enumeration,
     fill_density,
-    greedy_rnet,
     measure_density,
     sturmian,
     verify_condition1,
 )
-from oracles import forbidden_check
+from oracles import forbidden_check, greedy_rnet, oracle_sturmian
 
 
 def path_adjacency(n):
@@ -302,15 +302,28 @@ class TestForest:
         for n in range(f.depth + 1):
             assert f.interior_centers(n) == oracle_interior_centers(f, n)
 
-    @pytest.mark.parametrize("net,message", [
-        (lambda points: list(points), "2-separation violated"),
-        (lambda points: list(points)[:1], "2-covering violated"),
-    ])
-    def test_parent_search_rechecks_the_net(self, monkeypatch, net, message):
-        monkeypatch.setattr(density, "greedy_rnet",
-                            lambda points, adjacency, r: net(points))
-        with pytest.raises(AssertionError, match=message):
-            forest(IntegerLattice(1), 10, 1)
+    @pytest.mark.parametrize("group,radius", FOREST_CASES,
+                             ids=lambda v: getattr(v, "spec", v))
+    def test_centers_match_greedy_net(self, group, radius):
+        # The one-pass level picks the greedy maximal 2-net of its scan.
+        f = forest(group, radius, 3)
+        for n in range(1, 4):
+            prev = f.levels[n - 1]
+            assert list(f.levels[n].centers) == greedy_rnet(
+                prev.centers, prev.edges, 2)
+
+    def test_one_search_per_center(self, monkeypatch):
+        # Each center's radius-2 search picks the net and the parents both.
+        searches = []
+
+        def counting_bfs(start, neighbors, radius):
+            searches.append((start, radius))
+            return bfs(start, neighbors, radius)
+
+        monkeypatch.setattr(density, "bfs", counting_bfs)
+        f = forest(IntegerLattice(2), 14, 3)
+        assert searches == [(c, 2) for level in f.levels[1:]
+                            for c in level.centers]
 
     def test_interior_centers_have_full_balls(self):
         z2 = IntegerLattice(2)
@@ -412,6 +425,17 @@ class TestSturmian:
             start * alpha
         ).__floor__()
         assert sum(bits) == expected
+
+    @given(
+        st.sampled_from([Fraction(0), Fraction(1)])
+        | st.fractions(min_value=Fraction(0), max_value=Fraction(1),
+                       max_denominator=10 ** 6),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+    )
+    def test_integer_floors_match_fraction_floors(self, alpha, count, start):
+        assert sturmian(alpha, count, start=start) == oracle_sturmian(
+            alpha, count, start=start)
 
 
 class TestFillAndVerify:
