@@ -13,6 +13,7 @@ them back to elements.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -85,91 +86,74 @@ def build_t_sets(group: GroupModel, c: int, i_max: int,
     return TSets(c=c, entries=tuple(entries))
 
 
-#: Window positions whose right-translation columns :func:`fitting_pairs`
-#: holds at a time, so that its tables take (prefixes) x TABLE_BLOCK
-#: entries whatever the radius.
-TABLE_BLOCK = 1024
+def fitting_pairs(group: GroupModel, window: Ball,
+                  tsets: TSets) -> Iterator[tuple]:
+    """The fitting (level, position) pairs, with their translated rows.
 
-
-def _walk_columns(adjacency, sizes, radius, words, block) -> list:
-    """Per word w (a tuple of step indices), the positions of members[i] w
-    for the rows i of ``block`` (consecutive positions) below
-    sizes[radius - |w|].
-
-    Such a row lies within radius - |w| of the center, so every proper
-    prefix of members[i] w lies within radius - 1: an interior vertex,
-    whose adjacency lists every step in step order.  Column w is then
-    column w[:-1] stepped by the last letter, and the columns of shared
-    prefixes are built once.
-    """
-    lo = block[0]
-    columns = {(): block}
-    out = []
-    for word in words:
-        if len(word) > radius:
-            out.append(())
-            continue
-        for j in range(1, len(word) + 1):
-            prefix = word[:j]
-            if prefix not in columns:
-                rows = max(0, sizes[radius - j] - lo)
-                columns[prefix] = list(map(
-                    itemgetter(prefix[-1]),
-                    map(adjacency.__getitem__, columns[prefix[:-1]][:rows])))
-        out.append(columns[word])
-    return out
-
-
-def fitting_pairs(group: GroupModel, window: Ball, s,
-                  t_set) -> Iterator[tuple]:
-    """The fitting positions of one level, with their translated rows.
-
-    For each position i of the window, in order, yields ``(i, row)``
-    with ``row`` the flat tuple of the positions of g t_1, g s t_1,
-    g t_2, g s t_2, ... over t_k in ``t_set``, g = ``window.members[i]``,
-    provided every product lies in the window; positions where g T or
-    g s T leaves the window are skipped.  So ``row[0::2]`` is g T and
-    ``row[1::2]`` is g s T, pair by pair.  This is the single definition
-    of a fitting (n, g) shared by the instance builder and the
-    distinct-neighborhood verifier.
+    For each level n of ``tsets`` and then each position i of the
+    window, in order, yields ``(n, i, row)`` with ``row`` the flat tuple
+    of the positions of g t_1, g s t_1, g t_2, g s t_2, ... over t_k in
+    T_n, s = s_n, g = ``window.members[i]``, provided every product lies
+    in the window; positions where g T_n or g s_n T_n leaves the window
+    are skipped.  So ``row[0::2]`` is g T_n and ``row[1::2]`` is
+    g s_n T_n, pair by pair.  This is the single definition of a fitting
+    (n, g) shared by the instance builder and the distinct-neighborhood
+    verifier.
 
     Right translation by h is a walk along a geodesic word of h on the
-    ball's adjacency (see :func:`_walk_columns`), valid for the rows
-    within radius - |h| of the center.  Rows beyond that reach take the
-    product and its lookup, since a walk from there may leave the ball
-    and come back in.  Such a row first tries the translate that ruled
-    out the last row that did not fit, which near the sphere often rules
+    ball's adjacency.  Column w (a tuple of step indices) holds the
+    positions of members[i] w for the rows i below sizes[radius - |w|]:
+    such a row lies within radius - |w| of the center, so every proper
+    prefix of members[i] w lies within radius - 1, an interior vertex
+    whose adjacency lists every step in step order.  Column w is then
+    column w[:-1], which is never shorter, stepped by the last letter.
+    One table of columns serves every level, so each prefix is walked
+    once per call.  Rows beyond a column's reach take the product and
+    its lookup, since a walk from there may leave the ball and come back
+    in.  Such a row first tries the translate that ruled out the last
+    row of its level that did not fit, which near the sphere often rules
     it out too; a hit is kept for its place in the row, so no product is
-    taken twice.  The tables are built one block of :data:`TABLE_BLOCK`
-    rows at a time.
+    taken twice.
     """
     mul, index, members = group.mul, window.index, window.members
-    radius, sizes = window.radius, window.sizes
+    adjacency, radius, sizes = window.adjacency, window.radius, window.sizes
     step = {x: k for k, x in enumerate(group.step_elements())}
-    hs = [h for t in t_set for h in (t, mul(s, t))]  # t, s t alternating
-    words = [tuple(step[group.gen(*letter)] for letter in group.geodesic(h))
-             for h in hs]
-    reach = [sizes[radius - len(w)] if len(w) <= radius else 0
-             for w in words]
-    full = min(reach, default=0)  # the rows that every column covers
-    miss = None  # the column that ruled out the last row that did not fit
     # The index's own position ints: the events that keep them add none.
     positions = list(index.values())
-    for lo in range(0, len(positions), TABLE_BLOCK):
-        block = positions[lo:lo + TABLE_BLOCK]
-        columns = _walk_columns(window.adjacency, sizes, radius, words, block)
-        covered = max(0, full - lo)
-        yield from zip(block[:covered], zip(*columns))
-        for j, i in enumerate(block[covered:], covered):
+    table = {(): positions}
+    for n in range(1, tsets.levels + 1):
+        s, t_set = tsets.level(n)
+        hs = [h for t in t_set for h in (t, mul(s, t))]  # t, s t alternating
+        columns, reach = [], []
+        for h in hs:
+            word = tuple(step[group.gen(*letter)]
+                         for letter in group.geodesic(h))
+            if len(word) > radius:
+                columns.append(())
+                reach.append(0)
+                continue
+            for j in range(1, len(word) + 1):
+                prefix = word[:j]
+                if prefix not in table:
+                    table[prefix] = list(map(
+                        itemgetter(prefix[-1]),
+                        map(adjacency.__getitem__,
+                            table[prefix[:-1]][:sizes[radius - j]])))
+            columns.append(table[word])
+            reach.append(sizes[radius - len(word)])
+        full = min(reach, default=0)  # the rows that every column covers
+        yield from zip(repeat(n), positions[:full], zip(*columns))
+        miss = None  # the column that ruled out the last row that did not fit
+        for i in positions[full:]:
             g, row = members[i], []
             if miss is not None:
-                probe = (columns[miss][j] if i < reach[miss]
+                probe = (columns[miss][i] if i < reach[miss]
                          else index.get(mul(g, hs[miss])))
                 if probe is None:
                     continue
             for k, (column, h, stop) in enumerate(zip(columns, hs, reach)):
                 if i < stop:
-                    p = column[j]
+                    p = column[i]
                 elif k == miss:
                     p = probe
                 else:
@@ -179,7 +163,7 @@ def fitting_pairs(group: GroupModel, window: Ball, s,
                     break
                 row.append(p)
             else:
-                yield i, tuple(row)
+                yield n, i, tuple(row)
 
 
 def build_2coloring_instance(group: GroupModel, window: Ball,
@@ -190,7 +174,8 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     :func:`fitting_pairs` as its support.  It is violated when the
     restriction to g T_n, the row's even places, equals the restriction
     to g s_n T_n, its odd places, under t -> s_n t; probability 2^(-C n),
-    weight 2^(-C n / 2).
+    weight 2^(-C n / 2).  Events of one level share one probability and
+    one weight.
     """
     from .lll import (
         BadEvent,
@@ -200,16 +185,13 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
         two_coloring_weight,
     )
     sides = slice(0, None, 2), slice(1, None, 2)  # disjoint g T_n, g s_n T_n
-
-    def events() -> Iterator[BadEvent]:
-        for n in range(1, tsets.levels + 1):
-            s, t_set = tsets.level(n)
-            probability = two_coloring_probability(tsets.c, n)
-            weight = two_coloring_weight(tsets.c, n)
-            for i, row in fitting_pairs(group, window, s, t_set):
-                yield BadEvent((n, i), row, probability, weight,
-                               equal_on(row, *sides))
-    return LLLInstance((2,) * len(window), events())
+    levels = range(tsets.levels + 1)
+    probability = [two_coloring_probability(tsets.c, n) for n in levels]
+    weight = [two_coloring_weight(tsets.c, n) for n in levels]
+    events = (BadEvent((n, i), row, probability[n], weight[n],
+                       equal_on(row, *sides))
+              for n, i, row in fitting_pairs(group, window, tsets))
+    return LLLInstance((2,) * len(window), events)
 
 
 class DistinctNeighborhoodReport(Record):
@@ -237,13 +219,11 @@ def verify_distinct_neighborhood(x: WindowConfig,
     members, colors = x.window.members, x.colors
     violations = []
     checked = 0
-    for n in range(1, tsets.levels + 1):
-        s, t_set = tsets.level(n)
-        for i, row in fitting_pairs(x.group, x.window, s, t_set):
-            checked += 1
-            c = itemgetter(*row)(colors)
-            if c[0::2] == c[1::2]:
-                violations.append((n, members[i]))
+    for n, i, row in fitting_pairs(x.group, x.window, tsets):
+        checked += 1
+        c = itemgetter(*row)(colors)
+        if c[0::2] == c[1::2]:
+            violations.append((n, members[i]))
     return DistinctNeighborhoodReport(violations=violations, checked=checked)
 
 

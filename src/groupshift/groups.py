@@ -288,9 +288,6 @@ class GroupModel:
         for g, _ in bfs(self.identity(), self.neighbors, cap=cap):
             yield g
 
-    def distance(self, g, h) -> int:
-        return self.length(self.mul(self.inv(g), h))
-
     def canonical_key(self, g):
         """Deterministic total order: (word length, canonical form)."""
         return (self.length(g), g)

@@ -47,6 +47,11 @@ def make_pattern(group: GroupModel, cells: dict) -> Pattern:
     return Pattern(support=support, symbols=tuple(cells[g] for g in support))
 
 
+def distance(group: GroupModel, g, h) -> int:
+    """Word-length distance |g^-1 h| in the Cayley graph."""
+    return group.length(group.mul(group.inv(g), h))
+
+
 def density_of(symbols) -> Fraction:
     """Exact fraction of ``symbols`` equal to 1; EmptySupportError when
     ``symbols`` is empty, since the density of an empty set is undefined."""

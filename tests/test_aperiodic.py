@@ -18,7 +18,7 @@ from groupshift.groups import (
     parse_group_spec,
 )
 from groupshift.aperiodic import (
-    TABLE_BLOCK,
+    TSets,
     build_2coloring_instance,
     build_squarefree_instance,
     build_t_sets,
@@ -300,6 +300,19 @@ class TestTwoColoringInstance:
             assert e.probability == Quad.of(Fraction(1, 2 ** 17))
             assert e.weight * e.weight == e.probability
 
+    def test_each_level_shares_one_probability_and_weight(self):
+        # verify_condition's class lookup and the instance writer rely on
+        # this sharing: compare the objects, not their values.
+        z2 = IntegerLattice(2)
+        tsets = build_t_sets(z2, c=2, i_max=3)
+        inst = build_2coloring_instance(z2, z2.ball(radius=6), tsets)
+        shared = {}
+        for e in inst.events:
+            shared.setdefault(e.id[0], set()).add(
+                (id(e.probability), id(e.weight)))
+        assert sorted(shared) == [1, 2, 3]
+        assert all(len(objects) == 1 for objects in shared.values())
+
     def test_probability_audit(self):
         z = IntegerLattice(1)
         tsets = build_t_sets(z, c=3, i_max=2)
@@ -363,12 +376,13 @@ class TestFittingPairsOnPositions:
         group, window, c, levels = case
         tsets = build_t_sets(group, c, levels)
         members = window.members
+        rows = list(fitting_pairs(group, window, tsets))
         expected_ids, expected_supports = [], []
         for n in range(1, levels + 1):
             s, t_set = tsets.level(n)
             expected = list(oracle_fitting_pairs(group, members, window, s,
                                                  t_set))
-            rows_at = list(fitting_pairs(group, window, s, t_set))
+            rows_at = [(i, row) for m, i, row in rows if m == n]
             assert rows_at == flattened(
                 oracle_position_fitting_pairs(group, window, s, t_set))
             got = [(members[i], tuple(members[p] for p in row))
@@ -378,6 +392,7 @@ class TestFittingPairsOnPositions:
             expected_supports += [
                 tuple(dict.fromkeys(h for pair in pairs for h in pair))
                 for _, pairs in expected]
+        assert [(n, i) for n, i, _ in rows] == expected_ids
         inst = build_2coloring_instance(group, window, tsets)
         assert inst.alphabet == (2,) * len(members)
         assert [e.id for e in inst.events] == expected_ids
@@ -388,21 +403,36 @@ class TestFittingPairsOnPositions:
         for e in inst.events:
             assert len(e.support) == len(set(e.support)) == 2 * c * e.id[0]
 
-    def test_window_of_several_table_blocks_matches_replaced_code(self):
+    @settings(max_examples=40, deadline=None)
+    @given(centered_fitting_windows(), st.integers(1, 3))
+    def test_all_levels_are_the_oracle_rows_tagged_by_level(self, case,
+                                                            levels):
+        # One prefix table serves every level: a column shared with an
+        # earlier level must still give this level's rows.
+        group, window, c, _ = case
+        tsets = build_t_sets(group, c, levels)
+        assert list(fitting_pairs(group, window, tsets)) == [
+            (n, i, row) for n in range(1, levels + 1)
+            for i, row in flattened(oracle_position_fitting_pairs(
+                group, window, *tsets.level(n)))]
+
+    def test_off_centre_window_matches_oracle_per_level(self):
         z2 = IntegerLattice(2)
         window = z2.ball(center=z2.canonicalize("x^3 y^-2"), radius=30)
-        assert len(window) > TABLE_BLOCK
-        s, t_set = build_t_sets(z2, 17, 1).level(1)
-        rows = list(fitting_pairs(z2, window, s, t_set))
-        assert rows == flattened(oracle_position_fitting_pairs(z2, window, s,
-                                                               t_set))
-        assert rows[-1][0] > TABLE_BLOCK  # a fitting row in a later block
+        tsets = build_t_sets(z2, 17, 3)
+        rows = list(fitting_pairs(z2, window, tsets))
+        assert rows == [
+            (n, i, row) for n in (1, 2, 3)
+            for i, row in flattened(oracle_position_fitting_pairs(
+                z2, window, *tsets.level(n)))]
+        assert {n for n, _, _ in rows} == {1, 2, 3}  # each level fits
 
     def test_empty_test_set_fits_everywhere(self):
         z2 = IntegerLattice(2)
         window = z2.ball(radius=3)
-        assert list(fitting_pairs(z2, window, (1, 0), ())) == [
-            (i, ()) for i in range(len(window))]
+        tsets = TSets(c=1, entries=(((1, 0), ()),))
+        assert list(fitting_pairs(z2, window, tsets)) == [
+            (1, i, ()) for i in range(len(window))]
 
     @settings(max_examples=60, deadline=None)
     @given(fitting_windows, st.sampled_from([0.0, 0.5, 0.9]),

@@ -1107,17 +1107,35 @@ def test_color_summaries_are_unchanged(tmp_path, monkeypatch, capsys, argv,
     assert capsys.readouterr().err == summary
 
 
+def watch_fitting_pairs(monkeypatch):
+    """The TSets of each ``aperiodic.fitting_pairs`` call, in order."""
+    calls = []
+    fitting_pairs = aperiodic.fitting_pairs
+    monkeypatch.setattr(aperiodic, "fitting_pairs", lambda group, w, tsets: (
+        calls.append(tsets) or fitting_pairs(group, w, tsets)))
+    return calls
+
+
 def test_color_two_derives_each_level_once(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    levels = []
-    fitting_pairs = aperiodic.fitting_pairs
-    monkeypatch.setattr(aperiodic, "fitting_pairs", lambda group, w, s, t: (
-        levels.append(s) or fitting_pairs(group, w, s, t)))
+    calls = watch_fitting_pairs(monkeypatch)
     assert run(["color", "two", "--group", "z^2", "--radius", "8",
                 "--c", "2", "--levels", "2", "--seed", "0",
                 "--out", "cfg.json"]) == 0
-    z2 = IntegerLattice(2)
-    assert levels == [s for s, _ in build_t_sets(z2, 2, 2).entries]
+    assert calls == [build_t_sets(IntegerLattice(2), 2, 2)]
+    capsys.readouterr()
+
+
+def test_verify_distinct_derives_each_level_once(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["color", "two", "--group", "heisenberg", "--radius", "4",
+                "--c", "2", "--levels", "3", "--seed", "0",
+                "--out", "cfg.json"]) == 0
+    calls = watch_fitting_pairs(monkeypatch)
+    assert run(["verify", "distinct", "--config", "cfg.json", "--c", "2",
+                "--levels", "3"]) == 0
+    assert calls == [build_t_sets(parse_group_spec("heisenberg"), 2, 3)]
     capsys.readouterr()
 
 
