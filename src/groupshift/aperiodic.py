@@ -107,13 +107,13 @@ def fitting_pairs(group: GroupModel, window: Ball,
     prefix of members[i] w lies within radius - 1, an interior vertex
     whose adjacency lists every step in step order.  Column w is then
     column w[:-1], which is never shorter, stepped by the last letter.
-    One table of columns serves every level, so each prefix is walked
-    once per call.  Rows beyond a column's reach take the product and
-    its lookup, since a walk from there may leave the ball and come back
-    in.  Such a row first tries the translate that ruled out the last
-    row of its level that did not fit, which near the sphere often rules
-    it out too; a hit is kept for its place in the row, so no product is
-    taken twice.
+    One table of columns serves every level, so each prefix is walked,
+    and each translate's word derived, once per call.  Rows beyond a
+    column's reach take the product and its lookup, since a walk from
+    there may leave the ball and come back in.  Such a row first tries
+    the translate that ruled out the last row of its level that did not
+    fit, which near the sphere often rules it out too; a hit is kept for
+    its place in the row, so no product is taken twice.
     """
     mul, index, members = group.mul, window.index, window.members
     adjacency, radius, sizes = window.adjacency, window.radius, window.sizes
@@ -121,16 +121,17 @@ def fitting_pairs(group: GroupModel, window: Ball,
     # The index's own position ints: the events that keep them add none.
     positions = list(index.values())
     table = {(): positions}
+    translates = {}  # h -> (its column, that column's reach), for all levels
     for n in range(1, tsets.levels + 1):
         s, t_set = tsets.level(n)
         hs = [h for t in t_set for h in (t, mul(s, t))]  # t, s t alternating
-        columns, reach = [], []
         for h in hs:
+            if h in translates:
+                continue
             word = tuple(step[group.gen(*letter)]
                          for letter in group.geodesic(h))
             if len(word) > radius:
-                columns.append(())
-                reach.append(0)
+                translates[h] = (), 0
                 continue
             for j in range(1, len(word) + 1):
                 prefix = word[:j]
@@ -139,8 +140,9 @@ def fitting_pairs(group: GroupModel, window: Ball,
                         itemgetter(prefix[-1]),
                         map(adjacency.__getitem__,
                             table[prefix[:-1]][:sizes[radius - j]])))
-            columns.append(table[word])
-            reach.append(sizes[radius - len(word)])
+            translates[h] = table[word], sizes[radius - len(word)]
+        columns = [translates[h][0] for h in hs]
+        reach = [translates[h][1] for h in hs]
         full = min(reach, default=0)  # the rows that every column covers
         yield from zip(repeat(n), positions[:full], zip(*columns))
         miss = None  # the column that ruled out the last row that did not fit
@@ -173,23 +175,24 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     The event for (n, g), with id (n, position of g), has the flat row of
     :func:`fitting_pairs` as its support.  It is violated when the
     restriction to g T_n, the row's even places, equals the restriction
-    to g s_n T_n, its odd places, under t -> s_n t; probability 2^(-C n),
-    weight 2^(-C n / 2).  Events of one level share one probability and
-    one weight.
+    to g s_n T_n, its odd places, under t -> s_n t: its predicate is
+    :func:`groupshift.lll.interleaved` bound to the row.  Probability
+    2^(-C n), weight 2^(-C n / 2).  Events of one level share one
+    probability and one weight.
     """
     from .lll import (
         BadEvent,
         LLLInstance,
         equal_on,
+        interleaved,
         two_coloring_probability,
         two_coloring_weight,
     )
-    sides = slice(0, None, 2), slice(1, None, 2)  # disjoint g T_n, g s_n T_n
     levels = range(tsets.levels + 1)
     probability = [two_coloring_probability(tsets.c, n) for n in levels]
     weight = [two_coloring_weight(tsets.c, n) for n in levels]
     events = (BadEvent((n, i), row, probability[n], weight[n],
-                       equal_on(row, *sides))
+                       equal_on(row, interleaved))
               for n, i, row in fitting_pairs(group, window, tsets))
     return LLLInstance((2,) * len(window), events)
 
@@ -299,27 +302,28 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     """One event per odd path: probability |A|^-n, weight (8|S|^2)^-n.
 
     The variables are the window positions.  A simple path has distinct
-    vertices, so it is its own support and has at most |w| of them.
+    vertices, so it is its own support and has at most |w| of them.  The
+    event of a path of 2n vertices is violated when its colours repeat
+    under the shift by n: :func:`groupshift.lll.halves` bound to the path.
     Events of one half-length n share one probability and one weight.
     """
     from fractions import Fraction
 
     from .exact import Quad
-    from .lll import BadEvent, LLLInstance, equal_on
+    from .lll import BadEvent, LLLInstance, equal_on, halves
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
     base = 8 * generator_count * generator_count
-    halves = range(min(max_half_length, len(w) // 2) + 1)
-    probability = [Quad(Fraction(1, alphabet_size ** n)) for n in halves]
-    weight = [Quad(Fraction(1, base ** n)) for n in halves]
-    split = [(slice(None, n), slice(n, None)) for n in halves]
+    lengths = range(min(max_half_length, len(w) // 2) + 1)
+    probability = [Quad(Fraction(1, alphabet_size ** n)) for n in lengths]
+    weight = [Quad(Fraction(1, base ** n)) for n in lengths]
 
     def events() -> Iterator[BadEvent]:
         for k, path in enumerate(
                 enumerate_odd_paths(w, max_half_length, budget)):
             n = len(path) // 2
             yield BadEvent((n, k), path, probability[n], weight[n],
-                           equal_on(path, *split[n]))
+                           equal_on(path, halves))
     return LLLInstance((alphabet_size,) * len(w), events())
 
 

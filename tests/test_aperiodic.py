@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
+from types import MethodType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from groupshift.aperiodic import (
     verify_distinct_neighborhood,
     witness_path,
 )
-from groupshift.lll import resample, verify_condition
+from groupshift.lll import halves, interleaved, resample, verify_condition
 from groupshift.patterns import WindowConfig
 from oracles import (audit_event_probability, check_instance, check_t_sets,
                      path_dependency_counts)
@@ -577,6 +578,18 @@ class TestVertexSquares:
         for a, b in zip(members, members[1:]):
             assert z2.length(z2.mul(z2.inv(a), b)) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ALL_GROUPS), st.integers(2, 3),
+           st.integers(0, 2 ** 32))
+    def test_halves_rule_agrees_with_the_scan(self, group, alphabet, seed):
+        # The rule the square-free events carry against the independent
+        # scan that certifies a coloring.
+        w = group.ball(radius=2)
+        rng = random.Random(seed)
+        coloring = [rng.randrange(alphabet) for _ in w.members]
+        for path in enumerate_odd_paths(w, 2):
+            assert halves(path, coloring) == is_vertex_square(coloring, path)
+
 
 class TestSquarefreeInstance:
     def test_event_parameters(self):
@@ -611,7 +624,8 @@ class TestSquarefreeInstance:
 
     def test_instance_holds_each_path_once(self):
         # The paths_nonabelian window: 18,772 events took 13.8 MB when each
-        # predicate held its two half-paths besides the path itself.
+        # predicate held its two half-paths besides the path itself, and
+        # 9.9 MB when each held its own lambda, defaults and itemgetter.
         w = FreeGroup(2).ball(radius=6)
         tracemalloc.start()
         try:
@@ -620,7 +634,7 @@ class TestSquarefreeInstance:
         finally:
             tracemalloc.stop()
         assert len(inst.events) == 18772
-        assert size <= 11 * 10 ** 6
+        assert size <= 8 * 10 ** 6
 
     @staticmethod
     def build_watching_collections(w):
@@ -709,6 +723,22 @@ class TestBuildersPassTheInstanceChecks:
                      build_squarefree_instance(window, 16, 2, 2)):
             assert inst.events
             check_instance(inst)
+
+
+class TestBuilderPredicates:
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_rule_is_bound_to_the_events_own_support(self, group):
+        # One bound method per event, holding no copy of the support.
+        window = group.ball(radius=4)
+        tsets = build_t_sets(group, c=2, i_max=2)
+        for inst, rule in (
+                (build_2coloring_instance(group, window, tsets), interleaved),
+                (build_squarefree_instance(window, 16, 2, 2), halves)):
+            assert inst.events
+            for e in inst.events:
+                assert type(e.violated) is MethodType
+                assert e.violated.__self__ is e.support
+                assert e.violated.__func__ is rule
 
 
 class TestWitnessPath:

@@ -29,6 +29,8 @@ from groupshift.lll import (
     equal_on,
     events_by_variable,
     geometric_derivative_partial,
+    halves,
+    interleaved,
     neighbour_counts,
     resample,
     squarefree_alphabet_bound,
@@ -644,33 +646,46 @@ def oracle_equal_on(first: tuple, second: tuple):
 
 
 @st.composite
-def paired_supports(draw):
-    """A support of 2k positions below 10, with the slices of a square-free
-    path (its halves) or of a 2-coloring event (even and odd places)."""
+def even_supports(draw):
+    """A support of 2k positions below 10, with its half-length k."""
     k = draw(st.integers(1, 5))
-    support = tuple(draw(st.lists(st.integers(0, 9), min_size=2 * k,
-                                  max_size=2 * k)))
-    first, second = draw(st.sampled_from([
-        (slice(None, k), slice(k, None)),
-        (slice(0, None, 2), slice(1, None, 2))]))
-    return support, first, second
+    return tuple(draw(st.lists(st.integers(0, 9), min_size=2 * k,
+                               max_size=2 * k))), k
+
+
+def assignments(alphabet):
+    return st.lists(st.integers(0, alphabet - 1), min_size=10, max_size=10)
 
 
 class TestEqualOn:
-    @given(paired_supports(), st.integers(2, 4), st.data())
-    def test_matches_two_itemgetter_predicate(self, case, alphabet, data):
-        support, first, second = case
-        predicate = equal_on(support, first, second)
-        oracle = oracle_equal_on(support[first], support[second])
+    @given(even_supports(), st.integers(2, 4), st.data())
+    def test_halves_matches_two_itemgetter_predicate(self, case, alphabet,
+                                                     data):
+        # The square-free rule: a path's two halves, place by place.
+        support, k = case
+        predicate = equal_on(support, halves)
+        oracle = oracle_equal_on(support[:k], support[k:])
         for _ in range(8):
-            a = data.draw(st.lists(st.integers(0, alphabet - 1), min_size=10,
-                                   max_size=10))
+            a = data.draw(assignments(alphabet))
+            assert predicate(a) == oracle(a)
+
+    @given(even_supports(), st.integers(2, 4), st.data())
+    def test_interleaved_matches_two_itemgetter_predicate(self, case,
+                                                          alphabet, data):
+        # The 2-coloring rule: g T_n at the even places, g s_n T_n at the
+        # odd ones.
+        support, _ = case
+        predicate = equal_on(support, interleaved)
+        oracle = oracle_equal_on(support[0::2], support[1::2])
+        for _ in range(8):
+            a = data.draw(assignments(alphabet))
             assert predicate(a) == oracle(a)
 
     @pytest.mark.parametrize("support", [(), (3,)])
     def test_support_below_two_positions_rejected(self, support):
-        with pytest.raises(InputError, match="at least 2 positions"):
-            equal_on(support, slice(None, 1), slice(1, None))
+        for rule in (halves, interleaved):
+            with pytest.raises(InputError, match="at least 2 positions"):
+                equal_on(support, rule)
 
 
 class TestBadEvent:
