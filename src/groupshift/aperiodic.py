@@ -24,6 +24,12 @@ from .patterns import WindowConfig
 if TYPE_CHECKING:  # imported by the builders: the checks load no resampler
     from .lll import LLLInstance
 
+#: Largest length |w| of the least conjugate that :func:`witness_path`
+#: walks: the walk holds 2|w| vertices, each of up to 2|w| letters in the
+#: free groups and Z/2 * Z/3, so its size grows with |w|^2 (|w| = 1024:
+#: at most about 4 * 10^6 letters).
+WITNESS_LENGTH_LIMIT = 1 << 10
+
 
 class TSets(FrozenRecord):
     """Test sets for the 2-coloring family: one (s_i, T_i) per level."""
@@ -215,15 +221,17 @@ def verify_distinct_neighborhood(x: WindowConfig,
 
     The comparison runs on the window's colour tuple: the colours of a
     flat row of :func:`fitting_pairs` at its even places (g T_n) against
-    those at its odd places (g s_n T_n).  A row has 2 C n >= 2 places, so
-    its getter returns a tuple.  The report names each violation by its
-    level and element.
+    those at its odd places (g s_n T_n), the first pair alone first.  A
+    row has 2 C n >= 2 places, so its getter returns a tuple.  The report
+    names each violation by its level and element.
     """
     members, colors = x.window.members, x.colors
     violations = []
     checked = 0
     for n, i, row in fitting_pairs(x.group, x.window, tsets):
         checked += 1
+        if colors[row[0]] != colors[row[1]]:
+            continue
         c = itemgetter(*row)(colors)
         if c[0::2] == c[1::2]:
             violations.append((n, members[i]))
@@ -276,10 +284,14 @@ def enumerate_odd_paths(w: Ball, max_half_length: int,
 
 
 def is_vertex_square(coloring: Sequence[int], path: tuple) -> bool:
-    """True when the colors along ``path`` repeat under the half shift."""
+    """True when the colors along ``path`` repeat under the half shift.
+
+    The first pair, places 0 and n, is compared before the rest is read."""
     n = len(path) // 2
     if not n:  # itemgetter needs a position, and returns a[v] for one
         return True
+    if coloring[path[0]] != coloring[path[n]]:
+        return False
     c = itemgetter(*path)(coloring)
     return c[:n] == c[n:2 * n]
 
@@ -347,12 +359,19 @@ def witness_path(group: GroupModel, word: str) -> WitnessPath:
     """Write g = u w u^-1 with w its least conjugate; walk along w w.
 
     ``group.least_conjugate`` gives w and u without search.  The walk is
-    the first 2n prefixes of the word w w, n = |w|.
+    the first 2n prefixes of the word w w, n = |w|.  A w longer than
+    :data:`WITNESS_LENGTH_LIMIT` raises ResourceLimitError before its
+    geodesic is written out or walked.
     """
     g = group.canonicalize(word)
     if g == group.identity():
         return WitnessPath(trivial=True)
     w, u = group.least_conjugate(g)
+    n = group.length(w)
+    if n > WITNESS_LENGTH_LIMIT:
+        raise ResourceLimitError(
+            f"least conjugate of length {n} is above the witness limit of "
+            f"{WITNESS_LENGTH_LIMIT}")
     w_letters = group.geodesic(w)
     vertices = [group.identity()]
     for label, exp in (w_letters * 2)[:-1]:

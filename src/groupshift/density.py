@@ -302,15 +302,21 @@ class DensityReport(Record):
 
 def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
                     descriptors=None) -> DensityReport:
-    """Exact densities of 1's over a sequence of element sets."""
+    """Exact densities of 1's over a sequence of element sets.
+
+    Each set is read through the window's index and colour tuple, one
+    ``map`` each, not element by element through ``x[g]`` and ``g in x``.
+    """
+    position, colors = x.window.index.__getitem__, x.colors.__getitem__
     entries = []
     for i, subset in enumerate(sets):
         subset = list(subset)
         if not subset:
             raise EmptySupportError(f"set {i} is empty: no density")
-        if any(g not in x for g in subset):
-            raise InputError(f"set {i} escapes the window")
-        ones = count_ones(x[g] for g in subset)
+        try:
+            ones = count_ones(map(colors, map(position, subset)))
+        except KeyError:
+            raise InputError(f"set {i} escapes the window") from None
         desc = descriptors[i] if descriptors else f"set-{i}"
         entries.append((desc, len(subset), ones, Fraction(ones, len(subset))))
     return DensityReport(

@@ -199,9 +199,13 @@ class GroupModel:
 
     # --- word handling -------------------------------------------------
     def parse_word(self, text: str) -> list[Letter]:
-        """One (label, exp) run per token; tokens with exponent 0 vanish."""
+        """One (label, exp) run per token; tokens with exponent 0 vanish.
+
+        A label is looked up in the model's own label lists, one short
+        scan per token, so no set of them is built per word and the model
+        keeps no state."""
         letters: list[Letter] = []
-        known = set(self.labels) | set(self.extra_labels)
+        labels, extra = self.labels, self.extra_labels
         for chunk in text.replace(",", " ").split():
             pos = 0
             while pos < len(chunk):
@@ -209,7 +213,7 @@ class GroupModel:
                 if m is None:
                     raise InputError(f"cannot parse word at {chunk[pos:]!r}")
                 label, mark = m.group(1), m.group(2)
-                if label not in known:
+                if label not in labels and label not in extra:
                     raise InputError(f"unknown generator label {label!r}")
                 if mark is None:
                     exp = 1
@@ -310,13 +314,22 @@ class IntegerLattice(GroupModel):
     def identity(self):
         return (0,) * self.d
 
-    def gen(self, label, exp=1):
+    def _axis(self, label) -> int:
         try:
-            i = self.labels.index(label)
+            return self.labels.index(label)
         except ValueError:
             raise InputError(f"unknown generator label {label!r}") from None
+
+    def gen(self, label, exp=1):
         v = [0] * self.d
-        v[i] = exp
+        v[self._axis(label)] = exp
+        return tuple(v)
+
+    def evaluate(self, letters):
+        """Sum the exponents of the letters on each axis."""
+        v = [0] * self.d
+        for label, exp in letters:
+            v[self._axis(label)] += exp
         return tuple(v)
 
     def mul(self, a, b):
@@ -362,7 +375,13 @@ class ReducedWordGroup(GroupModel):
         Combinatorial Group Theory, 1977, ch. I and IV).  In Z/2 * Z/3 the
         ends of b X b merge: g = b (X b^2) b^-1.  w is the least rotation
         core[k:] core[:k]; over the k that give it, u is the shortest of
-        p core[:k] and p core[k:]^-1.
+        p core[:k] and p core[k:]^-1, and the least such k on a tie.
+
+        The least rotation is found in linear time by two candidate starts
+        i < j, of which a mismatch after m equal syllables rules out the
+        larger start and the m after it (Zhou's minimum representation).
+        The k that give it are that start plus multiples of the least
+        period of core.
         """
         h, i = self.inv(g), 0
         while 2 * i + 1 < len(g) and g[i] == h[i]:  # g[i] inverts g[-1 - i]
@@ -372,8 +391,21 @@ class ReducedWordGroup(GroupModel):
         if len(core) > 1 and len(ends) == 1:
             p, core = p + core[:1], core[1:-1] + ends
         n, twice = len(core), core + core
-        k = min(range(n), default=0,
-                key=lambda k: (twice[k:k + n], min(k, n - k)))
+        i, j, m = 0, 1, 0
+        while j < n and m < n:
+            a, b = twice[i + m], twice[j + m]
+            if a == b:
+                m += 1
+                continue
+            if a > b:
+                i += m + 1
+            else:
+                j += m + 1
+            i, j, m = min(i, j), max(i, j) + (i == j), 0
+        period = next((d for d in range(1, n + 1)
+                       if not n % d and twice[d:d + n] == core), 1)
+        k = min(range(i % period, n, period), default=0,
+                key=lambda k: min(k, n - k))
         u = core[:k] if k <= n - k else self.inv(core[k:])
         return twice[k:k + n], self.mul(p, u)
 

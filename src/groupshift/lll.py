@@ -85,16 +85,26 @@ class BadEvent:
 
 def interleaved(support: tuple, a: list) -> bool:
     """The 2-coloring rule: ``a`` agrees on the even and the odd places of
-    ``support``, pairwise (g T_n against g s_n T_n, t by t)."""
+    ``support``, pairwise (g T_n against g s_n T_n, t by t).
+
+    The first pair is compared alone, and almost always settles it; only
+    when it agrees is the whole support read."""
+    if a[support[0]] != a[support[1]]:
+        return False
     c = itemgetter(*support)(a)
     return c[0::2] == c[1::2]
 
 
 def halves(support: tuple, a: list) -> bool:
     """The square-free rule: ``a`` agrees on the two halves of ``support``,
-    place by place (a path of 2n vertices against its shift by n)."""
+    place by place (a path of 2n vertices against its shift by n).
+
+    The first pair, places 0 and n, is compared alone, as in
+    :func:`interleaved`."""
+    n = len(support) // 2
+    if a[support[0]] != a[support[n]]:
+        return False
     c = itemgetter(*support)(a)
-    n = len(c) // 2
     return c[:n] == c[n:]
 
 

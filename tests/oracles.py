@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from groupshift.aperiodic import TSets, enumerate_odd_paths
 from groupshift.density import Slope
 from groupshift.groups import (Ball, FrozenRecord, GroupModel, InputError,
-                               Record, bfs)
+                               IntegerLattice, Record, bfs)
 from groupshift.lll import BadEvent, LLLInstance, neighbour_counts
 from groupshift.patterns import EmptySupportError, WindowConfig, count_ones
 
@@ -225,3 +226,46 @@ def oracle_sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
         bits.append(cur - prev)
         prev = cur
     return bits
+
+
+# The pair-equality checks as they were before each compared its first
+# pair alone: one itemgetter tuple of the whole support, then one tuple
+# comparison.  The row check of verify_distinct_neighborhood is
+# oracle_interleaved on (row, colors).
+
+def oracle_interleaved(support: tuple, a) -> bool:
+    """``a`` agrees on the even and the odd places of ``support``."""
+    c = itemgetter(*support)(a)
+    return c[0::2] == c[1::2]
+
+
+def oracle_halves(support: tuple, a) -> bool:
+    """``a`` agrees on the two halves of ``support``; never for an odd
+    length, whose halves differ in length."""
+    c = itemgetter(*support)(a)
+    n = len(c) // 2
+    return c[:n] == c[n:]
+
+
+def oracle_vertex_square(coloring, path: tuple) -> bool:
+    """The colours along ``path`` repeat under the shift by n =
+    len(path) // 2; an odd path's last vertex is not compared."""
+    n = len(path) // 2
+    if not n:
+        return True
+    c = itemgetter(*path)(coloring)
+    return c[:n] == c[n:2 * n]
+
+
+def oracle_lattice_evaluate(group: IntegerLattice, letters) -> tuple:
+    """A letter list in Z^d by one generator vector and one coordinatewise
+    sum per letter, as IntegerLattice evaluated words before it summed
+    exponents per axis."""
+    g = (0,) * group.d
+    for label, exp in letters:
+        if label not in group.labels:
+            raise InputError(f"unknown generator label {label!r}")
+        v = [0] * group.d
+        v[group.labels.index(label)] = exp
+        g = tuple(x + y for x, y in zip(g, v))
+    return g

@@ -19,6 +19,7 @@ from groupshift.groups import (
     parse_group_spec,
 )
 from groupshift.aperiodic import (
+    WITNESS_LENGTH_LIMIT,
     TSets,
     build_2coloring_instance,
     build_squarefree_instance,
@@ -32,9 +33,12 @@ from groupshift.aperiodic import (
 )
 from groupshift.lll import halves, interleaved, resample, verify_condition
 from groupshift.patterns import WindowConfig
+from groupshift import aperiodic
 from oracles import (audit_event_probability, check_instance, check_t_sets,
+                     oracle_interleaved, oracle_vertex_square,
                      path_dependency_counts)
 from test_groups import ALL_GROUPS
+from test_lll import first_pair_cases
 
 
 def constant_window(group, radius, symbol=0):
@@ -348,6 +352,23 @@ class TestTwoColoringInstance:
         assert report.checked > 0
         assert len(report.violations) == report.checked
 
+    @given(first_pair_cases(lambda k: 1))
+    def test_row_check_matches_its_full_tuple_oracle(self, case):
+        # A row of any length, odd ones too, fed to the check in place of
+        # the rows of fitting_pairs.
+        row, colors = case
+        window = IntegerLattice(1).ball(radius=5)  # 11 positions
+        x = WindowConfig(group=IntegerLattice(1), window=window,
+                         colors=(*colors, 0), alphabet_size=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aperiodic, "fitting_pairs",
+                          lambda *_: iter([(1, 3, row)]))
+            report = verify_distinct_neighborhood(x, None)
+        assert report.checked == 1
+        expected = oracle_interleaved(row, x.colors)
+        assert report.violations == ([(1, window.members[3])] if expected
+                                     else [])
+
     def test_tiny_window_checks_nothing(self):
         z2 = IntegerLattice(2)
         tsets = build_t_sets(z2, c=17, i_max=1)
@@ -578,6 +599,12 @@ class TestVertexSquares:
         for a, b in zip(members, members[1:]):
             assert z2.length(z2.mul(z2.inv(a), b)) == 1
 
+    @given(first_pair_cases(lambda k: k // 2))
+    def test_scan_matches_its_full_tuple_oracle(self, case):
+        path, colors = case
+        assert is_vertex_square(colors, path) == oracle_vertex_square(
+            colors, path)
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(ALL_GROUPS), st.integers(2, 3),
            st.integers(0, 2 ** 32))
@@ -800,6 +827,27 @@ class TestWitnessPath:
             assert not result.trivial
             assert len(set(result.vertices)) == len(result.vertices)
             assert len(result.vertices) == 2 * len(result.word)
+
+    @pytest.mark.parametrize("group, word, length", [
+        (FreeGroup(2), "a^20000 b", 20001),
+        (FreeGroup(2), f"b^7 a^{WITNESS_LENGTH_LIMIT + 1} b^-7",
+         WITNESS_LENGTH_LIMIT + 1),
+        (IntegerLattice(2), "x^1000000000", 1000000000),
+    ])
+    def test_long_least_conjugate_is_refused(self, group, word, length):
+        # Refused from |w| before the walk of 2|w| vertices is built.
+        with pytest.raises(ResourceLimitError, match=(
+                f"least conjugate of length {length} is above the "
+                f"witness limit of {WITNESS_LENGTH_LIMIT}")):
+            witness_path(group, word)
+
+    def test_longest_least_conjugate_is_walked(self):
+        f = FreeGroup(2)
+        # g = b^-3 (a^(L-1) b) b^3: w = a^(L-1) b, u = b^-3.
+        result = witness_path(f, f"b^-3 a^{WITNESS_LENGTH_LIMIT - 1} b^4")
+        assert result.conjugator == (("b", -1),) * 3
+        assert len(result.word) == WITNESS_LENGTH_LIMIT
+        assert len(result.vertices) == 2 * WITNESS_LENGTH_LIMIT
 
     def test_periodic_window_yields_vertex_square(self):
         # A coloring invariant under h makes h's witness path a square.

@@ -277,10 +277,10 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_exits_3(self):
-        # The geodesic x^1000000000 needs ~8 GB; the child limits its own
-        # address space to 2 GB, so building it raises MemoryError.
-        proc = run_capped(["witness", "--group", "z^2",
-                           "--word", "x^1000000000"], limit=2 << 30)
+        # The free-group element a^1000000000 needs ~8 GB; the child limits
+        # its own address space to 2 GB, so building it raises MemoryError.
+        proc = run_capped(["witness", "--group", "free:2",
+                           "--word", "a^1000000000"], limit=2 << 30)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: resource:")
         assert "Traceback" not in proc.stderr
@@ -316,6 +316,18 @@ class TestExitCodes:
         assert run(["witness", "--group", "free:2",
                     "--word", "a^20 b"]) == 0
         assert capsys.readouterr().out.strip().endswith("path length 41")
+
+    @pytest.mark.parametrize("group, word, length", [
+        ("free:2", "a^20000 b", 20001),
+        ("z^2", "x^1000000000", 1000000000),
+    ])
+    def test_witness_walk_above_the_limit_exits_3(self, capsys, group, word,
+                                                  length):
+        # Refused from |w|, before the walk of 2|w| vertices is built.
+        assert run(["witness", "--group", group, "--word", word]) == 3
+        assert capsys.readouterr().err == (
+            f"error: resource: least conjugate of length {length} is above "
+            f"the witness limit of 1024\n")
 
     def test_witness_conjugator_goes_the_short_way_round(self, capsys):
         assert run(["witness", "--group", "free:2",

@@ -14,7 +14,7 @@ from groupshift.groups import (
     ResourceLimitError,
     parse_group_spec,
 )
-from oracles import distance
+from oracles import distance, oracle_lattice_evaluate
 
 ALL_GROUPS = [
     IntegerLattice(1),
@@ -236,6 +236,66 @@ class TestWordRuns:
     def test_one_reduction_stack_matches_run_by_run(self, group, letters):
         letters = [(label, exp) for label, exp in letters if exp]
         assert group.evaluate(letters) == GroupModel.evaluate(group, letters)
+
+
+#: One-letter spellings of x^1 and x^-1, the label as {}.
+UNIT_SPELLINGS = {1: ["{}", "{}^1", "{}^01"],
+                  -1: ["{}'", "{}⁻¹", "{}⁻1", "{}^-1"]}
+
+
+@st.composite
+def spelled_words(draw, labels):
+    """(letters, text): runs with exponents -5..5, zero and repeated labels
+    included, and a text spelling them as runs or as single letters,
+    separated by spaces and commas."""
+    letters = draw(st.lists(st.tuples(st.sampled_from(labels),
+                                      st.integers(-5, 5)), max_size=12))
+    tokens = []
+    for label, exp in letters:
+        if exp and draw(st.booleans()):
+            spelling = draw(st.sampled_from(UNIT_SPELLINGS[exp // abs(exp)]))
+            tokens += [spelling.format(label)] * abs(exp)
+        else:
+            tokens.append(f"{label}^{exp}")
+    seps = draw(st.lists(st.sampled_from([" ", ",", ", ", "  "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return letters, "".join(map(str.__add__, tokens, seps))
+
+
+LATTICES = [IntegerLattice(1), IntegerLattice(2), IntegerLattice(3)]
+
+
+class TestLatticeWords:
+    @pytest.mark.parametrize("z", LATTICES, ids=lambda g: g.spec)
+    @given(st.data())
+    def test_sum_per_axis_matches_one_mul_per_letter(self, z, data):
+        letters, text = data.draw(spelled_words(z.labels))
+        expected = oracle_lattice_evaluate(z, letters)
+        assert z.canonicalize(text) == expected
+        assert z.canonicalize(letters) == expected
+
+    @pytest.mark.parametrize("d, word, message", [
+        (2, "q", "unknown generator label 'q'"),
+        (2, "x z", "unknown generator label 'z'"),
+        (1, "y", "unknown generator label 'y'"),
+        (3, "x y^-2 w^3", "unknown generator label 'w'"),
+        (4, "x y", "unknown generator label 'x'"),
+        (3, "x^", "cannot parse word at '^'"),
+        (2, "x^^2", "cannot parse word at '^^2'"),
+        (2, "1x", "cannot parse word at '1x'"),
+        (2, "x,,y?", "cannot parse word at '?'"),
+        (2, [("q", 1)], "unknown generator label 'q'"),
+        (2, [("x", 1), ("z", 2)], "unknown generator label 'z'"),
+        (4, [("x1", 1), ("x", 1)], "unknown generator label 'x'"),
+    ])
+    def test_bad_words_keep_their_messages(self, d, word, message):
+        with pytest.raises(InputError) as raised:
+            IntegerLattice(d).canonicalize(word)
+        assert str(raised.value) == message
+        if not isinstance(word, str):
+            with pytest.raises(InputError) as raised:
+                oracle_lattice_evaluate(IntegerLattice(d), word)
+            assert str(raised.value) == message
 
 
 class TestLatticeProduct:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -39,7 +40,8 @@ from groupshift.lll import (
     verify_condition,
 )
 from groupshift.serialize import quad_to_json
-from oracles import audit_event_probability, check_instance
+from oracles import (audit_event_probability, check_instance,
+                     oracle_halves, oracle_interleaved)
 
 fractions = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
@@ -657,7 +659,55 @@ def assignments(alphabet):
     return st.lists(st.integers(0, alphabet - 1), min_size=10, max_size=10)
 
 
+@st.composite
+def first_pair_cases(draw, partner):
+    """(support, a): 2-8 positions below 10, odd counts too, and values over
+    2-4 symbols whose first pair, at places 0 and ``partner(len(support))``,
+    agrees or differs as drawn (it can only agree on a repeated position)."""
+    support = tuple(draw(st.lists(st.integers(0, 9), min_size=2,
+                                  max_size=8)))
+    alphabet = draw(st.integers(2, 4))
+    a = draw(assignments(alphabet))
+    first, second = support[0], support[partner(len(support))]
+    if draw(st.booleans()):
+        a[second] = a[first]
+    elif first != second:
+        a[second] = (a[first] + 1) % alphabet
+    return support, a
+
+
 class TestEqualOn:
+    @given(first_pair_cases(lambda k: k // 2))
+    def test_halves_matches_its_full_tuple_oracle(self, case):
+        support, a = case
+        assert halves(support, a) == oracle_halves(support, a)
+
+    @given(first_pair_cases(lambda k: 1))
+    def test_interleaved_matches_its_full_tuple_oracle(self, case):
+        support, a = case
+        assert interleaved(support, a) == oracle_interleaved(support, a)
+
+    @pytest.mark.parametrize("build, oracle", [
+        (lambda f, w: build_squarefree_instance(w, 16, 3, 2), oracle_halves),
+        (lambda f, w: build_2coloring_instance(f, w, build_t_sets(f, 1, 2)),
+         oracle_interleaved),
+    ], ids=["halves", "interleaved"])
+    def test_resample_with_oracle_predicates_keeps_trace(self, build,
+                                                         oracle):
+        # The culprits and draws depend only on which events are violated,
+        # so full-tuple predicates give the same run.
+        f = parse_group_spec("free:2")
+        inst = build(f, f.ball(radius=4))
+        replaced = LLLInstance(inst.alphabet, [
+            dataclasses.replace(e, violated=functools.partial(oracle,
+                                                              e.support))
+            for e in inst.events])
+        for seed in range(3):
+            run, expected = resample(inst, seed), resample(replaced, seed)
+            assert run.resamples > 0
+            assert run.trace == expected.trace
+            assert run.assignment == expected.assignment
+
     @given(even_supports(), st.integers(2, 4), st.data())
     def test_halves_matches_two_itemgetter_predicate(self, case, alphabet,
                                                      data):
