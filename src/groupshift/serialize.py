@@ -136,17 +136,31 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _ratio_text(n: int, d: int) -> str:
-    """n/d in lowest terms as Fraction writes it: "n/d", or "n" if d is 1."""
+def _ratio_text(n: int, d: int, written: dict) -> str:
+    """n/d in lowest terms as Fraction writes it: "n/d", or "n" if d is 1.
+
+    ``written`` maps each d to the first result made with it: a repeated d
+    is copied from that text rather than written in decimal again (str()
+    is quadratic in the digits), and the map holds no string that the
+    results do not hold."""
     from .exact import lowest_terms
     n, _, d = lowest_terms(n, 0, d)
-    return str(n) if d == 1 else f"{n}/{d}"
+    if d == 1:
+        return str(n)
+    earlier = written.get(d)
+    if earlier is None:
+        text = written[d] = f"{n}/{d}"
+        return text
+    return f"{n}{earlier[earlier.index('/'):]}"
 
 
-def quad_to_json(q: Quad):
+def quad_to_json(q: Quad, written: dict | None = None):
+    """``written`` as in :func:`_ratio_text`, shared over one render."""
+    written = {} if written is None else written
     if q.is_rational:
-        return _ratio_text(q.p, q.q)
-    return {"rational": _ratio_text(q.p, q.q), "sqrt2": _ratio_text(q.r, q.q)}
+        return _ratio_text(q.p, q.q, written)
+    return {"rational": _ratio_text(q.p, q.q, written),
+            "sqrt2": _ratio_text(q.r, q.q, written)}
 
 
 def _quad_renderer():
@@ -156,14 +170,17 @@ def _quad_renderer():
     instance_from_json and the builders), and events of one signature share
     a margin object (see lll.verify_condition).  The caller keeps every
     object alive while it renders, so id() is a safe key and spares hashing
-    ~6,000-bit numbers.
+    ~6,000-bit numbers.  Distinct margins share power-of-two denominators
+    (634 on a two_z2 verdict hold 494 values), so each denominator value
+    is written in decimal once: hashing one costs a fiftieth of that.
     """
     rendered: dict[int, object] = {}
+    written: dict[int, str] = {}
 
     def render(q: Quad):
         t = rendered.get(id(q))
         if t is None:
-            t = rendered[id(q)] = quad_to_json(q)
+            t = rendered[id(q)] = quad_to_json(q, written)
         return t
 
     return render

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -342,6 +343,75 @@ class TestExitCodes:
     def test_canon_prints_huge_exponents_back(self, capsys, group, word):
         assert run(["group", "canon", "--group", group, "--word", word]) == 0
         assert capsys.readouterr().out.strip() == word
+
+
+def run_main(argv, cwd):
+    """Run the CLI as the console script does, through ``main`` and its
+    exit, in a fresh interpreter with buffered streams; stdout and stderr
+    as bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(groupshift.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "groupshift.cli", *argv], capture_output=True,
+        cwd=cwd, timeout=120, env=env,
+    )
+
+
+class TestMain:
+    """``main`` is ``dispatch``, ``gc.freeze`` and ``sys.exit``: the freeze
+    spares the shutdown collections, and the rest of the exit (the code,
+    the flushed streams, the written files) is dispatch's own."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_freezes_after_dispatch_returns(self, monkeypatch, code):
+        calls = []
+
+        def dispatch():
+            calls.append("dispatch")
+            return code
+
+        monkeypatch.setattr(cli, "dispatch", dispatch)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert calls == ["dispatch", "freeze"]
+        assert exc.value.code == code
+
+    def test_stdout_longer_than_a_pipe_buffer_is_written_whole(self,
+                                                               tmp_path):
+        argv = ["group", "ball", "--group", "z^2", "--radius", "60"]
+        proc = run_main(argv, tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.dispatch(argv) == 0
+        assert proc.returncode == 0
+        assert len(proc.stdout) == 126_064
+        assert proc.stdout == out.getvalue().encode()
+
+    def test_manifest_digests_match_the_files_written(self, tmp_path):
+        proc = run_main(["color", "two", "--group", "z^2", "--radius", "8",
+                         "--c", "17", "--levels", "1", "--out", "cfg.json",
+                         "--instance-out", "inst.json"], tmp_path)
+        assert proc.returncode == 0
+        manifest = json.loads(
+            (tmp_path / "cfg.json.manifest.json").read_text())
+        assert manifest["outputs"] == {
+            name: sha256_file(tmp_path / name)
+            for name in ("cfg.json", "inst.json")}
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify", "distinct", "--config", "constant.json", "--levels", "1",
+          "--c", "2"], 1, b"checked 60 violations 60\n", b""),
+        (["lll", "alphabet-bound", "--s", "0"], 2, b"",
+         b"error: input: generator count must be positive\n"),
+        (["group", "ball", "--group", "z^2", "--radius", "100",
+          "--cap", "100"], 3, b"",
+         b"error: resource: breadth-first search exceeds cap 100\n"),
+    ], ids=["violation", "input", "resource"])
+    def test_exit_code_passes_through(self, tmp_path, argv, code, out, err):
+        write_constant_config(tmp_path / "constant.json")
+        proc = run_main(argv, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # An all-zero window of radius 1 on z^2.

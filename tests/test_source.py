@@ -1,10 +1,14 @@
 import ast
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import groupshift
+from groupshift import cli
 
 
 def test_no_assert_statements():
@@ -85,6 +89,25 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         " if m.startswith('groupshift.'))")
     assert [line.split() for line in loaded] == [
         modules for _, modules in COMMAND_MODULES]
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+def test_dispatch_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
+                                                      capsys, collecting):
+    # Tests, the benchmark's tracer and library callers run commands
+    # in-process through dispatch; only main freezes, after it returns.
+    monkeypatch.chdir(tmp_path)
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, _ in COMMAND_MODULES:
+            frozen = gc.get_freeze_count()
+            assert cli.dispatch(argv) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (
+                frozen, collecting)
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
 
 
 # Each command, run in order in one directory, and whether it loads
