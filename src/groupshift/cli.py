@@ -40,6 +40,7 @@ from .groups import (
     ResourceLimitError,
     format_word,
     parse_group_spec,
+    paused_collector,
 )
 
 if TYPE_CHECKING:
@@ -98,7 +99,8 @@ def _load(path: str, from_json):
     violations.
     """
     try:
-        return from_json(json.loads(Path(path).read_text()))
+        with paused_collector():  # a JSON tree holds no cycles
+            return from_json(json.loads(Path(path).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from None

@@ -22,6 +22,8 @@ to share between threads.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import operator
 import re
 from math import gcd, isqrt
@@ -87,6 +89,28 @@ def bfs(start, neighbors: Callable, radius: int | None = None,
                 if h not in dist:
                     dist[h] = d + 1
                     queue.append(h)
+
+
+@contextlib.contextmanager
+def paused_collector():
+    """Run a block that makes many objects in no reference cycle (a
+    decoded file, a builder's events) with the cyclic collector paused.
+
+    Re-enabling alone defers the work: the next collection would walk
+    every new object, 10-17 ms on 18,772 events.  Freezing and unfreezing
+    moves them all into the oldest generation instead, with no lasting
+    freeze; not when the caller has frozen objects, since unfreeze would
+    release those too."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if collecting:
+            gc.enable()
 
 
 class Record:

@@ -26,7 +26,6 @@ Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from types import MethodType
 from typing import Callable, Optional
 
 from .exact import Quad, half_power_of_two, sqrt2_power
-from .groups import InputError, Record, ResourceLimitError
+from .groups import InputError, Record, ResourceLimitError, paused_collector
 
 
 #: Largest bound, in bits, on the height (see :meth:`Quad.height`) of a
@@ -138,23 +137,9 @@ class LLLInstance:
     events: list[BadEvent] = field(default_factory=list)
 
     def __post_init__(self):
-        if isinstance(self.events, list):
-            return
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            self.events = list(self.events)
-        finally:
-            # Re-enabling alone defers the work: the next collection would
-            # walk every new object, 10-17 ms on 18,772 events.  Freezing and
-            # unfreezing moves them all into the oldest generation instead,
-            # with no lasting freeze; not when the caller has frozen
-            # objects, since unfreeze would release those too.
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            if collecting:
-                gc.enable()
+        if not isinstance(self.events, list):
+            with paused_collector():
+                self.events = list(self.events)
 
 
 class Verdict(Record):

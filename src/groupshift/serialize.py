@@ -4,6 +4,9 @@ All JSON is emitted with sorted keys and a trailing newline so repeated
 runs with identical inputs produce byte-identical artifacts.  Artifacts
 are written to text files piece by piece, so none is built whole; an
 artifact file is hashed from its UTF-8 bytes as they are written.
+Numbers and variable names are :class:`_Plain` strings, quoted as they
+are, and a power-of-two denominator, of up to thousands of digits, is
+written from an exact Decimal (see :func:`_power_of_two_texts`).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import contextlib
 import io
 import json
 import sys
+from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,9 +63,17 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Plain(str):
+    """A string that JSON writes as is between quotes: printable ASCII
+    other than ``"`` and ``\\``, such as "-3/8" or "v12"."""
+
+    __slots__ = ()
+
+
 #: The JSON text of a scalar, by its exact type.  ``type(True)`` is bool,
 #: never int, and a bool indexes ("false", "true") as 0 or 1.
-_SCALARS = {str: _string, int: int.__repr__, float: _float,
+_SCALARS = {str: _string, _Plain: lambda text: '"' + text + '"',
+            int: int.__repr__, float: _float,
             bool: ("false", "true").__getitem__,
             type(None): lambda _: "null"}
 
@@ -98,6 +110,10 @@ def _write(value, newline: str, put) -> None:
             return
         inner = newline + "  "
         kinds = set(map(type, value))
+        if kinds == {_Plain}:
+            put("[" + inner + '"' + ('",' + inner + '"').join(value)
+                + '"' + newline + "]")
+            return
         if kinds.issubset(_SCALARS):
             encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
             put("[" + inner + ("," + inner).join(map(encode, value))
@@ -136,51 +152,60 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _ratio_text(n: int, d: int, written: dict) -> str:
-    """n/d in lowest terms as Fraction writes it: "n/d", or "n" if d is 1.
+def _power_of_two_texts():
+    """A function that returns ``str(2**k)`` for k >= 0, for one render.
 
-    ``written`` maps each d to the first result made with it: a repeated d
-    is copied from that text rather than written in decimal again (str()
-    is quadratic in the digits), and the map holds no string that the
-    results do not hold."""
-    from .exact import lowest_terms
-    n, _, d = lowest_terms(n, 0, d)
-    if d == 1:
-        return str(n)
-    earlier = written.get(d)
-    if earlier is None:
-        text = written[d] = f"{n}/{d}"
-        return text
-    return f"{n}{earlier[earlier.index('/'):]}"
+    It keeps the exact Decimal of each 2**k asked for, makes a new one as
+    the nearest lower one times 2**(k - k0), in a context that holds any
+    integer and traps Inexact, and writes it with the linear ``str()`` of
+    an integral Decimal: an int's is quadratic in its digits."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    exponents, powers = [0], [Decimal(1)]
 
+    def text(k: int) -> str:
+        i = bisect_right(exponents, k) - 1
+        if exponents[i] != k:
+            power = exact.multiply(powers[i], exact.power(2, k - exponents[i]))
+            i += 1
+            exponents.insert(i, k)
+            powers.insert(i, power)
+        return str(powers[i])
 
-def quad_to_json(q: Quad, written: dict | None = None):
-    """``written`` as in :func:`_ratio_text`, shared over one render."""
-    written = {} if written is None else written
-    if q.is_rational:
-        return _ratio_text(q.p, q.q, written)
-    return {"rational": _ratio_text(q.p, q.q, written),
-            "sqrt2": _ratio_text(q.r, q.q, written)}
+    return text
 
 
-def _quad_renderer():
-    """:func:`quad_to_json`, rendering each Quad object once.
+def quad_renderer():
+    """A function that returns the JSON form of a Quad, rendering each
+    Quad object once: its text if it is rational, else its parts' texts.
 
     Events of one class share their probability and weight objects (see
     instance_from_json and the builders), and events of one signature share
     a margin object (see lll.verify_condition).  The caller keeps every
     object alive while it renders, so id() is a safe key and spares hashing
     ~6,000-bit numbers.  Distinct margins share power-of-two denominators
-    (634 on a two_z2 verdict hold 494 values), so each denominator value
-    is written in decimal once: hashing one costs a fiftieth of that.
+    (634 on a two_z2 verdict hold 494 values), each written from the exact
+    Decimals of one :func:`_power_of_two_texts`.
     """
+    from .exact import lowest_terms
+    power_of_two = _power_of_two_texts()
     rendered: dict[int, object] = {}
-    written: dict[int, str] = {}
+
+    def ratio(n: int, d: int) -> _Plain:
+        """n/d in lowest terms as Fraction writes it: "n/d", or "n"."""
+        n, _, d = lowest_terms(n, 0, d)
+        if d == 1:
+            return _Plain(n)
+        if d & (d - 1):
+            return _Plain(f"{n}/{d}")
+        return _Plain(f"{n}/{power_of_two(d.bit_length() - 1)}")
 
     def render(q: Quad):
         t = rendered.get(id(q))
         if t is None:
-            t = rendered[id(q)] = quad_to_json(q, written)
+            t = rendered[id(q)] = (
+                ratio(q.p, q.q) if q.is_rational else
+                {"rational": ratio(q.p, q.q), "sqrt2": ratio(q.r, q.q)})
         return t
 
     return render
@@ -252,8 +277,8 @@ def window_to_pgm(x: WindowConfig) -> str:
 
 @unlimited_int_digits()
 def instance_to_json(inst: LLLInstance) -> dict:
-    names = [f"v{v}" for v in range(len(inst.alphabet))]
-    render = _quad_renderer()
+    names = [_Plain(f"v{v}") for v in range(len(inst.alphabet))]
+    render = quad_renderer()
     return {
         "variables": [{"id": name, "alphabet": k}
                       for name, k in zip(names, inst.alphabet)],
@@ -287,7 +312,7 @@ def instance_from_json(data: dict) -> LLLInstance:
     read: dict = {}  # number string or (rational, sqrt2) pair -> Quad
 
     def quad(value) -> Quad:
-        """The inverse of :func:`quad_to_json`."""
+        """The inverse of :func:`quad_renderer`."""
         parts = ((value,) if isinstance(value, str)
                  else (value["rational"], value["sqrt2"]))
         q = read.get(parts)
@@ -333,7 +358,7 @@ def instance_from_json(data: dict) -> LLLInstance:
 
 @unlimited_int_digits()
 def verdict_to_json(inst: LLLInstance, verdict: Verdict) -> dict:
-    render = _quad_renderer()
+    render = quad_renderer()
     floats: dict[int, float] = {}  # id of a margin -> float(margin)
 
     events = []

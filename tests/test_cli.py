@@ -17,6 +17,7 @@ import groupshift
 from groupshift import aperiodic, cli, serialize
 from groupshift.aperiodic import build_2coloring_instance, build_t_sets
 from groupshift.density import build_forest
+from groupshift.exact import Quad
 from groupshift.groups import (GroupModel, InputError, IntegerLattice,
                                parse_group_spec)
 from groupshift.lll import verify_condition
@@ -84,6 +85,17 @@ json_documents = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=5)
                    | st.lists(json_scalars, max_size=5)),
     max_leaves=25)
+
+# The parts of a Quad: either sign, zero, d = 1, power-of-two
+# denominators (written from exact Decimals) and others (written as ints).
+rendered_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+    st.builds(Fraction, st.integers(-2 ** 400, 2 ** 400),
+              st.integers(0, 1400).map(lambda k: 2 ** k)),
+    st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90),
+              st.integers(1, 10 ** 12)),
+)
 
 
 class TestSerialization:
@@ -204,6 +216,51 @@ class TestSerialization:
         # The text layer passes its 8 KiB buffer on whenever it fills, and
         # no piece of this verdict is longer than that.
         assert max(sizes) <= 8192
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(rendered_fractions, rendered_fractions),
+                    max_size=6),
+           st.lists(st.integers(0, 10 ** 4), max_size=6))
+    @example([(Fraction(-7), Fraction(0)), (Fraction(0), Fraction(-1, 3))],
+             [])
+    def test_rendered_quads_dump_as_json_dumps(self, parts, variables):
+        self.check_rendered(parts, variables)
+
+    def test_margin_past_the_int_digit_limit_dumps_as_json_dumps(self):
+        # 4,342 digits over 2^14401 (4,336 digits); kept out of the
+        # examples above, which hypothesis would print with repr().
+        self.check_rendered(
+            [(Fraction(-3 ** 9100, 2 ** 14401), Fraction(5, 2 ** 14401)),
+             (Fraction(3 ** 9100), Fraction(0))], [0])
+
+    @staticmethod
+    def check_rendered(parts, variables):
+        # Rendered numbers and variable names are written quoted as they
+        # are, a list of names in a single join: the bytes are still
+        # those of json.dumps.
+        render = serialize.quad_renderer()
+        quads = [Quad(a, b) for a, b in parts]
+        with serialize.unlimited_int_digits():
+            document = {"quads": [render(q) for q in quads],
+                        "names": [serialize._Plain(f"v{v}")
+                                  for v in variables],
+                        "first": render(quads[0]) if quads else None}
+            assert [serialize.quad_renderer()(q) for q in quads] == [
+                str(a) if not b else {"rational": str(a), "sqrt2": str(b)}
+                for a, b in parts]
+            assert serialize.dumps(document) == json.dumps(
+                document, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 15_000), max_size=10).flatmap(
+        lambda ks: st.permutations(ks + [0, 1, 14_001, 15_000])))
+    def test_power_of_two_texts_are_the_int_texts(self, exponents):
+        # Each 2^k is built from the nearest lower one asked for so far,
+        # in any order, repeats included.
+        text = serialize._power_of_two_texts()
+        with serialize.unlimited_int_digits():
+            assert [text(k) for k in exponents] == [
+                str(1 << k) for k in exponents]
 
     def test_pgm_shape(self):
         z2 = IntegerLattice(2)
@@ -804,6 +861,36 @@ def test_verdict_on_stdout_is_the_verdict_file(instance17, tmp_path, capsys):
     capsys.readouterr()
     assert run(["lll", "verify", "--instance", str(path)]) == 0
     assert capsys.readouterr().out.encode() == verdict
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+def test_load_leaves_no_deferred_collection(instance17, tmp_path,
+                                            collecting):
+    # A decoded file is thousands of objects in no reference cycle: they
+    # are read with the collector paused and kept in the oldest
+    # generation, so no later collection walks them young.  A file that
+    # cannot be read leaves the collector as it was, too.
+    path, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+    path.write_text(json.dumps(instance17[0]))
+    bad.write_text('{"variables": [')
+    gc.collect()
+    frozen = gc.get_freeze_count()
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(InputError):
+            cli._load(str(bad), serialize.instance_from_json)
+        states = [(gc.isenabled(), gc.get_freeze_count())]
+        inst = cli._load(str(path), serialize.instance_from_json)
+        states.append((gc.isenabled(), gc.get_freeze_count()))
+        gc.disable()  # so that nothing collects before the count
+        young = len(gc.get_objects(generation=0))
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert len(inst.events) == len(instance17[0]["events"])
+    assert states == [(collecting, frozen)] * 2
+    assert young < 100
 
 
 PRINTED = {

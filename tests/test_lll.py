@@ -39,7 +39,7 @@ from groupshift.lll import (
     two_coloring_weight,
     verify_condition,
 )
-from groupshift.serialize import quad_to_json
+from groupshift.serialize import quad_renderer
 from oracles import (audit_event_probability, check_instance,
                      oracle_halves, oracle_interleaved)
 
@@ -212,7 +212,7 @@ class TestQuadAgainstFractionPairs:
         assert x.height() == oracle.height()
         assert x.sign() == oracle.sign()
         assert x.is_rational == (oracle.b == 0)
-        assert quad_to_json(x) == oracle.to_json()
+        assert quad_renderer()(x) == oracle.to_json()
         try:
             expected = float(oracle)
         except OverflowError:  # past the largest float: both must refuse

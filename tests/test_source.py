@@ -72,8 +72,10 @@ COMMAND_MODULES = [
       "--out", "measure.json"],
      ["cli", "density", "groups", "patterns", "serialize"]),
     (["color", "two", "--group", "z^2", "--radius", "4", "--c", "17",
-      "--out", "cfg.json"],
+      "--out", "cfg.json", "--instance-out", "inst.json"],
      ["aperiodic", "cli", "exact", "groups", "lll", "patterns", "serialize"]),
+    (["lll", "verify", "--instance", "inst.json", "--out", "v.json"],
+     ["cli", "exact", "groups", "lll", "patterns", "serialize"]),
     # The independent re-check and the witness resample nothing.
     (["verify", "distinct", "--config", "cfg.json", "--levels", "1"],
      ["aperiodic", "cli", "groups", "patterns", "serialize"]),
@@ -129,10 +131,12 @@ def test_only_a_command_that_writes_a_file_loads_hashlib(tmp_path):
 
 
 # Each command, run in order in one directory, and whether it loads
-# dataclasses and fractions.  Only the launches that import lll load
-# dataclasses (its events are copied with dataclasses.replace); the
-# others use plain record classes.  Exact densities and slopes need
-# fractions; the group, witness and distinct-neighborhood checks do not.
+# dataclasses, and fractions and decimal.  Only the launches that import
+# lll load dataclasses (its events are copied with dataclasses.replace);
+# the others use plain record classes.  Exact densities and slopes need
+# fractions, which imports decimal; the group, witness and
+# distinct-neighborhood checks load neither, so serialize imports
+# decimal only where it writes exact numbers.
 COMMAND_STDLIB = [
     (["lll", "alphabet-bound", "--s", "2"], True, True),
     (["group", "canon", "--group", "z^2", "--word", "x"], False, False),
@@ -155,8 +159,9 @@ COMMAND_STDLIB = [
 def test_only_a_command_that_imports_lll_loads_dataclasses(tmp_path):
     loaded = after_dispatch(
         tmp_path, [argv for argv, _, _ in COMMAND_STDLIB],
-        "'dataclasses' in sys.modules, 'fractions' in sys.modules")
-    assert loaded == [f"{dc} {fr}" for _, dc, fr in COMMAND_STDLIB]
+        "'dataclasses' in sys.modules, 'fractions' in sys.modules,"
+        " 'decimal' in sys.modules")
+    assert loaded == [f"{dc} {fr} {fr}" for _, dc, fr in COMMAND_STDLIB]
 
 
 
