@@ -225,7 +225,7 @@ def cmd_color_squarefree(args) -> int:
     if args.out:
         outputs.append((args.out, serialize.window_to_json(config)))
     _write_artifacts(args, outputs, seed=args.seed,
-                     caps={"resample": args.cap})
+                     caps={"paths": args.cap, "resample": args.cap})
     print(summary, file=sys.stderr)
     return EXIT_OK if witness is None else EXIT_VERIFICATION
 
@@ -323,14 +323,13 @@ def cmd_density_measure(args) -> int:
     radii = _parse_radii(args.balls)
     alpha = density.Slope.parse(args.alpha) if args.alpha else None
     config = _load(args.config, serialize.window_from_json)
-    sets, descs = density.ball_sequence(config, radii)
-    report = density.measure_density(config, sets, alpha=alpha,
-                                     descriptors=descs)
+    entries = density.measure_density(
+        config, density.ball_sequence(config, radii))
     payload = {
-        "alpha": None if report.alpha is None else str(report.alpha),
+        "alpha": None if alpha is None else str(alpha.value),
         "entries": [
             {"set": d, "size": s, "ones": o, "dens": str(f)}
-            for d, s, o, f in report.entries
+            for d, s, o, f in entries
         ],
     }
     _emit(args, payload)

@@ -20,6 +20,10 @@ All guarantees are intrinsic to the window: cluster upper bounds hold for
 every center, while lower bounds (and the aggregate density bound built
 on them) are only asserted for centers whose level-n ball stays inside
 the window, a test made on the window's graph.
+
+The density along balls reads B(1, r) as the first |B(1, r)| places of
+the window's colour tuple: a window is a ball about the identity, its
+members in BFS order.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .groups import Ball, FrozenRecord, GroupModel, InputError, Record, bfs
-from .patterns import EmptySupportError, WindowConfig, count_ones
+from .patterns import WindowConfig, count_ones
 
 
 class Slope(FrozenRecord):
@@ -200,12 +204,12 @@ def convex_enumeration(f: CoveringForest, component) -> list:
     return f.cluster(f.depth, component)
 
 
-def sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
+def sturmian(alpha: Fraction, count: int) -> list[int]:
     """Mechanical word bits floor((k+1)a) - floor(ka), as integer floors
     of a = p/q."""
     p, q = alpha.numerator, alpha.denominator
     return [(k + 1) * p // q - k * p // q
-            for k in range(start, start + count)]
+            for k in range(count)]
 
 
 def fill_density(f: CoveringForest, alpha: Slope) -> WindowConfig:
@@ -292,49 +296,27 @@ def verify_condition1(x: WindowConfig, f: CoveringForest,
     return Condition1Report(clusters=cluster_checks, aggregates=aggregates)
 
 
-class DensityReport(Record):
-    __slots__ = _fields = ("entries", "alpha")
-
-    def __init__(self, entries: list, alpha: Optional[Fraction] = None):
-        self.entries = entries  # (descriptor, size, ones, dens)
-        self.alpha = alpha
-
-
-def measure_density(x: WindowConfig, sets, alpha: Optional[Slope] = None,
-                    descriptors=None) -> DensityReport:
-    """Exact densities of 1's over a sequence of element sets.
-
-    Each set is read through the window's index and colour tuple, one
-    ``map`` each, not element by element through ``x[g]`` and ``g in x``.
-    """
-    position, colors = x.window.index.__getitem__, x.colors.__getitem__
+def measure_density(x: WindowConfig, balls) -> list[tuple]:
+    """Exact densities of 1's over the (descriptor, size) balls of
+    :func:`ball_sequence`, each the first ``size`` places of the colour
+    tuple: (descriptor, size, ones, density) entries."""
     entries = []
-    for i, subset in enumerate(sets):
-        subset = list(subset)
-        if not subset:
-            raise EmptySupportError(f"set {i} is empty: no density")
-        try:
-            ones = count_ones(map(colors, map(position, subset)))
-        except KeyError:
-            raise InputError(f"set {i} escapes the window") from None
-        desc = descriptors[i] if descriptors else f"set-{i}"
-        entries.append((desc, len(subset), ones, Fraction(ones, len(subset))))
-    return DensityReport(
-        entries=entries, alpha=None if alpha is None else alpha.value
-    )
+    for desc, size in balls:
+        ones = count_ones(x.colors[:size])
+        entries.append((desc, size, ones, Fraction(ones, size)))
+    return entries
 
 
-def ball_sequence(x: WindowConfig, radii) -> tuple[list, list]:
-    """Balls B(1, r) for r in radii, as (sets, descriptors).
+def ball_sequence(x: WindowConfig, radii) -> list[tuple[str, int]]:
+    """Balls B(1, r) for r in radii, as (descriptor, |B(1, r)|) pairs.
 
     Each is a prefix of the window's members; no ball is searched again.
     """
-    sets, descs = [], []
+    balls = []
     for r in radii:
         if r < 0:
             raise InputError(f"ball radius {r} is negative")
         if r > x.window.radius:
             raise InputError(f"ball radius {r} exceeds window")
-        sets.append(x.window.members[:x.window.sizes[r]])
-        descs.append(f"B(1,{r})")
-    return sets, descs
+        balls.append((f"B(1,{r})", x.window.sizes[r]))
+    return balls

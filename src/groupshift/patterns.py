@@ -11,10 +11,6 @@ from __future__ import annotations
 from .groups import Ball, GroupModel, InputError, Record
 
 
-class EmptySupportError(InputError):
-    """Density of a pattern with empty support is undefined."""
-
-
 class WindowConfig(Record):
     """A coloring of one window: ``colors[i]`` is the symbol on
     ``window.members[i]``."""

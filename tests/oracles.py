@@ -21,7 +21,11 @@ from groupshift.density import Slope
 from groupshift.groups import (Ball, FrozenRecord, GroupModel, InputError,
                                IntegerLattice, Record, bfs)
 from groupshift.lll import BadEvent, LLLInstance, neighbour_counts
-from groupshift.patterns import EmptySupportError, WindowConfig, count_ones
+from groupshift.patterns import WindowConfig, count_ones
+
+
+class EmptySupportError(InputError):
+    """Density of a pattern with empty support is undefined."""
 
 
 class Pattern(FrozenRecord):
@@ -60,6 +64,27 @@ def density_of(symbols) -> Fraction:
     if not symbols:
         raise EmptySupportError("density over an empty set is undefined")
     return Fraction(count_ones(symbols), len(symbols))
+
+
+def oracle_measure_density(x: WindowConfig, sets, descriptors) -> list:
+    """Exact densities of 1's over a sequence of element sets, each set
+    read element by element through the window's index: the reference
+    for ``density.measure_density``, which reads balls as prefixes of the
+    colour tuple.  InputError when a set escapes the window,
+    EmptySupportError when one is empty."""
+    position, colors = x.window.index.__getitem__, x.colors.__getitem__
+    entries = []
+    for i, subset in enumerate(sets):
+        subset = list(subset)
+        if not subset:
+            raise EmptySupportError(f"set {i} is empty: no density")
+        try:
+            ones = count_ones(map(colors, map(position, subset)))
+        except KeyError:
+            raise InputError(f"set {i} escapes the window") from None
+        entries.append((descriptors[i], len(subset), ones,
+                        Fraction(ones, len(subset))))
+    return entries
 
 
 def interior_and_boundary(group: GroupModel, F, K) -> tuple[frozenset, frozenset]:

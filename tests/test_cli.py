@@ -1333,6 +1333,17 @@ def test_color_squarefree_paths_are_bounded_by_cap_alone(tmp_path,
     assert "square none" in capsys.readouterr().err
 
 
+def test_color_squarefree_manifest_records_both_caps(tmp_path, capsys):
+    # --cap bounds the odd-path enumeration as well as the resampler.
+    out = tmp_path / "sf.json"
+    assert run(["color", "squarefree", "--group", "free:2", "--radius", "2",
+                "--alphabet", "16", "--maxlen", "2", "--seed", "3",
+                "--cap", "5000", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "sf.json.manifest.json").read_text())
+    assert manifest["caps"] == {"paths": 5000, "resample": 5000}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", [
     ["build-forest"], ["fill", "--alpha", "1/2", "--out", "x.json"]])
 def test_forest_levels_are_checked_before_the_window_search(monkeypatch,

@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from groupshift.groups import (
     DiscreteHeisenberg,
@@ -13,7 +13,7 @@ from groupshift.groups import (
     bfs,
 )
 from groupshift import density
-from groupshift.patterns import EmptySupportError, WindowConfig
+from groupshift.patterns import WindowConfig
 from groupshift.density import (
     Slope,
     ball_sequence,
@@ -24,7 +24,8 @@ from groupshift.density import (
     sturmian,
     verify_condition1,
 )
-from oracles import forbidden_check, greedy_rnet, oracle_sturmian
+from oracles import (forbidden_check, greedy_rnet,
+                     oracle_measure_density, oracle_sturmian)
 
 
 def path_adjacency(n):
@@ -420,7 +421,7 @@ class TestSturmian:
         st.integers(min_value=1, max_value=50),
     )
     def test_ones_count_closed_form(self, alpha, start, count):
-        bits = sturmian(alpha, count, start=start)
+        bits = sturmian(alpha, start + count)[start:]
         expected = ((start + count) * alpha).__floor__() - (
             start * alpha
         ).__floor__()
@@ -431,10 +432,10 @@ class TestSturmian:
         | st.fractions(min_value=Fraction(0), max_value=Fraction(1),
                        max_denominator=10 ** 6),
         st.integers(min_value=0, max_value=300),
-        st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+        st.integers(min_value=0, max_value=10 ** 4),
     )
     def test_integer_floors_match_fraction_floors(self, alpha, count, start):
-        assert sturmian(alpha, count, start=start) == oracle_sturmian(
+        assert sturmian(alpha, start + count)[start:] == oracle_sturmian(
             alpha, count, start=start)
 
 
@@ -519,13 +520,19 @@ class TestForbiddenCheck:
             forbidden_check(x, [(9,)], Slope.parse("1/2"), 1)
 
 
+# One window per model for the measure.
+MEASURE_WINDOWS = [(group, group.ball(radius=radius)) for group, radius in [
+    (IntegerLattice(1), 9), (IntegerLattice(2), 5), (FreeGroup(2), 3),
+    (FreeProductZ2Z3(), 6), (DiscreteHeisenberg(), 3),
+]]
+
+
 class TestMeasureDensity:
     def test_all_ones(self):
         z2 = IntegerLattice(2)
         x = all_ones_window(z2, 5)
-        sets, descs = ball_sequence(x, range(1, 6))
-        report = measure_density(x, sets, descriptors=descs)
-        assert all(dens == 1 for _, _, _, dens in report.entries)
+        entries = measure_density(x, ball_sequence(x, range(1, 6)))
+        assert all(dens == 1 for _, _, _, dens in entries)
 
     def test_checkerboard_against_closed_form(self):
         z2 = IntegerLattice(2)
@@ -533,29 +540,34 @@ class TestMeasureDensity:
         colors = tuple((g[0] + g[1]) % 2 for g in window.members)
         x = WindowConfig(group=z2, window=window, colors=colors,
                          alphabet_size=2)
-        sets, descs = ball_sequence(x, range(1, 11))
-        report = measure_density(x, sets, alpha=Slope.parse("1/2"),
-                                 descriptors=descs)
-        for r, (desc, size, ones, dens) in enumerate(report.entries, 1):
+        entries = measure_density(x, ball_sequence(x, range(1, 11)))
+        for r, (desc, size, ones, dens) in enumerate(entries, 1):
             assert desc == f"B(1,{r})"
             assert size == 2 * r * r + 2 * r + 1
             # Odd spheres carry the ones: |S(d)| = 4d for d >= 1.
             assert ones == sum(4 * d for d in range(1, r + 1, 2))
             assert dens == Fraction(ones, size)
         # Deviations shrink toward the slope from radius 5 on.
-        devs = [abs(dens - report.alpha) for _, _, _, dens in report.entries]
+        devs = [abs(dens - Fraction(1, 2)) for _, _, _, dens in entries]
         assert all(dev <= Fraction(1, 10) for dev in devs[4:])
 
-    def test_escaping_set_rejected(self):
-        z = IntegerLattice(1)
-        x = all_ones_window(z, 3)
-        with pytest.raises(InputError):
-            measure_density(x, [[(7,)]])
-
-    def test_empty_set_rejected(self):
-        x = all_ones_window(IntegerLattice(1), 3)
-        with pytest.raises(EmptySupportError):
-            measure_density(x, [[(0,)], []])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_prefixes_match_the_element_set_oracle(self, data):
+        group, window = data.draw(st.sampled_from(MEASURE_WINDOWS))
+        alphabet = data.draw(st.integers(min_value=2, max_value=5))
+        colors = data.draw(st.lists(
+            st.integers(min_value=0, max_value=alphabet - 1),
+            min_size=len(window), max_size=len(window)))
+        radii = data.draw(st.lists(
+            st.integers(min_value=0, max_value=window.radius), min_size=1,
+            max_size=8))
+        x = WindowConfig(group=group, window=window, colors=tuple(colors),
+                         alphabet_size=alphabet)
+        # Each ball searched again from scratch, read element by element.
+        sets = [group.ball(radius=r).members for r in radii]
+        assert measure_density(x, ball_sequence(x, radii)) == (
+            oracle_measure_density(x, sets, [f"B(1,{r})" for r in radii]))
 
     def test_ball_sequence_cap(self):
         z = IntegerLattice(1)

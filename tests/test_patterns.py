@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from groupshift.groups import IntegerLattice
-from groupshift.patterns import EmptySupportError, WindowConfig
+from groupshift.patterns import WindowConfig
 from oracles import (
+    EmptySupportError,
     Pattern,
     density_of,
     interior_and_boundary,
