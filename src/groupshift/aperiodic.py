@@ -9,13 +9,22 @@ walk that turns a nontrivial stabilizer element into a square witness.
 Both run on the positions of one window, a :class:`~groupshift.groups.Ball`:
 variables, event supports and paths are ints, and the ball's members map
 them back to elements.
+
+Each construction has one equality rule, a function of (support,
+colouring): :func:`interleaved` pairs the even and odd places of a row of
+:func:`fitting_pairs`, and :func:`halves` the two halves of a path of
+:func:`enumerate_odd_paths`.  The event builders bind a rule to each
+event's support with :func:`equal_on`, and the verifiers call it on the
+window's colours, so the events and the checks compare the same places.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from types import MethodType
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .groups import (Ball, FrozenRecord, GroupModel, InputError, Record,
                      ResourceLimitError)
@@ -174,6 +183,28 @@ def fitting_pairs(group: GroupModel, window: Ball,
                 yield n, i, tuple(row)
 
 
+def interleaved(support: tuple, a: Sequence[int]) -> bool:
+    """The 2-coloring rule: ``a`` agrees on the even and the odd places of
+    ``support``, pairwise (g T_n against g s_n T_n, t by t).
+
+    The first pair is compared alone, and almost always settles it; only
+    when it agrees is the whole support read."""
+    if a[support[0]] != a[support[1]]:
+        return False
+    c = itemgetter(*support)(a)
+    return c[0::2] == c[1::2]
+
+
+def equal_on(support: tuple, rule: Callable[[tuple, Sequence[int]], bool]
+             ) -> Callable[[Sequence[int]], bool]:
+    """The predicate ``a -> rule(support, a)``: ``rule`` (:func:`interleaved`
+    or :func:`halves`) bound as a method of the event's own support, one
+    small object that copies no position."""
+    if len(support) < 2:  # itemgetter(v) returns a[v] itself, not a tuple
+        raise InputError(f"equal_on needs at least 2 positions: {support}")
+    return MethodType(rule, support)
+
+
 def build_2coloring_instance(group: GroupModel, window: Ball,
                              tsets: TSets) -> LLLInstance:
     """Binary variables on the window positions; one event per fitting (n, g).
@@ -182,21 +213,17 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     :func:`fitting_pairs` as its support.  It is violated when the
     restriction to g T_n, the row's even places, equals the restriction
     to g s_n T_n, its odd places, under t -> s_n t: its predicate is
-    :func:`groupshift.lll.interleaved` bound to the row.  Probability
-    2^(-C n), weight 2^(-C n / 2).  Events of one level share one
-    probability and one weight.
+    :func:`interleaved` bound to the row.  Probability 2^(-C n), weight
+    2^(-C n / 2).  Events of one level share one probability and one
+    weight.
     """
-    from .lll import (
-        BadEvent,
-        LLLInstance,
-        equal_on,
-        interleaved,
-        two_coloring_probability,
-        two_coloring_weight,
-    )
-    levels = range(tsets.levels + 1)
-    probability = [two_coloring_probability(tsets.c, n) for n in levels]
-    weight = [two_coloring_weight(tsets.c, n) for n in levels]
+    from fractions import Fraction
+
+    from .exact import Quad, half_power_of_two
+    from .lll import BadEvent, LLLInstance
+    c, levels = tsets.c, range(tsets.levels + 1)
+    probability = [Quad(Fraction(1, 2 ** (c * n))) for n in levels]
+    weight = [half_power_of_two(c * n) for n in levels]
     events = (BadEvent((n, i), row, probability[n], weight[n],
                        equal_on(row, interleaved))
               for n, i, row in fitting_pairs(group, window, tsets))
@@ -219,21 +246,17 @@ def verify_distinct_neighborhood(x: WindowConfig,
                                  tsets: TSets) -> DistinctNeighborhoodReport:
     """Exhaustive check of x|gT_n != x|g s_n T_n over all fitting (n, g).
 
-    The comparison runs on the window's colour tuple: the colours of a
-    flat row of :func:`fitting_pairs` at its even places (g T_n) against
-    those at its odd places (g s_n T_n), the first pair alone first.  A
-    row has 2 C n >= 2 places, so its getter returns a tuple.  The report
-    names each violation by its level and element.
+    Each flat row of :func:`fitting_pairs` is compared on the window's
+    colour tuple by :func:`interleaved`, the rule of the 2-coloring
+    events: g T_n at its even places against g s_n T_n at its odd places.
+    The report names each violation by its level and element.
     """
     members, colors = x.window.members, x.colors
     violations = []
     checked = 0
     for n, i, row in fitting_pairs(x.group, x.window, tsets):
         checked += 1
-        if colors[row[0]] != colors[row[1]]:
-            continue
-        c = itemgetter(*row)(colors)
-        if c[0::2] == c[1::2]:
+        if interleaved(row, colors):
             violations.append((n, members[i]))
     return DistinctNeighborhoodReport(violations=violations, checked=checked)
 
@@ -283,27 +306,29 @@ def enumerate_odd_paths(w: Ball, max_half_length: int,
                 stack.append(iter(adjacency[nxt]))
 
 
-def is_vertex_square(coloring: Sequence[int], path: tuple) -> bool:
-    """True when the colors along ``path`` repeat under the half shift.
+def halves(support: tuple, a: Sequence[int]) -> bool:
+    """The square-free rule: ``a`` agrees on the two halves of ``support``,
+    place by place (a path of 2n vertices against its shift by n).
 
-    The first pair, places 0 and n, is compared before the rest is read."""
-    n = len(path) // 2
-    if not n:  # itemgetter needs a position, and returns a[v] for one
-        return True
-    if coloring[path[0]] != coloring[path[n]]:
+    The first pair, places 0 and n, is compared alone, as in
+    :func:`interleaved`."""
+    n = len(support) // 2
+    if a[support[0]] != a[support[n]]:
         return False
-    c = itemgetter(*path)(coloring)
-    return c[:n] == c[n:2 * n]
+    c = itemgetter(*support)(a)
+    return c[:n] == c[n:]
 
 
 def find_vertex_square(coloring: Sequence[int],
                        paths: Iterable[tuple]) -> Optional[tuple]:
     """First of ``paths`` that is a vertex square, or None.
 
-    ``coloring[i]`` is the color of position i; paths are positions.
+    ``coloring[i]`` is the color of position i; paths are tuples of at
+    least 2 positions, each compared by :func:`halves`, the rule of the
+    square-free events.
     """
     for path in paths:
-        if is_vertex_square(coloring, path):
+        if halves(path, coloring):
             return path
     return None
 
@@ -316,13 +341,13 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     The variables are the window positions.  A simple path has distinct
     vertices, so it is its own support and has at most |w| of them.  The
     event of a path of 2n vertices is violated when its colours repeat
-    under the shift by n: :func:`groupshift.lll.halves` bound to the path.
+    under the shift by n: :func:`halves` bound to the path.
     Events of one half-length n share one probability and one weight.
     """
     from fractions import Fraction
 
     from .exact import Quad
-    from .lll import BadEvent, LLLInstance, equal_on, halves
+    from .lll import BadEvent, LLLInstance
     if alphabet_size < 2:
         raise InputError("alphabet must have at least 2 symbols")
     base = 8 * generator_count * generator_count

@@ -300,14 +300,22 @@ def cmd_density_fill(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
+def _load_binary_window(args, command: str):
+    """The window of --config, refused unless its alphabet is {0, 1}:
+    condition (1) and the measured density count 1's among 0's and 1's."""
+    from . import serialize
+    config = _load(args.config, serialize.window_from_json)
+    if config.alphabet_size != 2:
+        raise InputError(f"{command} requires a binary alphabet, not "
+                         f"alphabet size {config.alphabet_size}")
+    return config
+
+
 def cmd_density_verify(args) -> int:
-    from . import density, serialize
+    from . import density
     alpha = density.Slope.parse(args.alpha)
     _check_levels(args)
-    config = _load(args.config, serialize.window_from_json)
-    if config.alphabet_size != 2:  # condition (1) counts 1's among 0/1
-        raise InputError("density verify requires a binary alphabet, not "
-                         f"alphabet size {config.alphabet_size}")
+    config = _load_binary_window(args, "density verify")
     forest = density.build_forest(config.group, config.window, args.levels)
     report = density.verify_condition1(config, forest, alpha)
     failures = [c for c in report.clusters if not c.ok]
@@ -319,10 +327,10 @@ def cmd_density_verify(args) -> int:
 
 
 def cmd_density_measure(args) -> int:
-    from . import density, serialize
+    from . import density
     radii = _parse_radii(args.balls)
     alpha = density.Slope.parse(args.alpha) if args.alpha else None
-    config = _load(args.config, serialize.window_from_json)
+    config = _load_binary_window(args, "density measure")
     entries = density.measure_density(
         config, density.ball_sequence(config, radii))
     payload = {

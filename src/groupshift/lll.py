@@ -14,11 +14,9 @@ verifier and the resampler read the dependency graph off one index,
 it could be the next culprit: a scan front walks the id-sorted events
 once, and the culprit's neighbours below the front wait in a min-heap
 that is drained before the front moves.  It still resamples the least-id
-violated event, so its trace is that of a full rescan.
-
-Both constructions' events compare the values on their support by one
-of two rules, :func:`interleaved` or :func:`halves`, which
-:func:`equal_on` binds to the support.
+violated event, so its trace is that of a full rescan.  It calls each
+predicate as an oracle and needs nothing of what it compares: the
+constructions' equality rules live in :mod:`groupshift.aperiodic`.
 
 All comparisons are exact: probabilities and weights are elements of
 Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
@@ -30,11 +28,9 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from types import MethodType
 from typing import Callable, Optional
 
-from .exact import Quad, half_power_of_two, sqrt2_power
+from .exact import Quad, sqrt2_power
 from .groups import InputError, Record, ResourceLimitError, paused_collector
 
 
@@ -66,7 +62,8 @@ class BadEvent:
     ``violated`` receives the whole assignment, a list indexed by variable,
     and must only read the support variables.  It may be None for
     verify-only instances.  The builders' predicates are bound methods,
-    made by :func:`equal_on`, whose ``__self__`` is ``support`` itself.
+    made by :func:`groupshift.aperiodic.equal_on`, whose ``__self__`` is
+    ``support`` itself.
 
     Not frozen, and built positionally by the builders, which make one
     event per fitting (n, g) or odd path: a frozen ``__init__`` stores
@@ -80,41 +77,6 @@ class BadEvent:
     probability: Quad
     weight: Quad
     violated: Optional[Callable[[list], bool]] = None
-
-
-def interleaved(support: tuple, a: list) -> bool:
-    """The 2-coloring rule: ``a`` agrees on the even and the odd places of
-    ``support``, pairwise (g T_n against g s_n T_n, t by t).
-
-    The first pair is compared alone, and almost always settles it; only
-    when it agrees is the whole support read."""
-    if a[support[0]] != a[support[1]]:
-        return False
-    c = itemgetter(*support)(a)
-    return c[0::2] == c[1::2]
-
-
-def halves(support: tuple, a: list) -> bool:
-    """The square-free rule: ``a`` agrees on the two halves of ``support``,
-    place by place (a path of 2n vertices against its shift by n).
-
-    The first pair, places 0 and n, is compared alone, as in
-    :func:`interleaved`."""
-    n = len(support) // 2
-    if a[support[0]] != a[support[n]]:
-        return False
-    c = itemgetter(*support)(a)
-    return c[:n] == c[n:]
-
-
-def equal_on(support: tuple, rule: Callable[[tuple, list], bool]
-             ) -> Callable[[list], bool]:
-    """The predicate ``a -> rule(support, a)``: ``rule`` (:func:`interleaved`
-    or :func:`halves`) bound as a method of the event's own support, one
-    small object that copies no position."""
-    if len(support) < 2:  # itemgetter(v) returns a[v] itself, not a tuple
-        raise InputError(f"equal_on needs at least 2 positions: {support}")
-    return MethodType(rule, support)
 
 
 @dataclass
@@ -442,13 +404,3 @@ def squarefree_alphabet_bound(s: int) -> int:
     if exponent.denominator != 1:
         raise AssertionError(f"series exponent {exponent} is not an integer")
     return 8 * s * s * 2 ** int(exponent)
-
-
-def two_coloring_weight(c: int, n: int) -> Quad:
-    """Exact 2^(-C n / 2)."""
-    return half_power_of_two(c * n)
-
-
-def two_coloring_probability(c: int, n: int) -> Quad:
-    """Exact 2^(-C n)."""
-    return Quad(Fraction(1, 2 ** (c * n)))

@@ -253,10 +253,12 @@ def oracle_sturmian(alpha: Fraction, count: int, start: int = 0) -> list[int]:
     return bits
 
 
-# The pair-equality checks as they were before each compared its first
-# pair alone: one itemgetter tuple of the whole support, then one tuple
-# comparison.  The row check of verify_distinct_neighborhood is
-# oracle_interleaved on (row, colors).
+# The equality rules of groupshift.aperiodic, interleaved and halves, as
+# they were before each compared its first pair alone: one itemgetter
+# tuple of the whole support, then one tuple comparison.  The events and
+# both verifiers call those rules, so verify_distinct_neighborhood's row
+# check is oracle_interleaved on (row, colors), and find_vertex_square's
+# scan is oracle_halves on each path.
 
 def oracle_interleaved(support: tuple, a) -> bool:
     """``a`` agrees on the even and the odd places of ``support``."""

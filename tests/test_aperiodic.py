@@ -8,7 +8,7 @@ from types import MethodType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupshift.exact import Quad
+from groupshift.exact import Quad, sqrt2_power
 from groupshift.groups import (
     Ball,
     DiscreteHeisenberg,
@@ -27,11 +27,12 @@ from groupshift.aperiodic import (
     enumerate_odd_paths,
     find_vertex_square,
     fitting_pairs,
-    is_vertex_square,
+    halves,
+    interleaved,
     verify_distinct_neighborhood,
     witness_path,
 )
-from groupshift.lll import halves, interleaved, resample, verify_condition
+from groupshift.lll import resample, verify_condition
 from groupshift.patterns import WindowConfig
 from groupshift import aperiodic
 from oracles import (audit_event_probability, check_instance, check_t_sets,
@@ -297,12 +298,15 @@ class TestTwoColoringInstance:
         assert report.checked == len(expected)
 
     def test_probability_and_weight(self):
+        # Level n: P = 2^(-17 n) and w = 2^(-17 n / 2), so w w = P.
         z2 = IntegerLattice(2)
-        tsets = build_t_sets(z2, c=17, i_max=1)
+        tsets = build_t_sets(z2, c=17, i_max=2)
         inst = build_2coloring_instance(z2, z2.ball(radius=8), tsets)
-        assert inst.events
+        assert {e.id[0] for e in inst.events} == {1, 2}
         for e in inst.events:
-            assert e.probability == Quad.of(Fraction(1, 2 ** 17))
+            n = e.id[0]
+            assert e.probability == Quad.of(Fraction(1, 2 ** (17 * n)))
+            assert e.weight * sqrt2_power(17 * n) == Quad.of(1)
             assert e.weight * e.weight == e.probability
 
     def test_each_level_shares_one_probability_and_weight(self):
@@ -580,7 +584,7 @@ class TestVertexSquares:
             w, find_vertex_square(on_positions(w, coloring),
                                   enumerate_odd_paths(w, 2)))
         assert witness == (1, 2, 3, 4)
-        assert is_vertex_square(coloring, witness)
+        assert halves(witness, coloring)
 
     def test_planted_square_maps_to_a_cayley_path(self):
         # Distinct colors except a b a b on (-1,0) (0,0) (1,0) (2,0): the
@@ -595,27 +599,23 @@ class TestVertexSquares:
                                     enumerate_odd_paths(w, 3))
         members = on_members(w, square)
         assert members in (planted, planted[::-1])
-        assert is_vertex_square(coloring, members)
+        assert halves(members, coloring)
         for a, b in zip(members, members[1:]):
             assert z2.length(z2.mul(z2.inv(a), b)) == 1
-
-    @given(first_pair_cases(lambda k: k // 2))
-    def test_scan_matches_its_full_tuple_oracle(self, case):
-        path, colors = case
-        assert is_vertex_square(colors, path) == oracle_vertex_square(
-            colors, path)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(ALL_GROUPS), st.integers(2, 3),
            st.integers(0, 2 ** 32))
     def test_halves_rule_agrees_with_the_scan(self, group, alphabet, seed):
-        # The rule the square-free events carry against the independent
-        # scan that certifies a coloring.
+        # The scan that certifies a coloring against a full-tuple scan of
+        # the same paths.
         w = group.ball(radius=2)
         rng = random.Random(seed)
         coloring = [rng.randrange(alphabet) for _ in w.members]
-        for path in enumerate_odd_paths(w, 2):
-            assert halves(path, coloring) == is_vertex_square(coloring, path)
+        paths = list(enumerate_odd_paths(w, 2))
+        expected = next((path for path in paths
+                         if oracle_vertex_square(coloring, path)), None)
+        assert find_vertex_square(coloring, paths) is expected
 
 
 class TestSquarefreeInstance:
@@ -767,6 +767,29 @@ class TestBuilderPredicates:
                 assert e.violated.__self__ is e.support
                 assert e.violated.__func__ is rule
 
+    @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec)
+    def test_verifiers_compare_by_the_same_rules(self, group, monkeypatch):
+        # With both rules replaced by one that always holds, on a window
+        # of distinct colours, every fitting row is a violation and the
+        # first path is a square.
+        def always(support, a):
+            return True
+
+        monkeypatch.setattr(aperiodic, "interleaved", always)
+        monkeypatch.setattr(aperiodic, "halves", always)
+        window = group.ball(radius=4)
+        colors = tuple(range(len(window)))
+        tsets = build_t_sets(group, c=2, i_max=2)
+        report = verify_distinct_neighborhood(
+            WindowConfig(group=group, window=window, colors=colors,
+                         alphabet_size=len(window)), tsets)
+        rows = [(n, window.members[i])
+                for n, i, _ in fitting_pairs(group, window, tsets)]
+        assert rows
+        assert report.violations == rows
+        paths = list(enumerate_odd_paths(window, 2))
+        assert find_vertex_square(colors, paths) is paths[0]
+
 
 class TestWitnessPath:
     def test_identity_is_trivial(self):
@@ -854,4 +877,4 @@ class TestWitnessPath:
         z2 = IntegerLattice(2)
         result = witness_path(z2, "x x")
         coloring = {v: v[0] % 2 for v in result.vertices}
-        assert is_vertex_square(coloring, result.vertices)
+        assert halves(result.vertices, coloring)

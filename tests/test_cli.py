@@ -560,6 +560,10 @@ MALFORMED_INPUTS = {
     "density-verify-alphabet-16": ["density", "verify", "--config",
                                    "{alphabet16}", "--levels", "1",
                                    "--alpha", "1/2"],
+    # The measured density is the share of 1's in a {0,1} window: this
+    # exited 0 with the share of symbol 1.  Both radii lie in the window.
+    "density-measure-alphabet-16": ["density", "measure", "--config",
+                                    "{alphabet16}", "--balls", "0..1"],
 }
 
 
@@ -601,8 +605,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
     assert code == 2
     assert "error: input" in err
     assert "Traceback" not in err
-    if case == "density-verify-alphabet-16":
-        assert "alphabet size 16" in err
+    if case.endswith("-alphabet-16"):
+        assert "requires a binary alphabet, not alphabet size 16" in err
 
 
 class TestPipelines:

@@ -16,7 +16,8 @@ from hypothesis import example, given, strategies as st
 import groupshift
 from groupshift import lll
 from groupshift.aperiodic import (build_2coloring_instance,
-                                  build_squarefree_instance, build_t_sets)
+                                  build_squarefree_instance, build_t_sets,
+                                  equal_on, halves, interleaved)
 from groupshift.exact import (Quad, half_power_of_two, parse_fraction,
                               sqrt2_power)
 from groupshift.groups import InputError, ResourceLimitError, parse_group_spec
@@ -27,16 +28,11 @@ from groupshift.lll import (
     ResampleRun,
     aperiodic_constant_scan,
     check_aperiodic_constant,
-    equal_on,
     events_by_variable,
     geometric_derivative_partial,
-    halves,
-    interleaved,
     neighbour_counts,
     resample,
     squarefree_alphabet_bound,
-    two_coloring_probability,
-    two_coloring_weight,
     verify_condition,
 )
 from groupshift.serialize import quad_renderer
@@ -1056,9 +1052,3 @@ class TestConstants:
     def test_alphabet_bound(self):
         assert squarefree_alphabet_bound(1) == 524288
         assert squarefree_alphabet_bound(2) == 2097152
-
-    def test_two_coloring_values(self):
-        assert two_coloring_probability(17, 1) == Quad.of(Fraction(1, 2 ** 17))
-        assert two_coloring_weight(17, 2) == Quad.of(Fraction(1, 2 ** 17))
-        w1 = two_coloring_weight(17, 1)
-        assert w1 * w1 == two_coloring_probability(17, 1)
