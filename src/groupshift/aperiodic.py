@@ -224,9 +224,9 @@ def build_2coloring_instance(group: GroupModel, window: Ball,
     c, levels = tsets.c, range(tsets.levels + 1)
     probability = [Quad(Fraction(1, 2 ** (c * n))) for n in levels]
     weight = [half_power_of_two(c * n) for n in levels]
-    events = (BadEvent((n, i), row, probability[n], weight[n],
+    events = [BadEvent((n, i), row, probability[n], weight[n],
                        equal_on(row, interleaved))
-              for n, i, row in fitting_pairs(group, window, tsets))
+              for n, i, row in fitting_pairs(group, window, tsets)]
     return LLLInstance((2,) * len(window), events)
 
 
@@ -354,14 +354,12 @@ def build_squarefree_instance(w: Ball, alphabet_size: int,
     lengths = range(min(max_half_length, len(w) // 2) + 1)
     probability = [Quad(Fraction(1, alphabet_size ** n)) for n in lengths]
     weight = [Quad(Fraction(1, base ** n)) for n in lengths]
-
-    def events() -> Iterator[BadEvent]:
-        for k, path in enumerate(
-                enumerate_odd_paths(w, max_half_length, budget)):
-            n = len(path) // 2
-            yield BadEvent((n, k), path, probability[n], weight[n],
-                           equal_on(path, halves))
-    return LLLInstance((alphabet_size,) * len(w), events())
+    events = []
+    for k, path in enumerate(enumerate_odd_paths(w, max_half_length, budget)):
+        n = len(path) // 2
+        events.append(BadEvent((n, k), path, probability[n], weight[n],
+                               equal_on(path, halves)))
+    return LLLInstance((alphabet_size,) * len(w), events)
 
 
 class WitnessPath(FrozenRecord):

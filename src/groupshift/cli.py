@@ -18,9 +18,10 @@ numbers.
 Handlers call through the module (``density.build_forest``), so a
 function rebound on its module, as the benchmark's tracer does, is the
 one that runs.
-``main`` freezes every live object once the command has returned, so the
-collections that run at interpreter shutdown walk none of them (a few
-milliseconds of each launch); ``dispatch``, which tests and the tracer
+``main`` runs the command with the cyclic collector off, as what it
+builds (a decoded file, an instance's events) holds no reference cycles,
+then freezes every live object, so the collections at interpreter
+shutdown walk none of them; ``dispatch``, which tests and the tracer
 call in-process, leaves the collector as it finds it.
 """
 
@@ -40,7 +41,6 @@ from .groups import (
     ResourceLimitError,
     format_word,
     parse_group_spec,
-    paused_collector,
 )
 
 if TYPE_CHECKING:
@@ -99,8 +99,7 @@ def _load(path: str, from_json):
     violations.
     """
     try:
-        with paused_collector():  # a JSON tree holds no cycles
-            return from_json(json.loads(Path(path).read_text()))
+        return from_json(json.loads(Path(path).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from None
@@ -477,10 +476,9 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
+    gc.disable()
     code = dispatch()
-    # Only now: the shutdown collections skip what is frozen, and the
-    # command ran with nothing frozen, as LLLInstance expects.
-    gc.freeze()
+    gc.freeze()  # the shutdown collections skip what is frozen
     sys.exit(code)
 
 

@@ -22,8 +22,6 @@ to share between threads.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import operator
 import re
 from math import gcd, isqrt
@@ -35,7 +33,8 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A ball, scan or odd-path cap was exceeded (CLI exit 3, as on OOM)."""
+    """A ball, scan or odd-path cap was exceeded, or an element is too
+    long to build (CLI exit 3, as on OOM)."""
 
 
 #: A run of one generator in a word: (label, nonzero exponent).  A single
@@ -89,28 +88,6 @@ def bfs(start, neighbors: Callable, radius: int | None = None,
                 if h not in dist:
                     dist[h] = d + 1
                     queue.append(h)
-
-
-@contextlib.contextmanager
-def paused_collector():
-    """Run a block that makes many objects in no reference cycle (a
-    decoded file, a builder's events) with the cyclic collector paused.
-
-    Re-enabling alone defers the work: the next collection would walk
-    every new object, 10-17 ms on 18,772 events.  Freezing and unfreezing
-    moves them all into the oldest generation instead, with no lasting
-    freeze; not when the caller has frozen objects, since unfreeze would
-    release those too."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if not gc.get_freeze_count():
-            gc.freeze()
-            gc.unfreeze()
-        if collecting:
-            gc.enable()
 
 
 class Record:
@@ -242,7 +219,11 @@ class GroupModel:
                 if mark is None:
                     exp = 1
                 elif mark.startswith("^"):
-                    exp = int(mark[1:])
+                    try:
+                        exp = int(mark[1:])
+                    except ValueError:  # above int's digit limit
+                        raise InputError(f"exponent of {label} has too "
+                                         f"many digits to read") from None
                 else:
                     exp = -1
                 if exp:
@@ -449,7 +430,11 @@ class FreeGroup(ReducedWordGroup):
             i = self.labels.index(label)
         except ValueError:
             raise InputError(f"unknown generator label {label!r}") from None
-        return ((i + 1) * (1 if exp >= 0 else -1),) * abs(exp) if exp != 0 else ()
+        try:
+            return ((i + 1) * (1 if exp >= 0 else -1),) * abs(exp)
+        except OverflowError:  # past any tuple's length; MemoryError below
+            raise ResourceLimitError(f"{label}^{exp} is too long to build"
+                                     ) from None
 
     def mul(self, a, b):
         out = list(a)

@@ -9,14 +9,16 @@ numeric constants used by the coloring constructions (C = 17 and the
 The variables of an instance are the positions 0..n-1: ``alphabet[v]``
 is the number of values of variable v, a support lists positions, and an
 assignment is a list whose entry v is the value of variable v.  The
-verifier and the resampler read the dependency graph off one index,
-:func:`events_by_variable`.  The resampler evaluates an event only when
-it could be the next culprit: a scan front walks the id-sorted events
-once, and the culprit's neighbours below the front wait in a min-heap
-that is drained before the front moves.  It still resamples the least-id
-violated event, so its trace is that of a full rescan.  It calls each
-predicate as an oracle and needs nothing of what it compares: the
-constructions' equality rules live in :mod:`groupshift.aperiodic`.
+dependency graph has two forms, each the faster for its reader: the
+verifier counts neighbours by incidence bitmasks (:func:`neighbour_counts`)
+and the resampler walks lists (:func:`events_by_variable`).  The resampler
+evaluates an event only when it could be the next culprit: a scan front
+walks the id-sorted events once, and the culprit's neighbours below the
+front wait in a min-heap that is drained before the front moves.  It
+still resamples the least-id violated event, so its trace is that of a
+full rescan.  It calls each predicate as an oracle and needs nothing of
+what it compares: the constructions' equality rules live in
+:mod:`groupshift.aperiodic`.
 
 All comparisons are exact: probabilities and weights are elements of
 Q(sqrt(2)) (see :mod:`groupshift.exact`), never floats.
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exact import Quad, sqrt2_power
-from .groups import InputError, Record, ResourceLimitError, paused_collector
+from .groups import InputError, Record, ResourceLimitError
 
 
 #: Largest bound, in bits, on the height (see :meth:`Quad.height`) of a
@@ -87,21 +89,12 @@ class LLLInstance:
     :func:`groupshift.serialize.instance_from_json`, rejects a bad
     alphabet size or a repeated id as it reads them, and the builders in
     :mod:`groupshift.aperiodic` take every position from their window.
-
-    A builder passes its events as an iterator, drained here with the
-    cyclic collector paused: the events form no reference cycles, but
-    their ~10^5 objects set off collections that scan them and free
-    nothing.  A list is kept as it is, so ``dataclasses.replace`` keeps
-    the events it is given.
+    Its events hold no reference cycles; a launch builds and reads them
+    with the cyclic collector off (see :func:`groupshift.cli.main`).
     """
 
     alphabet: tuple  # alphabet[v] is the number of values of variable v
     events: list[BadEvent] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not isinstance(self.events, list):
-            with paused_collector():
-                self.events = list(self.events)
 
 
 class Verdict(Record):

@@ -663,56 +663,17 @@ class TestSquarefreeInstance:
         assert len(inst.events) == 18772
         assert size <= 8 * 10 ** 6
 
-    @staticmethod
-    def build_watching_collections(w):
-        """Build the instance, return it with the collector state and the
-        young-generation size right after, and the number of objects each
-        collection during the call was to walk."""
-        walked = []
-
-        def watch(phase, info):
-            if phase == "start":
-                walked.append(sum(len(gc.get_objects(generation=g))
-                                  for g in range(info["generation"] + 1)))
-        gc.callbacks.append(watch)
-        try:
-            inst = build_squarefree_instance(w, 16, 3, 2)
-            state = gc.isenabled(), gc.get_freeze_count()
-            gc.disable()  # so that nothing collects before the count
-            young = len(gc.get_objects(generation=0))
-        finally:
-            gc.callbacks.remove(watch)
-        return inst, state, young, walked
-
-    @pytest.mark.parametrize("collecting", [True, False])
-    def test_build_leaves_no_deferred_collection(self, collecting):
-        # The paths_nonabelian window, ~10^5 new objects.  Pausing the
-        # collector alone defers their scan: the next collection, inside
-        # the build when it was on, walked all of them; when it was off,
-        # they stayed in the young generation for the caller's first one.
-        w = FreeGroup(2).ball(radius=6)
-        gc.collect()
-        frozen = gc.get_freeze_count()
-        try:
-            (gc.enable if collecting else gc.disable)()
-            inst, state, young, walked = self.build_watching_collections(w)
-        finally:
-            gc.enable()
-        assert len(inst.events) == 18772
-        assert state == (collecting, frozen)
-        assert young < 1000
-        assert max(walked, default=0) < 10 ** 4
-
     def test_build_keeps_the_callers_frozen_objects(self):
-        # gc.unfreeze would release them, so the build does not freeze.
+        # The build neither freezes nor unfreezes: gc.unfreeze would
+        # release the caller's frozen objects too.
         w = FreeGroup(2).ball(radius=2)
         gc.freeze()
         try:
             frozen = gc.get_freeze_count()
-            inst, state, _, _ = self.build_watching_collections(w)
+            inst = build_squarefree_instance(w, 16, 3, 2)
+            state = gc.isenabled(), gc.get_freeze_count()
         finally:
             gc.unfreeze()
-            gc.enable()
         assert inst.events
         assert state == (True, frozen)
 

@@ -343,6 +343,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: resource:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["group", "canon", "--group", "free:2",
+         "--word", "a^99999999999999999999"],
+        ["witness", "--group", "free:2", "--word", "a^-99999999999999999999"],
+        ["verify", "distinct", "--config", "{huge}", "--levels", "1"],
+    ], ids=["group-canon", "witness", "verify-distinct-cell"])
+    def test_element_too_long_to_build_exits_3(self, tmp_path, capsys, argv):
+        # A free-group power longer than any tuple: this raised
+        # OverflowError, a traceback with exit 1.
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({
+            "group": "free:2", "radius": 1, "alphabet_size": 2,
+            "cells": [[w, 0] for w in ("", "a", "a^-1", "b", "b^-1",
+                                       "a^99999999999999999999")]}))
+        assert run([a.format(huge=huge) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: resource: a^")
+
     def test_resample_cap_exits_3(self, tmp_path, capsys):
         # C = 2 is below the admissible constant, so resampling needs more
         # than one step.
@@ -415,7 +433,8 @@ def run_main(argv, cwd):
 
 
 class TestMain:
-    """``main`` is ``dispatch``, ``gc.freeze`` and ``sys.exit``: the freeze
+    """``main`` is ``gc.disable``, ``dispatch``, ``gc.freeze`` and
+    ``sys.exit``: the command runs with the collector off, the freeze
     spares the shutdown collections, and the rest of the exit (the code,
     the flushed streams, the written files) is dispatch's own."""
 
@@ -428,10 +447,11 @@ class TestMain:
             return code
 
         monkeypatch.setattr(cli, "dispatch", dispatch)
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         with pytest.raises(SystemExit) as exc:
             cli.main()
-        assert calls == ["dispatch", "freeze"]
+        assert calls == ["disable", "dispatch", "freeze"]
         assert exc.value.code == code
 
     def test_stdout_longer_than_a_pipe_buffer_is_written_whole(self,
@@ -476,13 +496,18 @@ BASE_WINDOW = {"group": "z^2", "radius": 1, "alphabet_size": 2,
                "cells": [[w, 0] for w in ("", "x", "x^-1", "y", "y^-1")]}
 
 
+# More digits than int() reads from text (4,300 by default).
+LONG_EXPONENT = "9" * 5000
+
+
 # Each argv exits 2 (input error); "{name}" fields name files the test
 # writes: a missing path, non-JSON text, JSON without cells, JSON with a
-# non-string group, a valid window configuration, and seven copies of
+# non-string group, a valid window configuration, and nine copies of
 # BASE_WINDOW that are wrong in one way each: radius ``true``, one
 # more cell outside the ball, the cell "x" listed again as "x y y^-1",
 # the cell "y^-1" left out, the symbol 0.5 or ``true`` at the identity,
-# and alphabet size 2.5.  "{config.parent}" is a directory, so it cannot
+# alphabet size 2.5 or 16, and one more cell whose exponent has
+# LONG_EXPONENT's digits.  "{config.parent}" is a directory, so it cannot
 # be written as a file.  The cases in CAPPED run in a child process under
 # a 1 GiB address-space limit: a build that allocates before it checks
 # would take the host's memory there.
@@ -564,6 +589,24 @@ MALFORMED_INPUTS = {
     # exited 0 with the share of symbol 1.  Both radii lie in the window.
     "density-measure-alphabet-16": ["density", "measure", "--config",
                                     "{alphabet16}", "--balls", "0..1"],
+    # A word exponent above int's digit limit: all but the window file,
+    # which _load already refused, exited 1 with a ValueError traceback.
+    "group-canon-long-exponent-z2": ["group", "canon", "--group", "z^2",
+                                     "--word", f"x^{LONG_EXPONENT}"],
+    "group-canon-long-exponent-heisenberg": [
+        "group", "canon", "--group", "heisenberg",
+        "--word", f"x^-{LONG_EXPONENT}"],
+    "group-canon-long-exponent-free2": ["group", "canon", "--group",
+                                        "free:2", "--word",
+                                        f"b a^{LONG_EXPONENT}"],
+    "group-ball-long-center-exponent": ["group", "ball", "--group", "z^2",
+                                        "--radius", "1",
+                                        "--center", f"y^{LONG_EXPONENT}"],
+    "witness-long-exponent": ["witness", "--group", "free:2",
+                              "--word", f"a^{LONG_EXPONENT}"],
+    "verify-distinct-long-exponent-cell": ["verify", "distinct", "--config",
+                                           "{longexponent}", "--levels",
+                                           "1"],
 }
 
 
@@ -577,7 +620,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
              for name in ("missing", "text", "nocells", "intgroup", "config",
                           "out", "boolradius", "offwindow", "twospellings",
                           "missingcell", "halfsymbol", "boolsymbol",
-                          "halfalphabet", "alphabet16", "deep")}
+                          "halfalphabet", "alphabet16", "deep",
+                          "longexponent")}
     files["text"].write_text("not json {")
     files["deep"].write_text("[" * 200_000 + "]" * 200_000)
     files["nocells"].write_text(json.dumps(
@@ -594,7 +638,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, case, argv):
                          ("halfsymbol", {"cells": [["", 0.5]] + cells[1:]}),
                          ("boolsymbol", {"cells": [["", True]] + cells[1:]}),
                          ("halfalphabet", {"alphabet_size": 2.5}),
-                         ("alphabet16", {"alphabet_size": 16})):
+                         ("alphabet16", {"alphabet_size": 16}),
+                         ("longexponent",
+                          {"cells": cells + [[f"x^{LONG_EXPONENT}", 0]]})):
         files[name].write_text(json.dumps({**BASE_WINDOW, **change}))
     argv = [a.format(**files) for a in argv]
     if case in CAPPED:
@@ -865,36 +911,6 @@ def test_verdict_on_stdout_is_the_verdict_file(instance17, tmp_path, capsys):
     capsys.readouterr()
     assert run(["lll", "verify", "--instance", str(path)]) == 0
     assert capsys.readouterr().out.encode() == verdict
-
-
-@pytest.mark.parametrize("collecting", [True, False],
-                         ids=["enabled", "disabled"])
-def test_load_leaves_no_deferred_collection(instance17, tmp_path,
-                                            collecting):
-    # A decoded file is thousands of objects in no reference cycle: they
-    # are read with the collector paused and kept in the oldest
-    # generation, so no later collection walks them young.  A file that
-    # cannot be read leaves the collector as it was, too.
-    path, bad = tmp_path / "inst.json", tmp_path / "bad.json"
-    path.write_text(json.dumps(instance17[0]))
-    bad.write_text('{"variables": [')
-    gc.collect()
-    frozen = gc.get_freeze_count()
-    was_collecting = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
-    try:
-        with pytest.raises(InputError):
-            cli._load(str(bad), serialize.instance_from_json)
-        states = [(gc.isenabled(), gc.get_freeze_count())]
-        inst = cli._load(str(path), serialize.instance_from_json)
-        states.append((gc.isenabled(), gc.get_freeze_count()))
-        gc.disable()  # so that nothing collects before the count
-        young = len(gc.get_objects(generation=0))
-    finally:
-        (gc.enable if was_collecting else gc.disable)()
-    assert len(inst.events) == len(instance17[0]["events"])
-    assert states == [(collecting, frozen)] * 2
-    assert young < 100
 
 
 PRINTED = {

@@ -24,6 +24,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_cli_imports_gc():
+    # One collector policy per launch: cli.main runs the command with the
+    # cyclic collector off, and no module pauses or freezes it besides.
+    modules = sorted(Path(groupshift.__file__).parent.glob("*.py"))
+    importers = {
+        path.stem
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "gc" in {getattr(node, "module", None),
+                     *(a.name for a in node.names)}
+    }
+    assert importers == {"cli"}
+
+
 def test_package_root_loads_no_submodule():
     # Each name has one import path, its module; the root is a bare
     # namespace, so importing it costs no submodule.
